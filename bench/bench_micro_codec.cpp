@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "analysis/similarity.hpp"
 #include "common/rng.hpp"
 #include "compress/bdi.hpp"
 #include "sim/arbiter.hpp"
@@ -84,6 +85,30 @@ BM_BdiExplorerFullCandidates(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BdiExplorerFullCandidates);
+
+void
+BM_LaneScan(benchmark::State &state)
+{
+    // The fused per-write lane pass: base-4 fits plus Fig 2 bins.
+    const WarpRegValue v = strideValue(1000, 3);
+    for (auto _ : state) {
+        auto scan = scanLanes(v);
+        benchmark::DoNotOptimize(scan);
+    }
+}
+BENCHMARK(BM_LaneScan);
+
+void
+BM_SimilarityRecordFull(benchmark::State &state)
+{
+    const WarpRegValue v = strideValue(1000, 3);
+    SimilarityBins bins;
+    for (auto _ : state) {
+        bins.record(v, kFullMask, false);
+        benchmark::DoNotOptimize(bins);
+    }
+}
+BENCHMARK(BM_SimilarityRecordFull);
 
 void
 BM_ArbiterCycle(benchmark::State &state)

@@ -22,29 +22,16 @@ void
 SimilarityBins::record(const WarpRegValue &value, LaneMask written,
                        bool divergent)
 {
-    const u32 phase = divergent ? kDivergent : kNonDivergent;
-    // Branchless bin index; exploits the enum's monotone thresholds
-    // (Zero < Small128 < Mid32K < Random). This runs per register
-    // write, so the per-pair cost matters.
-    const auto bin_of = [](i64 d) -> u32 {
-        const i64 mag = d < 0 ? -d : d;
-        return static_cast<u32>(mag != 0) + static_cast<u32>(mag > 128) +
-               static_cast<u32>(mag > (i64{1} << 15));
-    };
-    u64 *bins = bins_[phase];
+    // Full warp write — the overwhelmingly common case: all 31
+    // successive pairs contribute, counted by the fused lane kernel.
     if (written == kFullMask) {
-        // Full warp write — the overwhelmingly common case: all 31
-        // successive pairs contribute, no per-lane mask test.
-        for (u32 lane = 1; lane < kWarpSize; ++lane) {
-            const i64 d = static_cast<i64>(static_cast<i32>(value[lane])) -
-                          static_cast<i64>(static_cast<i32>(value[lane - 1]));
-            ++bins[bin_of(d)];
-        }
+        recordScanned(scanLanes(value), divergent);
         return;
     }
     // Distances between successive *written* lanes: skipped (inactive)
     // lanes do not contribute pairs, mirroring the paper's "successive
     // thread registers written".
+    u64 *bins = bins_[divergent ? kDivergent : kNonDivergent];
     i32 prev = 0;
     bool have_prev = false;
     for (u32 lane = 0; lane < kWarpSize; ++lane) {
@@ -53,11 +40,19 @@ SimilarityBins::record(const WarpRegValue &value, LaneMask written,
         const i32 cur = static_cast<i32>(value[lane]);
         if (have_prev) {
             const i64 d = static_cast<i64>(cur) - static_cast<i64>(prev);
-            ++bins[bin_of(d)];
+            ++bins[static_cast<u32>(classifyDistance(d))];
         }
         prev = cur;
         have_prev = true;
     }
+}
+
+void
+SimilarityBins::recordScanned(const LaneScan &scan, bool divergent)
+{
+    u64 *bins = bins_[divergent ? kDivergent : kNonDivergent];
+    for (u32 b = 0; b < kNumDistanceBins; ++b)
+        bins[b] += scan.bins[b];
 }
 
 u64

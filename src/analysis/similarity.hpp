@@ -46,6 +46,11 @@ class SimilarityBins
     void record(const WarpRegValue &value, LaneMask written,
                 bool divergent);
 
+    /** Record one full-mask write whose lanes were already scanned:
+     *  same effect as record(value, kFullMask, divergent) for the
+     *  value @p scan came from. */
+    void recordScanned(const LaneScan &scan, bool divergent);
+
     u64 count(Phase phase, DistanceBin bin) const;
     u64 total(Phase phase) const;
     /** Bin share within one phase; 0 when the phase saw no distances. */

@@ -24,6 +24,17 @@ loadChunk(std::span<const u8> data, u32 index, u32 chunk_bytes)
     return static_cast<i64>(raw);
 }
 
+/** Chunk @p index minus @p base, modulo 2^64 like a hardware
+ *  subtractor: only 8-byte chunks can wrap, and decompression's
+ *  modular add restores them exactly. */
+i64
+chunkDelta(std::span<const u8> data, u32 index, u32 chunk_bytes, i64 base)
+{
+    return static_cast<i64>(
+        static_cast<u64>(loadChunk(data, index, chunk_bytes)) -
+        static_cast<u64>(base));
+}
+
 /** Store the low @p bytes bytes of @p value little-endian. */
 void
 storeBytes(BdiByteBuf &out, i64 value, u32 bytes)
@@ -35,46 +46,8 @@ storeBytes(BdiByteBuf &out, i64 value, u32 bytes)
     }
 }
 
-/** Sign-extend @p bytes little-endian bytes at @p p. */
-i64
-loadSigned(const u8 *p, u32 bytes)
-{
-    u64 raw = 0;
-    std::memcpy(&raw, p, bytes);
-    const u32 bits = bytes * 8;
-    if (bits < 64) {
-        const u64 sign = u64{1} << (bits - 1);
-        raw = (raw ^ sign) - sign;
-    }
-    return static_cast<i64>(raw);
-}
-
-/**
- * Delta-width feasibility for one base size, answered by a single pass.
- * The fits are nested (zero ⊂ 1B ⊂ 2B ⊂ 4B), so one scan of the data
- * answers every candidate sharing the base size; bdiCompress uses this
- * to avoid re-walking the 128-byte image once per candidate.
- */
-struct DeltaFits
-{
-    bool zero = true;
-    bool one = true;
-    bool two = true;
-    bool four = true;
-
-    bool
-    fits(u32 delta_bytes) const
-    {
-        switch (delta_bytes) {
-          case 0: return zero;
-          case 1: return one;
-          case 2: return two;
-          case 4: return four;
-          default: WC_PANIC("unscanned delta width " << delta_bytes);
-        }
-    }
-};
-
+/** Generic fits scan for @p base_bytes chunks (base 4 uses the
+ *  vectorized scanLanes instead). */
 DeltaFits
 scanDeltas(std::span<const u8> data, u32 base_bytes)
 {
@@ -82,7 +55,7 @@ scanDeltas(std::span<const u8> data, u32 base_bytes)
     const u32 chunks = static_cast<u32>(data.size()) / base_bytes;
     const i64 base = loadChunk(data, 0, base_bytes);
     for (u32 i = 1; i < chunks; ++i) {
-        const i64 d = loadChunk(data, i, base_bytes) - base;
+        const i64 d = chunkDelta(data, i, base_bytes, base);
         f.zero = f.zero && d == 0;
         f.one = f.one && fitsSigned(d, 1);
         f.two = f.two && fitsSigned(d, 2);
@@ -92,38 +65,6 @@ scanDeltas(std::span<const u8> data, u32 base_bytes)
             break;
         }
     }
-    return f;
-}
-
-/**
- * Base-4 fast path over the 32 contiguous u32 lanes of a warp
- * register: fixed trip count, no data-dependent exits, mask
- * accumulators instead of short-circuit booleans — straight-line code
- * the compiler can auto-vectorize. Deltas are computed in i64 (a u32
- * subtraction would wrap for e.g. an INT32_MIN base against an
- * INT32_MAX lane). Equivalent to scanDeltas(data, 4): the early break
- * there only skips deltas once every fit is already dead.
- */
-DeltaFits
-scanDeltas4(std::span<const u8> data)
-{
-    u32 lanes[kWarpSize];
-    std::memcpy(lanes, data.data(), kWarpRegBytes);
-    const i64 base = static_cast<i32>(lanes[0]);
-    u64 nonzero = 0;
-    u32 bad1 = 0, bad2 = 0, bad4 = 0;
-    for (u32 i = 1; i < kWarpSize; ++i) {
-        const i64 d = static_cast<i32>(lanes[i]) - base;
-        nonzero |= static_cast<u64>(d);
-        bad1 |= static_cast<u32>(!fitsSigned(d, 1));
-        bad2 |= static_cast<u32>(!fitsSigned(d, 2));
-        bad4 |= static_cast<u32>(!fitsSigned(d, 4));
-    }
-    DeltaFits f;
-    f.zero = nonzero == 0;
-    f.one = bad1 == 0;
-    f.two = bad2 == 0;
-    f.four = bad4 == 0;
     return f;
 }
 
@@ -188,6 +129,64 @@ decodeBase4(const BdiEncoded &enc, std::array<u8, kWarpRegBytes> &out)
     std::memcpy(out.data(), lanes, kWarpRegBytes);
 }
 
+/**
+ * The lane kernel behind scanLanes. kBins = false leaves out the Fig 2
+ * half (LaneScan::bins stays zero) for callers that only encode.
+ *
+ * Signed 32-bit differences in u32 arithmetic: a - b wraps, and the
+ * true (i64) difference left the i32 range iff a and b differ in sign
+ * and the wrapped result differs in sign from a (bit 31 of
+ * (a ^ b) & (a ^ (a - b))). An overflowed difference is nonzero and
+ * wider than every threshold below. The accumulators are ORs and sums
+ * of per-lane values, never early exits, so the loop vectorizes on
+ * baseline SSE2. Lane 0 is paired with itself (a zero delta and a zero
+ * distance, which every fit and the zero bin absorb), so the loop runs
+ * all 32 lanes with no scalar remainder.
+ */
+template <bool kBins>
+LaneScan
+laneKernel(const u32 *lanes)
+{
+    u32 prev[kWarpSize];
+    prev[0] = lanes[0];
+    std::memcpy(prev + 1, lanes, (kWarpSize - 1) * sizeof(u32));
+
+    const u32 base = lanes[0];
+    u32 base_nonzero = 0;   // OR of lane i - lane 0
+    u32 base_span1 = 0;     // OR of the deltas biased by 2^7 ...
+    u32 base_span2 = 0;     // ... and by 2^15: a fit leaves no high bit
+    u32 base_ovf = 0;       // bit 31: some delta overflowed i32
+    u32 nonzero = 0, over128 = 0, over32k = 0;
+    for (u32 i = 0; i < kWarpSize; ++i) {
+        const u32 a = lanes[i];
+        const u32 d = a - base;
+        base_nonzero |= d;
+        base_span1 |= d + 0x80u;
+        base_span2 |= d + 0x8000u;
+        base_ovf |= (a ^ base) & (a ^ d);
+        if constexpr (kBins) {
+            const u32 e = a - prev[i];
+            const u32 e_ovf = ((a ^ prev[i]) & (a ^ e)) >> 31;
+            nonzero += static_cast<u32>(e != 0);
+            over128 += e_ovf | static_cast<u32>(e + 128u > 256u);
+            over32k += e_ovf | static_cast<u32>(e + 32768u > 65536u);
+        }
+    }
+    const bool ovf = (base_ovf >> 31) != 0;
+    LaneScan scan;
+    scan.fits4.zero = base_nonzero == 0;
+    scan.fits4.one = !ovf && (base_span1 & ~0xFFu) == 0;
+    scan.fits4.two = !ovf && (base_span2 & ~0xFFFFu) == 0;
+    scan.fits4.four = !ovf;
+    if constexpr (kBins) {
+        scan.bins[0] = (kWarpSize - 1) - nonzero;
+        scan.bins[1] = nonzero - over128;
+        scan.bins[2] = over128 - over32k;
+        scan.bins[3] = over32k;
+    }
+    return scan;
+}
+
 constexpr BdiParams kFullCandidates[] = {
     {4, 0}, {4, 1}, {4, 2}, {8, 0}, {8, 1}, {8, 2}, {8, 4},
 };
@@ -242,7 +241,7 @@ bdiCompressible(std::span<const u8> data, BdiParams params)
     const u32 chunks = static_cast<u32>(data.size()) / params.baseBytes;
     const i64 base = loadChunk(data, 0, params.baseBytes);
     for (u32 i = 1; i < chunks; ++i) {
-        const i64 delta = loadChunk(data, i, params.baseBytes) - base;
+        const i64 delta = chunkDelta(data, i, params.baseBytes, base);
         if (params.deltaBytes == 0) {
             if (delta != 0)
                 return false;
@@ -253,16 +252,45 @@ bdiCompressible(std::span<const u8> data, BdiParams params)
     return true;
 }
 
+bool
+DeltaFits::fits(u32 delta_bytes) const
+{
+    switch (delta_bytes) {
+      case 0: return zero;
+      case 1: return one;
+      case 2: return two;
+      case 4: return four;
+      default: WC_PANIC("unscanned delta width " << delta_bytes);
+    }
+}
+
+LaneScan
+scanLanes(const WarpRegValue &value)
+{
+    return laneKernel<true>(value.data());
+}
+
 BdiEncoded
 bdiCompress(std::span<const u8> data, std::span<const BdiParams> candidates)
+{
+    WC_ASSERT(data.size() == kWarpRegBytes,
+              "register compression operates on 128-byte warp registers");
+    u32 lanes[kWarpSize];
+    std::memcpy(lanes, data.data(), kWarpRegBytes);
+    return bdiCompress(data, candidates, laneKernel<false>(lanes).fits4);
+}
+
+BdiEncoded
+bdiCompress(std::span<const u8> data, std::span<const BdiParams> candidates,
+            const DeltaFits &fits4)
 {
     WC_ASSERT(data.size() == kWarpRegBytes,
               "register compression operates on 128-byte warp registers");
 
     const BdiParams *best = nullptr;
     u32 best_size = kWarpRegBytes;
-    // Lazy one scan per base size; candidates sharing a base reuse it.
-    std::optional<DeltaFits> fits4, fits8;
+    // Base 8 is scanned lazily, once for all its candidates.
+    std::optional<DeltaFits> fits8;
     for (const BdiParams &p : candidates) {
         const u32 size = bdiCompressedSize(p);
         if (size >= best_size)
@@ -272,9 +300,7 @@ bdiCompress(std::span<const u8> data, std::span<const BdiParams> candidates)
             p.deltaBytes == 0 || p.deltaBytes == 1 ||
             p.deltaBytes == 2 || p.deltaBytes == 4;
         if (p.baseBytes == 4 && scannable) {
-            if (!fits4)
-                fits4 = scanDeltas4(data);
-            ok = fits4->fits(p.deltaBytes);
+            ok = fits4.fits(p.deltaBytes);
         } else if (p.baseBytes == 8 && scannable) {
             if (!fits8)
                 fits8 = scanDeltas(data, 8);
@@ -309,7 +335,7 @@ bdiCompress(std::span<const u8> data, std::span<const BdiParams> candidates)
     const i64 base = loadChunk(data, 0, best->baseBytes);
     storeBytes(enc.bytes, base, best->baseBytes);
     for (u32 i = 1; i < chunks; ++i) {
-        const i64 delta = loadChunk(data, i, best->baseBytes) - base;
+        const i64 delta = chunkDelta(data, i, best->baseBytes, base);
         storeBytes(enc.bytes, delta, best->deltaBytes);
     }
     WC_ASSERT(enc.bytes.size() == best_size, "compressed size mismatch");
@@ -333,18 +359,18 @@ bdiDecompress(const BdiEncoded &enc)
         return out;
     }
     const u32 chunks = kWarpRegBytes / p.baseBytes;
-    const i64 base = loadSigned(enc.bytes.data(), p.baseBytes);
+    const std::span<const u8> payload(enc.bytes.data(), enc.sizeBytes());
+    const i64 base = loadChunk(payload, 0, p.baseBytes);
     // Base chunk.
     u64 raw = static_cast<u64>(base);
     std::memcpy(out.data(), &raw, p.baseBytes);
     // Delta chunks.
     for (u32 i = 1; i < chunks; ++i) {
         i64 delta = 0;
-        if (p.deltaBytes > 0) {
-            delta = loadSigned(enc.bytes.data() + p.baseBytes +
-                               (i - 1) * p.deltaBytes, p.deltaBytes);
-        }
-        raw = static_cast<u64>(base + delta);
+        if (p.deltaBytes > 0)
+            delta = loadChunk(payload.subspan(p.baseBytes), i - 1,
+                              p.deltaBytes);
+        raw = static_cast<u64>(base) + static_cast<u64>(delta);
         std::memcpy(out.data() + i * p.baseBytes, &raw, p.baseBytes);
     }
     return out;

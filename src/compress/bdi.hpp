@@ -6,6 +6,9 @@
  * base and every chunk is stored as a signed delta of `deltaBytes` bytes
  * against it. `deltaBytes == 0` is the special all-chunks-equal case.
  * A register compresses under <X,Y> iff every delta fits in Y bytes.
+ * Deltas are exact differences, except that 8-byte chunks subtract
+ * modulo 2^64 as a 64-bit hardware subtractor would (decode adds back
+ * modulo 2^64, so the round trip is exact either way).
  *
  * The compressed length follows Eq. (1) of the paper:
  *   Lcomp = Lbase + Ldelta * (Linput / Lbase - 1)
@@ -63,6 +66,45 @@ WarpRegValue fromBytes(std::span<const u8> bytes);
 
 /** True when @p data compresses under @p params. */
 bool bdiCompressible(std::span<const u8> data, BdiParams params);
+
+/**
+ * Which delta widths fit for one base size. The fits are nested
+ * (zero ⊂ 1B ⊂ 2B ⊂ 4B), so one scan of the data answers every
+ * candidate sharing the base size.
+ */
+struct DeltaFits
+{
+    bool zero = true;
+    bool one = true;
+    bool two = true;
+    bool four = true;
+
+    /** @p delta_bytes must be 0, 1, 2 or 4. */
+    bool fits(u32 delta_bytes) const;
+};
+
+/**
+ * One pass over the 32 lanes of a warp register, values read as signed
+ * 32-bit integers. The paper's observation is that a register's lanes
+ * are close in value; both per-write questions about that closeness
+ * come out of this single pass:
+ *  - base-4 BDI: do the deltas lane i - lane 0 fit in 0/1/2/4 bytes
+ *    (the <4,Y> candidates, bdiCompressible semantics);
+ *  - Fig 2: how the 31 successive-lane distances lane i - lane i-1
+ *    fall into the zero / <=128 / <=2^15 / larger bins
+ *    (classifyDistance semantics).
+ */
+struct LaneScan
+{
+    DeltaFits fits4;
+    /** Successive-lane distance counts in DistanceBin order (zero,
+     *  small, mid, random); they sum to kWarpSize - 1. */
+    u32 bins[4] = {};
+};
+
+/** Scan @p value; see LaneScan. Branch-free u32 arithmetic with an
+ *  explicit signed-overflow flag, so the loop vectorizes. */
+LaneScan scanLanes(const WarpRegValue &value);
 
 /**
  * Fixed-capacity byte buffer for one encoded register. An encoding is
@@ -156,6 +198,12 @@ struct BdiEncoded
  */
 BdiEncoded bdiCompress(std::span<const u8> data,
                        std::span<const BdiParams> candidates);
+
+/** bdiCompress with the base-4 fits already known: @p fits4 must be
+ *  scanLanes(...).fits4 of the same image. */
+BdiEncoded bdiCompress(std::span<const u8> data,
+                       std::span<const BdiParams> candidates,
+                       const DeltaFits &fits4);
 
 /** Invert bdiCompress; always returns the original 128 bytes. */
 std::array<u8, kWarpRegBytes> bdiDecompress(const BdiEncoded &enc);

@@ -7,16 +7,22 @@ namespace warpcomp {
 WarpScheduler::WarpScheduler(SchedPolicy policy, std::vector<u32> slots)
     : policy_(policy), slots_(std::move(slots))
 {
+    WC_ASSERT(slots_.size() <= kMaxSlots,
+              "scheduler given " << slots_.size() << " warp slots; the "
+              "ready mask holds at most " << kMaxSlots);
     u32 max_slot = 0;
     for (u32 s : slots_)
         max_slot = std::max(max_slot, s);
-    slotIndex_.assign(slots_.empty() ? 0 : max_slot + 1, -1);
+    rank_.assign(slots_.empty() ? 0 : max_slot + 1, -1);
     for (u32 i = 0; i < slots_.size(); ++i) {
-        WC_ASSERT(slotIndex_[slots_[i]] < 0,
+        WC_ASSERT(rank_[slots_[i]] < 0,
                   "duplicate warp slot " << slots_[i]
                   << " in scheduler slot list");
-        slotIndex_[slots_[i]] = static_cast<i32>(i);
+        rank_[slots_[i]] = static_cast<i32>(i);
     }
+    order_ = slots_;
+    mask_ = slots_.size() == kMaxSlots
+        ? ~u64{0} : (u64{1} << slots_.size()) - 1;
 }
 
 void
@@ -24,13 +30,12 @@ WarpScheduler::noteIssued(u32 slot)
 {
     // A slot this scheduler does not own would silently corrupt the
     // rotation state; that is a caller bug, not a recoverable input.
-    WC_ASSERT(slot < slotIndex_.size() && slotIndex_[slot] >= 0,
+    WC_ASSERT(slot < rank_.size() && rank_[slot] >= 0,
               "noteIssued for foreign warp slot " << slot);
     lastIssued_ = static_cast<i32>(slot);
     if (policy_ == SchedPolicy::Lrr) {
         const u32 n = static_cast<u32>(slots_.size());
-        WC_ASSERT(n > 0, "noteIssued on a slotless scheduler");
-        rrCursor_ = (static_cast<u32>(slotIndex_[slot]) + 1) % n;
+        rrCursor_ = (static_cast<u32>(rank_[slot]) + 1) % n;
     }
 }
 

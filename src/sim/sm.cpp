@@ -69,8 +69,16 @@ Sm::Sm(const SmParams &params, const EnergyParams &energy,
     // or a collector-dispatched short-latency op) and the launch
     // scratch to the warp count.
     execList_.reserve(params.mem.maxOutstanding + params.maxWarps);
-    issueBlocked_.assign(params.maxWarps, 0);
+    execReady_.reserve(execList_.capacity());
     launchSlots_.reserve(params.maxWarps);
+    // Scheduler s owns warp slots s, s + n, s + 2n, ... (schedulerOf).
+    WC_ASSERT(params_.numSchedulers >= 1, "an SM needs a warp scheduler");
+    for (u32 s = 0; s < params_.numSchedulers; ++s) {
+        std::vector<u32> slots;
+        for (u32 w = s; w < params_.maxWarps; w += params_.numSchedulers)
+            slots.push_back(w);
+        schedulers_.emplace_back(params_.sched, std::move(slots));
+    }
 }
 
 u32
@@ -167,7 +175,7 @@ Sm::tryLaunchCta(u32 cta_id, Cycle now)
         remaining -= lanes;
         warps_[slots[w]].launch(kernel_, cta_slot, cta_id, w, lanes,
                                 ageCounter_++);
-        issueBlocked_[slots[w]] = 0;
+        schedulerOf(slots[w]).unblock(slots[w]);
     }
     // Fresh warps can issue immediately: drop the uneventful-span
     // cache so the next cycle takes the full path, and re-derive the
@@ -403,7 +411,7 @@ Sm::finishInFlight(InFlight &f, Cycle now)
     // Completion releases scoreboard entries (the callers) and CTA
     // in-flight counts; both can unblock issue.
     issueCandidate_ = true;
-    issueBlocked_[f.warpSlot] = 0;
+    schedulerOf(f.warpSlot).unblock(f.warpSlot);
     f.stage = InFlight::Stage::Done;
     Cta &cta = ctas_[warps_[f.warpSlot].ctaSlot()];
     WC_ASSERT(cta.inFlight > 0, "in-flight underflow");
@@ -438,6 +446,13 @@ Sm::stepWritebackAndExec(Cycle now)
 
     Cycle min_ready = kNoEvent;
     for (std::size_t i = 0; i < execList_.size();) {
+        // Not due: neither stage below can act on the entry this cycle,
+        // so its InFlight stays untouched.
+        if (execReady_[i] > now) {
+            min_ready = std::min(min_ready, execReady_[i]);
+            ++i;
+            continue;
+        }
         InFlight &f = *execList_[i];
 
         if (f.stage == InFlight::Stage::Exec && now >= f.readyAt) {
@@ -552,10 +567,13 @@ Sm::stepWritebackAndExec(Cycle now)
             freeFlight(execList_[i]);
             execList_[i] = execList_.back();
             execList_.pop_back();
+            execReady_[i] = execReady_.back();
+            execReady_.pop_back();
         } else {
             // Entries blocked this cycle (compressor pool, arbiter
             // conflict) retry next cycle; future entries act at their
             // readyAt.
+            execReady_[i] = f.readyAt;
             min_ready = std::min(min_ready,
                                  std::max(f.readyAt, now + 1));
             ++i;
@@ -647,22 +665,21 @@ Sm::stepCollect(Cycle now)
         execMinReady_ = std::min(execMinReady_,
                                  std::max(moved->readyAt, now + 1));
         execList_.push_back(moved);
+        execReady_.push_back(moved->readyAt);
     }
 }
 
 bool
-Sm::canIssueFrom(u32 slot)
+Sm::canIssueFrom(WarpScheduler &sched, u32 slot)
 {
-    if (issueBlocked_[slot] != 0)
-        return false;
     const Warp &w = warps_[slot];
     if (!w.schedulable()) {
-        issueBlocked_[slot] = 1;
+        sched.block(slot);
         return false;
     }
     const Instruction &inst = kernel_.at(w.stack().pc());
     if (!scoreboard_.canIssue(slot, inst)) {
-        issueBlocked_[slot] = 1;
+        sched.block(slot);
         return false;
     }
     if (inst.sbPipeline && !collectors_.hasFree())
@@ -683,22 +700,10 @@ Sm::stepIssue(Cycle now)
         return;
     }
 
-    // Lazily build the schedulers once warps exist (policy from params).
-    if (schedulers_.empty()) {
-        for (u32 s = 0; s < params_.numSchedulers; ++s) {
-            std::vector<u32> slots;
-            for (u32 w = s; w < params_.maxWarps;
-                 w += params_.numSchedulers) {
-                slots.push_back(w);
-            }
-            schedulers_.emplace_back(params_.sched, std::move(slots));
-        }
-    }
-
     bool issued_any = false;
     for (WarpScheduler &sched : schedulers_) {
         const i32 slot = sched.pick(
-            [this](u32 s) { return canIssueFrom(s); },
+            [this, &sched](u32 s) { return canIssueFrom(sched, s); },
             [this](u32 s) { return warps_[s].ageStamp(); });
         if (slot < 0)
             continue;
@@ -706,7 +711,8 @@ Sm::stepIssue(Cycle now)
         sched.noteIssued(static_cast<u32>(slot));
         issued_any = true;
     }
-    // pick() == -1 means that scheduler probed every slot it owns; if
+    // pick() == -1 means that scheduler probed every unblocked slot it
+    // owns (blocked ones are unissuable by construction); if
     // none issued anywhere, the combined scan was complete and the
     // outcome stays valid until an unblocking event flips
     // issueCandidate_ back on.
@@ -717,10 +723,15 @@ Sm::stepIssue(Cycle now)
 void
 Sm::recordWriteStats(const Warp &warp, const Instruction &inst,
                      LaneMask eff, bool divergent,
-                     std::span<const u8> img, const BdiEncoded &enc)
+                     std::span<const u8> img, const BdiEncoded &enc,
+                     const LaneScan &scan)
 {
-    const WarpRegValue &value = warp.reg(inst.dst);
-    stats_.simBins.record(value, eff, divergent);
+    // A full-mask write's Fig 2 bins come from the same lane pass that
+    // fed the encoder.
+    if (eff == kFullMask)
+        stats_.simBins.recordScanned(scan, divergent);
+    else
+        stats_.simBins.record(warp.reg(inst.dst), eff, divergent);
 
     // Potential compressibility of the merged register (Fig 8 semantics:
     // divergent writes measured as decompress-update-recompress). The
@@ -942,18 +953,21 @@ Sm::issueFrom(u32 slot, Cycle now)
         if (divergent)
             ++stats_.regWritesDivergent;
 
-        // Compress the written register exactly once: the same encoding
-        // feeds the Fig 8 ratio stats and the bank write. Under the
-        // None scheme the stats still measure potential compressibility
-        // over the warped candidates while the write stays raw, so the
-        // candidate list below matches what recordWriteStats always
-        // used; for every enabled scheme it equals the write path's
-        // schemeCandidates(scheme).
-        const auto img = toBytes(w.reg(inst.dst));
+        // Scan and compress the written register exactly once: one lane
+        // pass feeds the encoder's base-4 fits and the Fig 2 bins, and
+        // the same encoding feeds the Fig 8 ratio stats and the bank
+        // write. Under the None scheme the stats still measure
+        // potential compressibility over the warped candidates while
+        // the write stays raw, so the candidate list below matches
+        // what recordWriteStats always used; for every enabled scheme
+        // it equals the write path's schemeCandidates(scheme).
+        const WarpRegValue &value = w.reg(inst.dst);
+        const LaneScan scan = scanLanes(value);
+        const auto img = toBytes(value);
         const auto cands = params_.scheme == CompressionScheme::None
             ? warpedCandidates() : schemeCandidates(params_.scheme);
-        BdiEncoded enc = bdiCompress(img, cands);
-        recordWriteStats(w, inst, eff, divergent, img, enc);
+        BdiEncoded enc = bdiCompress(img, cands, scan.fits4);
+        recordWriteStats(w, inst, eff, divergent, img, enc, scan);
         if (obs_ != nullptr) {
             const bool stores_compressed =
                 params_.compressionEnabled() && !f.divergentWrite;
@@ -984,7 +998,7 @@ Sm::tryReleaseBarrier(Cta &cta)
     for (u32 s : cta.warpSlots) {
         if (warps_[s].status() == Warp::Status::AtBarrier) {
             warps_[s].setStatus(Warp::Status::Running);
-            issueBlocked_[s] = 0;
+            schedulerOf(s).unblock(s);
         }
     }
     cta.atBarrier = 0;

@@ -172,13 +172,22 @@ class Sm
     /** Consume pending flips of (slot, reg) before its value is read,
      *  committing corruption architecturally when unprotected. */
     void resolveSeuRead(SeuEngine &seu, u32 slot, u32 reg, Cycle now);
-    bool canIssueFrom(u32 slot);
+    /** Issue probe for @p slot of @p sched; blocks the slot in @p sched
+     *  when it fails for a sticky reason. */
+    bool canIssueFrom(WarpScheduler &sched, u32 slot);
+    /** The scheduler owning warp slot @p slot. */
+    WarpScheduler &
+    schedulerOf(u32 slot)
+    {
+        return schedulers_[slot % params_.numSchedulers];
+    }
     void issueFrom(u32 slot, Cycle now);
     void issueDummyMov(u32 slot, u8 dst, Cycle now);
     void finishInFlight(InFlight &f, Cycle now);
     void recordWriteStats(const Warp &warp, const Instruction &inst,
                           LaneMask eff, bool divergent,
-                          std::span<const u8> img, const BdiEncoded &enc);
+                          std::span<const u8> img, const BdiEncoded &enc,
+                          const LaneScan &scan);
     void tryReleaseBarrier(Cta &cta);
     void maybeCompleteCta(u32 cta_slot, Cycle now);
     u32 freeSmemBytes() const;
@@ -194,12 +203,23 @@ class Sm
     BankArbiter arbiter_;
     CollectorPool collectors_;
     std::vector<InFlight *> execList_;
+    /** execReady_[i] == execList_[i]->readyAt: the writeback walk skips
+     *  entries that are not due without touching their InFlight. */
+    std::vector<Cycle> execReady_;
     /** Stable backing store for in-flight entries: deque growth never
      *  moves existing entries, and freed ones recycle through
      *  flightFree_, so the steady-state pipeline allocates nothing and
      *  moves pointers instead of ~400-byte InFlight payloads. */
     std::deque<InFlight> flightSlab_;
     std::vector<InFlight *> flightFree_;
+    /** Each scheduler's may-be-ready mask blocks a slot while it is
+     *  known unissuable for a sticky reason (scoreboard hazard at the
+     *  current pc, or not schedulable), so the issue scan skips it
+     *  without touching the large Warp object. canIssueFrom blocks;
+     *  the slot is unblocked wherever the sticky reason can lapse:
+     *  writeback releases (finishInFlight), barrier release, and CTA
+     *  launch. Volatile reasons (no free collector, MSHR budget) never
+     *  block. */
     std::vector<WarpScheduler> schedulers_;
     UnitPool compPool_;
     UnitPool decompPool_;
@@ -208,15 +228,6 @@ class Sm
     FunctionalExecutor fex_;
 
     std::vector<Warp> warps_;
-    /** Per-slot fast-fail byte for the issue probe: nonzero while the
-     *  slot is known unissuable for a sticky reason (scoreboard hazard
-     *  at the current pc, or not schedulable). Lets the scheduler scan
-     *  skip blocked slots without touching the large Warp objects.
-     *  Cleared wherever the sticky reason can lapse: writeback
-     *  releases (finishInFlight), barrier release, and CTA launch.
-     *  Volatile reasons (no free collector, MSHR budget) never set
-     *  it. */
-    std::vector<u8> issueBlocked_;
     std::vector<Cta> ctas_;
     /** Scratch for tryLaunchCta's free-slot scan (capacity reserved at
      *  construction so the launch path performs no per-wave allocation

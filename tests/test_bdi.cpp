@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.hpp"
 #include "compress/bdi.hpp"
 
@@ -275,6 +277,25 @@ TEST(BdiCompress, WideDeltaWraparoundExtremes)
     EXPECT_FALSE(bdiCompressible(img, BdiParams{4, 2}));
     const BdiEncoded enc = bdiCompress(img, warpedCandidates());
     EXPECT_FALSE(enc.compressed);
+    EXPECT_EQ(bdiDecompress(enc), img);
+}
+
+TEST(BdiCompress, EightByteDeltasWrapModulo64Bits)
+{
+    // 8-byte chunks INT64_MAX then INT64_MIN: the true difference does
+    // not fit in i64. Deltas are taken modulo 2^64 (1 here), and the
+    // modular add in decompression restores the chunks exactly.
+    std::array<u8, kWarpRegBytes> img{};
+    for (u32 c = 0; c < kWarpRegBytes / 8; ++c) {
+        const u64 chunk = c == 0 ? u64{0x7FFFFFFFFFFFFFFF}
+                                 : u64{0x8000000000000000};
+        std::memcpy(img.data() + 8 * c, &chunk, 8);
+    }
+    EXPECT_TRUE(bdiCompressible(img, BdiParams{8, 1}));
+    EXPECT_FALSE(bdiCompressible(img, BdiParams{8, 0}));
+    const BdiEncoded enc = bdiCompress(img, fullBdiCandidates());
+    ASSERT_TRUE(enc.compressed);
+    EXPECT_EQ(enc.params, (BdiParams{8, 1}));
     EXPECT_EQ(bdiDecompress(enc), img);
 }
 

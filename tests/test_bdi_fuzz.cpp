@@ -6,13 +6,19 @@
  * and through the full design-space candidate list. The properties are
  * the paper's correctness obligations: decompress(compress(x)) == x,
  * encoded size never exceeds the 128-byte input, and the encoded size
- * always equals Eq. (1) for the chosen parameters.
+ * always equals Eq. (1) for the chosen parameters. The fused lane
+ * kernel (scanLanes) is checked against the reference definitions it
+ * replaces on the same corpus plus hand-picked overflow edges.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <climits>
+#include <vector>
 
+#include "analysis/similarity.hpp"
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "compress/bdi.hpp"
 
@@ -136,6 +142,134 @@ TEST(BdiFuzz, SelectorAgreesWithExplorer)
             EXPECT_FALSE(enc.compressed) << "case " << i;
         }
     }
+}
+
+/**
+ * Check scanLanes(v) against the reference definitions: bdiCompressible
+ * for <4,0> <4,1> <4,2>, the same i64 delta test for <4,4> (which
+ * bdiCompressible rejects as a parameter pair, delta == base), and
+ * classifyDistance over every successive lane pair. Also checks that
+ * both compress entry points and both similarity paths agree.
+ */
+void
+expectScanMatchesReference(const WarpRegValue &v, const char *what,
+                           u32 index)
+{
+    const LaneScan scan = scanLanes(v);
+    const auto raw = toBytes(v);
+    const auto lane = [&v](u32 i) {
+        return static_cast<i64>(static_cast<i32>(v[i]));
+    };
+
+    EXPECT_EQ(scan.fits4.zero, bdiCompressible(raw, {4, 0}))
+        << what << " " << index;
+    EXPECT_EQ(scan.fits4.one, bdiCompressible(raw, {4, 1}))
+        << what << " " << index;
+    EXPECT_EQ(scan.fits4.two, bdiCompressible(raw, {4, 2}))
+        << what << " " << index;
+    bool fits4 = true;
+    for (u32 i = 1; i < kWarpSize; ++i)
+        fits4 = fits4 && fitsSigned(lane(i) - lane(0), 4);
+    EXPECT_EQ(scan.fits4.four, fits4) << what << " " << index;
+
+    u32 bins[kNumDistanceBins] = {};
+    for (u32 i = 1; i < kWarpSize; ++i)
+        ++bins[static_cast<u32>(classifyDistance(lane(i) - lane(i - 1)))];
+    for (u32 b = 0; b < kNumDistanceBins; ++b)
+        EXPECT_EQ(scan.bins[b], bins[b])
+            << what << " " << index << ": bin " << b;
+
+    const BdiEncoded lazy = bdiCompress(raw, warpedCandidates());
+    const BdiEncoded given =
+        bdiCompress(raw, warpedCandidates(), scan.fits4);
+    EXPECT_EQ(lazy.compressed, given.compressed) << what << " " << index;
+    EXPECT_TRUE(lazy.bytes == given.bytes) << what << " " << index;
+
+    SimilarityBins full, scanned;
+    full.record(v, kFullMask, false);
+    scanned.recordScanned(scan, false);
+    for (u32 b = 0; b < kNumDistanceBins; ++b) {
+        const auto bin = static_cast<DistanceBin>(b);
+        EXPECT_EQ(full.count(kNonDivergent, bin), bins[b])
+            << what << " " << index << ": bin " << b;
+        EXPECT_EQ(scanned.count(kNonDivergent, bin), bins[b])
+            << what << " " << index << ": bin " << b;
+    }
+}
+
+TEST(LaneScan, MatchesReferenceOnRandomImages)
+{
+    Rng rng(0xF0225u);
+    for (u32 i = 0; i < kFuzzCases; ++i)
+        expectScanMatchesReference(randomRegister(rng, i), "case", i);
+}
+
+TEST(LaneScan, MatchesReferenceOnOverflowEdges)
+{
+    // Lane values where the u32 wrap and the signed-overflow flag must
+    // cooperate: extreme bases, deltas on both sides of the 1- and
+    // 2-byte and Fig 2 thresholds, and INT32_MIN beside INT32_MAX.
+    const i64 bases[] = {0, 1, -1, 127, -128, 32767, -32768,
+                         INT32_MAX, INT32_MIN, INT32_MAX - 100,
+                         INT32_MIN + 100};
+    const i64 deltas[] = {0, 1, -1, 127, -127, 128, -128, 129, -129,
+                          32767, -32767, 32768, -32768, 32769, -32769,
+                          INT32_MAX, INT32_MIN, i64{UINT32_MAX}};
+    std::vector<WarpRegValue> cases;
+    for (i64 base : bases) {
+        const u32 b = static_cast<u32>(base);
+        WarpRegValue v{};
+        v.fill(b);
+        cases.push_back(v);                     // all lanes equal
+        for (i64 delta : deltas) {
+            const u32 o = static_cast<u32>(base + delta);
+            // One outlier at the first, a middle and the last lane.
+            for (u32 at : {1u, 16u, 31u}) {
+                v.fill(b);
+                v[at] = o;
+                cases.push_back(v);
+            }
+            // Alternating: every successive pair is +-delta.
+            for (u32 i = 0; i < kWarpSize; ++i)
+                v[i] = i % 2 == 0 ? b : o;
+            cases.push_back(v);
+            // A ramp of delta steps (wraps for large deltas).
+            for (u32 i = 0; i < kWarpSize; ++i)
+                v[i] = b + static_cast<u32>(delta) * i;
+            cases.push_back(v);
+        }
+    }
+    WarpRegValue v{};
+    for (u32 i = 0; i < kWarpSize; ++i)
+        v[i] = i % 2 == 0 ? static_cast<u32>(INT32_MIN)
+                          : static_cast<u32>(INT32_MAX);
+    cases.push_back(v);
+    v.fill(static_cast<u32>(INT32_MAX));
+    v[0] = static_cast<u32>(INT32_MIN);
+    cases.push_back(v);
+    v.fill(static_cast<u32>(INT32_MIN));
+    v[0] = static_cast<u32>(INT32_MAX);
+    cases.push_back(v);
+
+    for (u32 i = 0; i < cases.size(); ++i)
+        expectScanMatchesReference(cases[i], "edge", i);
+}
+
+TEST(LaneScan, OverflowedDeltasAreWideAndRandom)
+{
+    // INT32_MIN next to INT32_MAX wraps to a u32 difference of 1; the
+    // overflow flag must still report it as not fitting anything and
+    // binned as random.
+    WarpRegValue v{};
+    v.fill(static_cast<u32>(INT32_MAX));
+    v[1] = static_cast<u32>(INT32_MIN);
+    const LaneScan scan = scanLanes(v);
+    EXPECT_FALSE(scan.fits4.zero);
+    EXPECT_FALSE(scan.fits4.one);
+    EXPECT_FALSE(scan.fits4.two);
+    EXPECT_FALSE(scan.fits4.four);
+    EXPECT_EQ(scan.bins[0], kWarpSize - 3);
+    EXPECT_EQ(scan.bins[3], 2u);
 }
 
 TEST(BdiFuzz, DeterministicAcrossRuns)

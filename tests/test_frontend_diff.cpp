@@ -22,22 +22,26 @@ using namespace warpcomp;
 
 namespace {
 
+/// One image/twin pair: the image is `<twin>.hex` under WC_KERNEL_DIR.
+/// The name is held inline, not through a pointer: gtest prints a
+/// parameter type without a printer as its raw bytes, and those bytes
+/// go into the listed test name, so a pointer would tie the names to
+/// where the linker happened to place the string literals.
 struct Pair
 {
-    const char *file;   ///< image under WC_KERNEL_DIR
-    const char *twin;   ///< registry name of the DSL twin
+    char twin[16]; ///< registry name of the DSL twin
 };
 
 const Pair kPairs[] = {
-    {"vecadd.hex", "vecadd"},
-    {"saxpy.hex", "saxpy"},
-    {"reduction.hex", "reduction"},
+    {"vecadd"},
+    {"saxpy"},
+    {"reduction"},
 };
 
 std::string
-imagePath(const char *file)
+imagePath(const Pair &p)
 {
-    return std::string(WC_KERNEL_DIR) + "/" + file;
+    return std::string(WC_KERNEL_DIR) + "/" + p.twin + ".hex";
 }
 
 class FrontendDiff : public ::testing::TestWithParam<Pair>
@@ -49,7 +53,7 @@ class FrontendDiff : public ::testing::TestWithParam<Pair>
 TEST_P(FrontendDiff, DisassemblyMatchesTwin)
 {
     const Pair p = GetParam();
-    const KernelLoadResult r = loadKernelFile(imagePath(p.file));
+    const KernelLoadResult r = loadKernelFile(imagePath(p));
     ASSERT_TRUE(r.ok()) << r.error;
 
     const WorkloadInstance twin = makeWorkload(p.twin, 1, 0);
@@ -66,7 +70,7 @@ TEST_P(FrontendDiff, FigureStatsAreBitIdentical)
     cfg.numSms = 2; // keep the differential fast; identical for both
 
     const auto res = runWorkloadsParallel(
-        {kernelFileSpec(imagePath(p.file), ""), p.twin}, cfg, 1);
+        {kernelFileSpec(imagePath(p), ""), p.twin}, cfg, 1);
     ASSERT_EQ(res.size(), 2u);
     const RunResult &bin = res[0].run;
     const RunResult &dsl = res[1].run;
@@ -94,7 +98,7 @@ TEST_P(FrontendDiff, ParallelRunnerIsThreadCountInvariant)
     cfg.numSms = 2;
 
     const std::vector<std::string> names = {
-        kernelFileSpec(imagePath(p.file), "")};
+        kernelFileSpec(imagePath(p), "")};
     const auto serial = runWorkloadsParallel(names, cfg, 1);
     const auto threaded = runWorkloadsParallel(names, cfg, 4);
     ASSERT_EQ(serial.size(), 1u);

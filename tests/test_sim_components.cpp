@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "compress/unit.hpp"
 #include "sim/arbiter.hpp"
 #include "sim/collector.hpp"
@@ -210,6 +215,187 @@ TEST(SchedulerDeathTest, DuplicateSlotDies)
 {
     EXPECT_DEATH(WarpScheduler(SchedPolicy::Gto, {1, 1}),
                  "duplicate warp slot");
+}
+
+/**
+ * The linear probe the mask-driven pick replaced: GTO probes the
+ * greedy slot, then every slot oldest-first; LRR probes every slot
+ * from the rotation point. @p ready already excludes blocked slots.
+ */
+class LinearProbeScheduler
+{
+  public:
+    LinearProbeScheduler(SchedPolicy policy, std::vector<u32> slots)
+        : policy_(policy), slots_(std::move(slots))
+    {}
+
+    template <typename ReadyFn, typename AgeFn>
+    i32
+    pick(const ReadyFn &ready, const AgeFn &age) const
+    {
+        if (policy_ == SchedPolicy::Gto) {
+            if (last_ >= 0 && ready(static_cast<u32>(last_)))
+                return last_;
+            std::vector<u32> order = slots_;
+            std::sort(order.begin(), order.end(),
+                      [&age](u32 a, u32 b) { return age(a) < age(b); });
+            for (u32 slot : order) {
+                if (ready(slot))
+                    return static_cast<i32>(slot);
+            }
+            return -1;
+        }
+        const u32 n = static_cast<u32>(slots_.size());
+        for (u32 i = 0; i < n; ++i) {
+            const u32 slot = slots_[(cursor_ + i) % n];
+            if (ready(slot))
+                return static_cast<i32>(slot);
+        }
+        return -1;
+    }
+
+    void
+    noteIssued(u32 slot)
+    {
+        last_ = static_cast<i32>(slot);
+        const auto it = std::find(slots_.begin(), slots_.end(), slot);
+        cursor_ = static_cast<u32>(it - slots_.begin() + 1) %
+            static_cast<u32>(slots_.size());
+    }
+
+  private:
+    SchedPolicy policy_;
+    std::vector<u32> slots_;
+    i32 last_ = -1;
+    u32 cursor_ = 0;
+};
+
+/** Random block/unblock/invalidateOrder/noteIssued/pick sequences:
+ *  the mask-driven pick must match the linear probe every time and
+ *  never probe a blocked slot. */
+void
+runSchedulerDifferential(SchedPolicy policy, u64 seed)
+{
+    Rng rng(seed);
+    for (u32 config = 0; config < 40; ++config) {
+        // Slot counts up to the 64-bit mask limit, drawn from a wider
+        // slot space in a shuffled (non-monotone) order.
+        const u32 n = 1 + rng.nextU32(WarpScheduler::kMaxSlots);
+        std::vector<u32> space(2 * WarpScheduler::kMaxSlots);
+        std::iota(space.begin(), space.end(), 0u);
+        for (u32 i = static_cast<u32>(space.size()) - 1; i > 0; --i)
+            std::swap(space[i], space[rng.nextU32(i + 1)]);
+        const std::vector<u32> slots(space.begin(), space.begin() + n);
+
+        WarpScheduler sched(policy, slots);
+        LinearProbeScheduler ref(policy, slots);
+        std::vector<u64> ages(space.size());
+        u64 next_age = 0;
+        for (u32 s : slots)
+            ages[s] = next_age++;
+        std::vector<bool> blocked(space.size(), false);
+        const auto age = [&ages](u32 s) { return ages[s]; };
+        const auto any_slot = [&] { return slots[rng.nextU32(n)]; };
+
+        for (u32 step = 0; step < 400; ++step) {
+            switch (rng.nextU32(6)) {
+              case 0: {
+                const u32 s = any_slot();
+                sched.block(s);
+                blocked[s] = true;
+                break;
+              }
+              case 1: {
+                const u32 s = any_slot();
+                sched.unblock(s);
+                blocked[s] = false;
+                break;
+              }
+              case 2:
+                // Relaunch some warps: fresh (younger) unique stamps.
+                for (u32 s : slots) {
+                    if (rng.nextBool(0.3))
+                        ages[s] = next_age++;
+                }
+                sched.invalidateOrder();
+                break;
+              case 3: {
+                const u32 s = any_slot();
+                sched.noteIssued(s);
+                ref.noteIssued(s);
+                break;
+              }
+              default: {
+                // Ready set drawn independently of the block state; a
+                // probe may block a non-ready slot (a sticky reason),
+                // as Sm::canIssueFrom does.
+                const double p = rng.nextDouble();
+                std::vector<bool> in_ready(space.size(), false);
+                std::vector<bool> sticky(space.size(), false);
+                for (u32 s : slots) {
+                    in_ready[s] = rng.nextBool(p);
+                    sticky[s] = rng.nextBool(0.5);
+                }
+                const i32 want = ref.pick(
+                    [&](u32 s) { return !blocked[s] && in_ready[s]; },
+                    age);
+                const i32 got = sched.pick(
+                    [&](u32 s) {
+                        EXPECT_FALSE(blocked[s])
+                            << "probed blocked slot " << s;
+                        if (in_ready[s])
+                            return true;
+                        if (sticky[s]) {
+                            sched.block(s);
+                            blocked[s] = true;
+                        }
+                        return false;
+                    },
+                    age);
+                ASSERT_EQ(got, want) << "config " << config << " step "
+                                     << step << " n " << n;
+                if (got >= 0) {
+                    sched.noteIssued(static_cast<u32>(got));
+                    ref.noteIssued(static_cast<u32>(got));
+                }
+                break;
+              }
+            }
+        }
+    }
+}
+
+TEST(Scheduler, GtoMaskPickMatchesLinearProbe)
+{
+    runSchedulerDifferential(SchedPolicy::Gto, 0x5C4ED1u);
+}
+
+TEST(Scheduler, LrrMaskPickMatchesLinearProbe)
+{
+    runSchedulerDifferential(SchedPolicy::Lrr, 0x5C4ED2u);
+}
+
+TEST(Scheduler, FullSixtyFourSlotMask)
+{
+    std::vector<u32> slots(WarpScheduler::kMaxSlots);
+    std::iota(slots.begin(), slots.end(), 0u);
+    WarpScheduler s(SchedPolicy::Lrr, slots);
+    auto age = [](u32) { return u64{0}; };
+    auto only63 = [](u32 slot) { return slot == 63; };
+    EXPECT_EQ(s.pick(only63, age), 63);
+    s.noteIssued(63);
+    auto all_ready = [](u32) { return true; };
+    EXPECT_EQ(s.pick(all_ready, age), 0);       // wraps past bit 63
+    s.block(0);
+    EXPECT_EQ(s.pick(all_ready, age), 1);
+}
+
+TEST(SchedulerDeathTest, MoreThanSixtyFourSlotsDies)
+{
+    std::vector<u32> slots(WarpScheduler::kMaxSlots + 1);
+    std::iota(slots.begin(), slots.end(), 0u);
+    EXPECT_DEATH(WarpScheduler(SchedPolicy::Gto, slots),
+                 "ready mask holds at most 64");
 }
 
 TEST(Arbiter, OneReadPortPerBank)

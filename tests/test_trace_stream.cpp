@@ -16,6 +16,8 @@
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "common/json_parse.hpp"
 #include "harness/experiment.hpp"
 #include "obs/chrome_trace.hpp"
@@ -25,10 +27,13 @@
 namespace warpcomp {
 namespace {
 
+/** Per-process scratch path: ctest runs each test in its own process,
+ *  in parallel, and each one writes its own reference dump. */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "wc_trace_" + name;
+    return ::testing::TempDir() + "wc_trace_" + std::to_string(getpid()) +
+        "_" + name;
 }
 
 std::string
