@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared scaffolding for the per-figure bench binaries: suite runners
- * with benchmark filtering, and the normalized-energy helpers every
- * energy figure uses.
+ * Shared scaffolding for the bench binaries: the one suite runner
+ * (workload filtering, perf/stats/trace recording) and the figure
+ * banner.
  */
 
 #ifndef WARPCOMP_BENCH_BENCH_COMMON_HPP
@@ -81,28 +81,23 @@ runSelected(const HarnessOptions &opt, ExperimentConfig cfg,
     if (!opt.tracePath.empty() || !opt.statsJsonPath.empty() ||
         !opt.traceOutPath.empty())
         cfg.obs.windowInterval = opt.traceWindow;
-    static bool trace_taken = false;
-    const bool trace_this = !opt.tracePath.empty() && !trace_taken;
-    if (trace_this) {
-        trace_taken = true;
-        if (opt.only.empty())
-            WC_FATAL("--trace requires --only=WORKLOAD (one trace file "
-                     "holds one workload's warp/bank lanes)");
-        cfg.obs.trace = true;
+    const bool trace_this = suite_counter == 1 && !opt.tracePath.empty();
+    const bool stream_this =
+        suite_counter == 1 && !opt.traceOutPath.empty();
+    if (trace_this && opt.only.empty())
+        WC_FATAL("--trace requires --only=WORKLOAD (one trace file "
+                 "holds one workload's warp/bank lanes)");
+    if (stream_this && opt.only.empty())
+        WC_FATAL("--trace-out requires --only=WORKLOAD (one dump "
+                 "holds one workload's event record)");
+    if (trace_this || stream_this) {
+        cfg.obs.trace = trace_this;
         cfg.obs.traceStart = opt.traceStart;
         cfg.obs.traceEnd = opt.traceEnd;
     }
-    static bool stream_taken = false;
-    const bool stream_this = !opt.traceOutPath.empty() && !stream_taken;
     if (stream_this) {
-        stream_taken = true;
-        if (opt.only.empty())
-            WC_FATAL("--trace-out requires --only=WORKLOAD (one dump "
-                     "holds one workload's event record)");
         cfg.obs.streamPath = opt.traceOutPath;
         cfg.obs.streamLabel = suite_label;
-        cfg.obs.traceStart = opt.traceStart;
-        cfg.obs.traceEnd = opt.traceEnd;
     }
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -173,13 +168,6 @@ runSelected(const HarnessOptions &opt, ExperimentConfig cfg,
         perfRecorder().addSuite(std::move(rec));
     }
     return results;
-}
-
-/** Total register-file energy of one run under given constants. */
-inline double
-totalEnergy(const ExperimentResult &r, const EnergyParams &params)
-{
-    return r.run.meter.breakdownWith(params).totalPj();
 }
 
 /** Standard figure banner. */

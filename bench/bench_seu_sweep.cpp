@@ -95,8 +95,10 @@ writePoint(JsonWriter &w, const SeuSweepRow &p, std::size_t workloads)
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions opt = parseHarnessArgs(argc, argv);
-    const SweepOptions sopt = parseSweepArgs(argc, argv);
+    std::vector<char *> rest;
+    const HarnessOptions opt = parseHarnessArgs(argc, argv, &rest);
+    const SweepOptions sopt =
+        parseSweepArgs(static_cast<int>(rest.size()), rest.data());
     if (sopt.isChild())
         return runSweepChildPoint(sopt);
 

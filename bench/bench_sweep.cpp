@@ -97,8 +97,10 @@ gridWorkloads(const std::string &grid, const HarnessOptions &opt)
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions opt = parseHarnessArgs(argc, argv);
-    const SweepOptions sopt = parseSweepArgs(argc, argv);
+    std::vector<char *> rest;
+    const HarnessOptions opt = parseHarnessArgs(argc, argv, &rest);
+    const SweepOptions sopt =
+        parseSweepArgs(static_cast<int>(rest.size()), rest.data());
     if (sopt.isChild())
         return runSweepChildPoint(sopt);
 

@@ -24,10 +24,14 @@ using namespace warpcomp;
 int
 main(int argc, char **argv)
 {
-    const HarnessOptions opt = parseHarnessArgs(argc, argv);
+    std::vector<char *> rest;
+    const HarnessOptions opt = parseHarnessArgs(argc, argv, &rest);
     bool disasmOnly = false;
-    for (int i = 1; i < argc; ++i)
-        disasmOnly = disasmOnly || std::strcmp(argv[i], "--disasm") == 0;
+    for (std::size_t i = 1; i < rest.size(); ++i) {
+        if (std::strcmp(rest[i], "--disasm") != 0)
+            WC_FATAL("unknown argument '" << rest[i] << "'");
+        disasmOnly = true;
+    }
 
     if (opt.kernelPath.empty() && opt.only.empty())
         WC_FATAL("run_kernel needs --kernel=FILE[,entry=SYM] or "

@@ -1,5 +1,6 @@
 #include "harness/experiment.hpp"
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -156,10 +157,10 @@ parseRate(const char *spec, const char *end)
 }
 
 /**
- * Strict cycle-count parse over [spec, end): digits only. strtoull
- * alone silently wraps negative input ("-5" becomes 2^64-5), so every
- * cycle field ('--trace' START/END, --hang-budget) rejects any
- * non-digit up front.
+ * Strict unsigned parse over [spec, end): base-10 digits only, no
+ * overflow. strtoull alone silently wraps negative input ("-5" becomes
+ * 2^64-5) and atoi stops at the first non-digit ("2x" is 2), so every
+ * integer flag rejects any non-digit up front.
  */
 std::optional<u64>
 parseCycles(const char *spec, const char *end)
@@ -170,38 +171,54 @@ parseCycles(const char *spec, const char *end)
         if (*p < '0' || *p > '9')
             return std::nullopt;
     char *parsed = nullptr;
+    errno = 0;
     const u64 v = std::strtoull(spec, &parsed, 10);
-    if (parsed != end)
+    if (parsed != end || errno == ERANGE)
         return std::nullopt;
     return v;
+}
+
+/**
+ * Whole-value flag parse through parseCycles: @p spec must be base-10
+ * digits with a value in [@p min, @p max], else a one-line fatal error
+ * saying @p flag must be @p what.
+ */
+u64
+parseCount(const char *flag, const char *spec, const char *what,
+           u64 min = 0, u64 max = std::numeric_limits<u64>::max())
+{
+    const auto v = parseCycles(spec, spec + std::strlen(spec));
+    if (!v.has_value() || *v < min || *v > max)
+        WC_FATAL(flag << " must be " << what << ", got '" << spec << "'");
+    return *v;
 }
 
 } // namespace
 
 HarnessOptions
-parseHarnessArgs(int argc, char **argv)
+parseHarnessArgs(int argc, char **argv, std::vector<char *> *rest)
 {
+    constexpr u64 kU32Max = std::numeric_limits<u32>::max();
     HarnessOptions opt;
     if (argc > 0 && argv[0] != nullptr) {
         const char *slash = std::strrchr(argv[0], '/');
         opt.benchName = slash != nullptr ? slash + 1 : argv[0];
+        if (rest != nullptr)
+            rest->push_back(argv[0]);
     }
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
+        char *arg = argv[i];
         if (std::strncmp(arg, "--scale=", 8) == 0) {
-            opt.scale = static_cast<u32>(std::atoi(arg + 8));
-            if (opt.scale < 1)
-                WC_FATAL("--scale must be >= 1");
+            opt.scale = static_cast<u32>(parseCount(
+                "--scale", arg + 8, "an integer >= 1", 1, kU32Max));
         } else if (std::strncmp(arg, "--sms=", 6) == 0) {
-            opt.numSms = static_cast<u32>(std::atoi(arg + 6));
-            if (opt.numSms < 1)
-                WC_FATAL("--sms must be >= 1");
+            opt.numSms = static_cast<u32>(parseCount(
+                "--sms", arg + 6, "an integer >= 1", 1, kU32Max));
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            const int n = std::atoi(arg + 10);
-            if (n < 0)
-                WC_FATAL("--threads must be >= 0 (0 = hardware "
-                         "concurrency)");
-            opt.threads = static_cast<u32>(n);
+            opt.threads = static_cast<u32>(parseCount(
+                "--threads", arg + 10,
+                "an integer >= 0 (0 = hardware concurrency)", 0,
+                kU32Max));
         } else if (std::strncmp(arg, "--only=", 7) == 0) {
             opt.only = arg + 7;
         } else if (std::strncmp(arg, "--kernel=", 9) == 0) {
@@ -243,8 +260,8 @@ parseHarnessArgs(int argc, char **argv)
             opt.faults.ber = *ber;
             opt.faults.policy = *policy;
         } else if (std::strncmp(arg, "--fault-seed=", 13) == 0) {
-            opt.faults.seed =
-                std::strtoull(arg + 13, nullptr, 0);
+            opt.faults.seed = parseCount("--fault-seed", arg + 13,
+                                         "a decimal integer");
         } else if (std::strncmp(arg, "--seu=", 6) == 0) {
             const char *spec = arg + 6;
             const char *comma = std::strchr(spec, ',');
@@ -264,14 +281,11 @@ parseHarnessArgs(int argc, char **argv)
             opt.seu.flipsPerCycle = *rate;
             opt.seu.scheme = *scheme;
         } else if (std::strncmp(arg, "--seu-seed=", 11) == 0) {
-            opt.seu.seed = std::strtoull(arg + 11, nullptr, 0);
+            opt.seu.seed = parseCount("--seu-seed", arg + 11,
+                                      "a decimal integer");
         } else if (std::strncmp(arg, "--seu-scrub=", 12) == 0) {
-            char *end = nullptr;
-            const u64 interval = std::strtoull(arg + 12, &end, 0);
-            if (end == arg + 12 || *end != '\0' || interval < 1)
-                WC_FATAL("--seu-scrub must be a cycle count >= 1, "
-                         "got '" << (arg + 12) << "'");
-            opt.seu.scrubInterval = interval;
+            opt.seu.scrubInterval = parseCount(
+                "--seu-scrub", arg + 12, "a cycle count >= 1", 1);
         } else if (std::strncmp(arg, "--trace=", 8) == 0) {
             const char *spec = arg + 8;
             const char *comma = std::strchr(spec, ',');
@@ -305,26 +319,22 @@ parseHarnessArgs(int argc, char **argv)
             if (opt.traceOutPath.empty())
                 WC_FATAL("--trace-out needs a file path");
         } else if (std::strncmp(arg, "--trace-window=", 15) == 0) {
-            char *end = nullptr;
-            const u64 interval = std::strtoull(arg + 15, &end, 0);
-            if (end == arg + 15 || *end != '\0' || interval < 1)
-                WC_FATAL("--trace-window must be a cycle count >= 1, "
-                         "got '" << (arg + 15) << "'");
-            opt.traceWindow = static_cast<u32>(interval);
+            opt.traceWindow = static_cast<u32>(
+                parseCount("--trace-window", arg + 15,
+                           "a cycle count >= 1", 1, kU32Max));
         } else if (std::strncmp(arg, "--stats-json=", 13) == 0) {
             opt.statsJsonPath = arg + 13;
             if (opt.statsJsonPath.empty())
                 WC_FATAL("--stats-json needs a file path");
         } else if (std::strncmp(arg, "--hang-budget=", 14) == 0) {
-            const char *spec = arg + 14;
-            const auto budget =
-                parseCycles(spec, spec + std::strlen(spec));
-            if (!budget.has_value() || *budget < 1)
-                WC_FATAL("--hang-budget must be a cycle count >= 1, "
-                         "got '" << spec << "'");
-            opt.hangBudget = *budget;
+            opt.hangBudget = parseCount("--hang-budget", arg + 14,
+                                        "a cycle count >= 1", 1);
         } else if (std::strcmp(arg, "--no-skip") == 0) {
             opt.noSkip = true;
+        } else if (rest != nullptr) {
+            rest->push_back(arg);
+        } else {
+            WC_FATAL("unknown argument '" << arg << "'");
         }
     }
     return opt;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Experiment harness: runs a workload under a named configuration and
- * returns the merged results. Every bench binary (one per paper
- * table/figure) and example builds on this.
+ * returns the merged results. Every bench binary (the `wc_bench`
+ * figure driver, the perf and sweep drivers) and example builds on
+ * this.
  */
 
 #ifndef WARPCOMP_HARNESS_EXPERIMENT_HPP
@@ -82,7 +83,7 @@ GpuParams makeGpuParams(const ExperimentConfig &cfg);
 ExperimentResult runWorkload(const std::string &name,
                              const ExperimentConfig &cfg);
 
-/** Run the full 15-benchmark suite under @p cfg. */
+/** Run the full 19-workload suite (workloadNames()) under @p cfg. */
 std::vector<ExperimentResult> runSuite(const ExperimentConfig &cfg);
 
 /**
@@ -163,12 +164,18 @@ struct HarnessOptions
  * --seu=RATE,SCHEME --seu-seed=N
  * --seu-scrub=CYCLES --trace=FILE[,START,END] --trace-out=FILE
  * --trace-window=N
- * --stats-json=FILE --no-skip --hang-budget=N; ignores unknown
- * arguments. Malformed values (non-numeric, NaN, negative rates,
- * unknown policy/scheme names) are a one-line fatal error with nonzero
- * exit, never a silent default.
+ * --stats-json=FILE --no-skip --hang-budget=N. Malformed values
+ * (integers with any non-digit, NaN, negative rates, unknown
+ * policy/scheme names) are a one-line fatal error with exit 1, never
+ * a silent default.
+ *
+ * An argument no harness flag claims is the same fatal error, unless
+ * @p rest is given: then @p rest receives argv[0] followed by every
+ * unclaimed argument, an argv for the binary's next parser, which
+ * must reject whatever it does not claim in turn.
  */
-HarnessOptions parseHarnessArgs(int argc, char **argv);
+HarnessOptions parseHarnessArgs(int argc, char **argv,
+                                std::vector<char *> *rest = nullptr);
 
 /**
  * Geometric-mean helper used for figure averages. Contract: returns

@@ -120,6 +120,8 @@ parseSweepArgs(int argc, char **argv)
             opt.grid = arg + 7;
             if (opt.grid.empty())
                 WC_FATAL("--grid needs a name");
+        } else {
+            WC_FATAL("unknown argument '" << arg << "'");
         }
     }
     if (opt.isChild() && opt.pointOut.empty())

@@ -4,7 +4,8 @@
  * drivers (`bench_sweep`, and `bench_fault_sweep` / `bench_seu_sweep`
  * under `--isolate`) share.
  *
- * A driver calls parseSweepArgs alongside parseHarnessArgs, then:
+ * A driver hands parseSweepArgs the arguments parseHarnessArgs left
+ * unclaimed (its `rest` argv), then:
  *   - child mode (`--point=` present): runSweepChildPoint simulates
  *     exactly one point and writes its PointStats JSON to
  *     `--point-out`; chaos injection (if armed) happens here;
@@ -68,10 +69,10 @@ struct SweepOptions
 };
 
 /**
- * Parse the sweep-runner flags (strict: malformed values are a
- * one-line fatal error, never a silent default; unknown arguments are
- * ignored, mirroring parseHarnessArgs so both parsers can scan the
- * same argv).
+ * Parse the sweep-runner flags (strict: malformed values and unknown
+ * arguments are a one-line fatal error, never a silent default). A
+ * driver passes the argv parseHarnessArgs left over, so a harness flag
+ * reaching this parser is unknown here too.
  */
 SweepOptions parseSweepArgs(int argc, char **argv);
 

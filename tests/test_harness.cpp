@@ -49,13 +49,80 @@ TEST(Harness, LatenciesPropagate)
 TEST(Harness, ArgParsing)
 {
     const char *argv[] = {"bench", "--scale=3", "--sms=4",
-                          "--only=lib", "--threads=6", "--unknown"};
+                          "--only=lib", "--threads=6"};
     const HarnessOptions opt = parseHarnessArgs(
-        6, const_cast<char **>(argv));
+        5, const_cast<char **>(argv));
     EXPECT_EQ(opt.scale, 3u);
     EXPECT_EQ(opt.numSms, 4u);
     EXPECT_EQ(opt.threads, 6u);
     EXPECT_EQ(opt.only, "lib");
+}
+
+TEST(HarnessDeathTest, UnknownArgumentExitsNonzero)
+{
+    // A typo'd flag must never quietly run a different experiment.
+    EXPECT_EXIT(parseOne("--unknown"), ::testing::ExitedWithCode(1),
+                "unknown argument '--unknown'");
+    EXPECT_EXIT(parseOne("--onyl=nw"), ::testing::ExitedWithCode(1),
+                "unknown argument '--onyl=nw'");
+    EXPECT_EXIT(parseOne("fig03"), ::testing::ExitedWithCode(1),
+                "unknown argument 'fig03'");
+}
+
+TEST(Harness, UnclaimedArgumentsGoToRest)
+{
+    const char *argv[] = {"bench", "fig03", "--sms=2", "--point=x",
+                          "--disasm"};
+    std::vector<char *> rest;
+    const HarnessOptions opt =
+        parseHarnessArgs(5, const_cast<char **>(argv), &rest);
+    EXPECT_EQ(opt.numSms, 2u);
+    ASSERT_EQ(rest.size(), 4u);
+    EXPECT_STREQ(rest[0], "bench");
+    EXPECT_STREQ(rest[1], "fig03");
+    EXPECT_STREQ(rest[2], "--point=x");
+    EXPECT_STREQ(rest[3], "--disasm");
+}
+
+TEST(HarnessDeathTest, MalformedIntegerFlagsExitNonzero)
+{
+    // atoi read "2x" as 2 and "abc" as 0 (= hardware concurrency);
+    // strtoull read a seed of "zz" as 0. All are fatal now.
+    EXPECT_EXIT(parseOne("--scale=3q"), ::testing::ExitedWithCode(1),
+                "--scale must be an integer >= 1, got '3q'");
+    EXPECT_EXIT(parseOne("--scale=0"), ::testing::ExitedWithCode(1),
+                "--scale must be an integer >= 1");
+    EXPECT_EXIT(parseOne("--sms=2x"), ::testing::ExitedWithCode(1),
+                "--sms must be an integer >= 1, got '2x'");
+    EXPECT_EXIT(parseOne("--sms=-1"), ::testing::ExitedWithCode(1),
+                "--sms must be an integer >= 1");
+    EXPECT_EXIT(parseOne("--sms=4294967296"), ::testing::ExitedWithCode(1),
+                "--sms must be an integer >= 1");
+    EXPECT_EXIT(parseOne("--threads=abc"), ::testing::ExitedWithCode(1),
+                "--threads must be an integer >= 0");
+    EXPECT_EXIT(parseOne("--threads=-2"), ::testing::ExitedWithCode(1),
+                "--threads must be an integer >= 0");
+    EXPECT_EXIT(parseOne("--fault-seed=zz"), ::testing::ExitedWithCode(1),
+                "--fault-seed must be a decimal integer, got 'zz'");
+    EXPECT_EXIT(parseOne("--fault-seed=0x10"),
+                ::testing::ExitedWithCode(1),
+                "--fault-seed must be a decimal integer");
+    EXPECT_EXIT(parseOne("--fault-seed=99999999999999999999"),
+                ::testing::ExitedWithCode(1),
+                "--fault-seed must be a decimal integer");
+    EXPECT_EXIT(parseOne("--seu-seed=7q"), ::testing::ExitedWithCode(1),
+                "--seu-seed must be a decimal integer, got '7q'");
+    EXPECT_EXIT(parseOne("--trace-window=-1"),
+                ::testing::ExitedWithCode(1),
+                "--trace-window must be a cycle count >= 1");
+}
+
+TEST(Harness, SeedsAreBaseTen)
+{
+    EXPECT_EQ(parseOne("--fault-seed=010").faults.seed, 10u);
+    EXPECT_EQ(parseOne("--seu-seed=18446744073709551615").seu.seed,
+              18446744073709551615ull);
+    EXPECT_EQ(parseOne("--threads=0").threads, 0u);
 }
 
 TEST(Harness, ArgDefaults)

@@ -381,9 +381,15 @@ TEST(SweepArgs, ParsesAndDefaults)
                           "--attempts=5",
                           "--backoff-ms=10",
                           "--grid=fault",
-                          "--threads=4"};     // harness flag: ignored
+                          "--threads=4"};     // harness flag
+    // A driver's two parsers split one argv: the harness parser claims
+    // --threads and hands the rest on.
+    std::vector<char *> rest;
+    const HarnessOptions hopt =
+        parseHarnessArgs(8, const_cast<char **>(argv), &rest);
+    EXPECT_EQ(hopt.threads, 4u);
     const SweepOptions opt =
-        parseSweepArgs(8, const_cast<char **>(argv));
+        parseSweepArgs(static_cast<int>(rest.size()), rest.data());
     EXPECT_FALSE(opt.isChild());
     EXPECT_EQ(opt.journalPath, "/tmp/j.jsonl");
     EXPECT_EQ(opt.chaos.mode, ChaosMode::Mix);
@@ -421,6 +427,18 @@ TEST(SweepArgsDeathTest, MalformedFlagsExitNonzero)
                 "--point requires --point-out");
     EXPECT_EXIT(parseSweepOne("--point="),
                 ::testing::ExitedWithCode(1), "--point");
+}
+
+TEST(SweepArgsDeathTest, UnknownArgumentExitsNonzero)
+{
+    // The sweep parser sees only what the harness parser left over, so
+    // a harness flag here is as unknown as a typo.
+    EXPECT_EXIT(parseSweepOne("--grdi=fault"),
+                ::testing::ExitedWithCode(1),
+                "unknown argument '--grdi=fault'");
+    EXPECT_EXIT(parseSweepOne("--threads=4"),
+                ::testing::ExitedWithCode(1),
+                "unknown argument '--threads=4'");
 }
 
 } // namespace

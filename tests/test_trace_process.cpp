@@ -25,6 +25,7 @@
 #include <string>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/json_parse.hpp"
 
@@ -38,10 +39,13 @@ namespace {
 #error "CMake must define WC_TRACE_BIN"
 #endif
 
+/** Per-process path: ctest runs each test in its own process, in
+ *  parallel, and every process produces its own reference dump. */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "wc_trace_proc_" + name;
+    return ::testing::TempDir() + "wc_trace_proc_" +
+        std::to_string(::getpid()) + "_" + name;
 }
 
 int
