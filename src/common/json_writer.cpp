@@ -1,11 +1,35 @@
 #include "common/json_writer.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "common/log.hpp"
 
 namespace warpcomp {
+
+namespace {
+
+bool
+needsEscape(char c)
+{
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/** Newline plus indentation for the common nesting depths. */
+constexpr char kNewlineIndent[] = "\n                                ";
+
+template <typename Int>
+std::string_view
+formatInt(char (&buf)[24], Int v)
+{
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    return {buf, static_cast<std::size_t>(res.ptr - buf)};
+}
+
+} // namespace
 
 std::string
 JsonWriter::escape(std::string_view s)
@@ -44,14 +68,65 @@ JsonWriter::formatDouble(double v)
     return buf;
 }
 
+JsonWriter::~JsonWriter()
+{
+    flush();
+}
+
+void
+JsonWriter::flush()
+{
+    if (len_ == 0)
+        return;
+    os_.write(buf_.get(), static_cast<std::streamsize>(len_));
+    len_ = 0;
+}
+
+void
+JsonWriter::put(const char *p, std::size_t n)
+{
+    if (len_ + n > kBufferBytes) {
+        flush();
+        if (n > kBufferBytes) {
+            os_.write(p, static_cast<std::streamsize>(n));
+            return;
+        }
+    }
+    std::memcpy(buf_.get() + len_, p, n);
+    len_ += n;
+}
+
+void
+JsonWriter::afterValue()
+{
+    if (stack_.empty())
+        flush();
+}
+
 void
 JsonWriter::newlineIndent()
 {
     if (style_ == Style::Compact)
         return;
-    os_ << '\n';
+    const std::size_t n = 1 + 2 * stack_.size();
+    if (n < sizeof kNewlineIndent) {
+        put(kNewlineIndent, n);
+        return;
+    }
+    put('\n');
     for (std::size_t i = 0; i < stack_.size(); ++i)
-        os_ << "  ";
+        put("  ", 2);
+}
+
+void
+JsonWriter::putString(std::string_view s)
+{
+    put('"');
+    if (std::none_of(s.begin(), s.end(), needsEscape))
+        put(s);
+    else
+        put(escape(s));
+    put('"');
 }
 
 void
@@ -65,7 +140,7 @@ JsonWriter::beforeValue()
         return;
     }
     if (counts_.back() > 0)
-        os_ << ',';
+        put(',');
     newlineIndent();
     ++counts_.back();
 }
@@ -77,11 +152,11 @@ JsonWriter::key(std::string_view k)
               "JSON key outside an object");
     WC_ASSERT(!pendingKey_, "two JSON keys in a row");
     if (counts_.back() > 0)
-        os_ << ',';
+        put(',');
     newlineIndent();
     ++counts_.back();
-    os_ << '"' << escape(k)
-        << (style_ == Style::Compact ? "\":" : "\": ");
+    putString(k);
+    put(style_ == Style::Compact ? ":" : ": ");
     pendingKey_ = true;
 }
 
@@ -89,7 +164,7 @@ void
 JsonWriter::beginObject()
 {
     beforeValue();
-    os_ << '{';
+    put('{');
     stack_.push_back(Ctx::Object);
     counts_.push_back(0);
 }
@@ -99,24 +174,14 @@ JsonWriter::endObject()
 {
     WC_ASSERT(!stack_.empty() && stack_.back() == Ctx::Object,
               "unbalanced endObject");
-    const bool empty = counts_.back() == 0;
-    stack_.pop_back();
-    counts_.pop_back();
-    if (!empty && style_ != Style::Compact) {
-        os_ << '\n';
-        for (std::size_t i = 0; i < stack_.size(); ++i)
-            os_ << "  ";
-    }
-    os_ << '}';
-    if (stack_.empty() && style_ != Style::Compact)
-        os_ << '\n';
+    closeContainer('}');
 }
 
 void
 JsonWriter::beginArray()
 {
     beforeValue();
-    os_ << '[';
+    put('[');
     stack_.push_back(Ctx::Array);
     counts_.push_back(0);
 }
@@ -126,59 +191,71 @@ JsonWriter::endArray()
 {
     WC_ASSERT(!stack_.empty() && stack_.back() == Ctx::Array,
               "unbalanced endArray");
+    closeContainer(']');
+}
+
+void
+JsonWriter::closeContainer(char close)
+{
     const bool empty = counts_.back() == 0;
     stack_.pop_back();
     counts_.pop_back();
-    if (!empty && style_ != Style::Compact) {
-        os_ << '\n';
-        for (std::size_t i = 0; i < stack_.size(); ++i)
-            os_ << "  ";
-    }
-    os_ << ']';
+    if (!empty)
+        newlineIndent();
+    put(close);
     if (stack_.empty() && style_ != Style::Compact)
-        os_ << '\n';
+        put('\n');
+    afterValue();
 }
 
 void
 JsonWriter::value(std::string_view v)
 {
     beforeValue();
-    os_ << '"' << escape(v) << '"';
+    putString(v);
+    afterValue();
 }
 
 void
 JsonWriter::value(bool v)
 {
     beforeValue();
-    os_ << (v ? "true" : "false");
+    put(v ? "true" : "false");
+    afterValue();
 }
 
 void
 JsonWriter::value(double v)
 {
     beforeValue();
-    os_ << formatDouble(v);
+    put(formatDouble(v));
+    afterValue();
 }
 
 void
 JsonWriter::value(u64 v)
 {
     beforeValue();
-    os_ << v;
+    char buf[24];
+    put(formatInt(buf, v));
+    afterValue();
 }
 
 void
 JsonWriter::value(i64 v)
 {
     beforeValue();
-    os_ << v;
+    char buf[24];
+    put(formatInt(buf, v));
+    afterValue();
 }
 
 void
 JsonWriter::valueNull()
 {
     beforeValue();
-    os_ << "null";
+    put("null");
+    afterValue();
 }
 
 void
@@ -186,7 +263,8 @@ JsonWriter::rawValue(std::string_view raw)
 {
     WC_ASSERT(!raw.empty(), "empty raw JSON value");
     beforeValue();
-    os_ << raw;
+    put(raw);
+    afterValue();
 }
 
 } // namespace warpcomp

@@ -10,6 +10,8 @@
 #ifndef WARPCOMP_COMMON_JSON_WRITER_HPP
 #define WARPCOMP_COMMON_JSON_WRITER_HPP
 
+#include <cstddef>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -27,16 +29,34 @@ namespace warpcomp {
  * and byte-stable across runs. The Compact style drops all whitespace
  * (one document per line) for append-only journals where a record must
  * be exactly one line.
+ *
+ * Tokens are formatted into a fixed kBufferBytes buffer the writer
+ * owns and reach the stream in large write() calls. The buffer is
+ * handed over whenever a top-level value completes (so the stream
+ * holds the whole document, trailing newline included, as soon as its
+ * closing brace is written), when the next token does not fit, on
+ * flush() and in the destructor. A caller must not write to or read
+ * from the stream itself while a top-level value is still open.
  */
 class JsonWriter
 {
   public:
     enum class Style : u8 { Pretty, Compact };
 
+    /** Most bytes the writer holds before handing them to the stream. */
+    static constexpr std::size_t kBufferBytes = 64 * 1024;
+
     explicit JsonWriter(std::ostream &os, Style style = Style::Pretty)
         : os_(os), style_(style)
     {
     }
+    ~JsonWriter();
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
+
+    /** Hand every buffered byte to the stream (the stream itself is
+     *  not flushed). */
+    void flush();
 
     void beginObject();
     void endObject();
@@ -91,10 +111,21 @@ class JsonWriter
     enum class Ctx : u8 { Object, Array };
 
     void beforeValue();
+    /** Flush if the value just written was top-level. */
+    void afterValue();
     void newlineIndent();
+    void closeContainer(char close);
+    /** Append raw bytes, flushing first if they do not fit. */
+    void put(const char *p, std::size_t n);
+    void put(std::string_view s) { put(s.data(), s.size()); }
+    void put(char c) { put(&c, 1); }
+    /** Quoted and escaped. */
+    void putString(std::string_view s);
 
     std::ostream &os_;
     Style style_ = Style::Pretty;
+    std::unique_ptr<char[]> buf_{new char[kBufferBytes]};
+    std::size_t len_ = 0;
     std::vector<Ctx> stack_;
     /** Elements already emitted at each open level. */
     std::vector<u32> counts_;

@@ -1,9 +1,7 @@
 #include "obs/chrome_trace.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <utility>
+#include <optional>
 
 #include "common/json_writer.hpp"
 
@@ -36,6 +34,40 @@ u32
 tidOf(const TraceEvent &ev)
 {
     return isBankLaneEvent(ev.kind) ? kBankLaneBase + ev.lane : ev.lane;
+}
+
+/** (sm, lane) packed so that sorting orders by SM, then lane. */
+u32
+laneKey(u16 sm, u16 lane)
+{
+    return static_cast<u32>(sm) << 16 | lane;
+}
+
+u16
+smOfKey(u32 key)
+{
+    return static_cast<u16>(key >> 16);
+}
+
+u16
+laneOfKey(u32 key)
+{
+    return static_cast<u16>(key & 0xFFFF);
+}
+
+void
+sortUnique(std::vector<u32> &keys)
+{
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+}
+
+/** Position of @p key in the sorted, duplicate-free @p keys. */
+std::size_t
+indexOf(const std::vector<u32> &keys, u32 key)
+{
+    return static_cast<std::size_t>(
+        std::lower_bound(keys.begin(), keys.end(), key) - keys.begin());
 }
 
 void
@@ -145,17 +177,26 @@ writeChromeTrace(std::ostream &os, const ChromeTraceView &view,
     const Cycle window_end =
         std::min<Cycle>(meta.cycles, view.traceEnd);
 
-    // Pass 1: lanes present, so every lane gets a stable name.
-    std::set<u16> sms;
-    std::set<std::pair<u16, u16>> warp_lanes; // (sm, warp slot)
-    std::set<std::pair<u16, u16>> bank_lanes; // (sm, bank)
+    // Pass 1: lanes present, so every lane gets a stable name. Each
+    // table is a sorted, duplicate-free vector of (sm, lane) keys;
+    // repeats of the previous key are dropped before the sort.
+    std::vector<u32> warp_lanes; // (sm, warp slot)
+    std::vector<u32> bank_lanes; // (sm, bank)
     for (const TraceEvent &ev : events) {
-        sms.insert(ev.sm);
-        if (isBankLaneEvent(ev.kind))
-            bank_lanes.insert({ev.sm, ev.lane});
-        else
-            warp_lanes.insert({ev.sm, ev.lane});
+        std::vector<u32> &lanes =
+            isBankLaneEvent(ev.kind) ? bank_lanes : warp_lanes;
+        const u32 key = laneKey(ev.sm, ev.lane);
+        if (lanes.empty() || lanes.back() != key)
+            lanes.push_back(key);
     }
+    sortUnique(warp_lanes);
+    sortUnique(bank_lanes);
+    std::vector<u32> sms;
+    for (const u32 key : warp_lanes)
+        sms.push_back(smOfKey(key));
+    for (const u32 key : bank_lanes)
+        sms.push_back(smOfKey(key));
+    sortUnique(sms);
 
     JsonWriter w(os);
     w.beginObject();
@@ -182,16 +223,18 @@ writeChromeTrace(std::ostream &os, const ChromeTraceView &view,
     const bool have_counters = !view.windows.empty();
     if (have_counters)
         metadataEvent(w, "process_name", 0, 0, "name", "GPU");
-    for (u16 sm : sms) {
-        metadataEvent(w, "process_name", pidOfSm(sm), 0, "name",
-                      "SM" + std::to_string(sm));
+    for (const u32 sm : sms) {
+        metadataEvent(w, "process_name", pidOfSm(static_cast<u16>(sm)), 0,
+                      "name", "SM" + std::to_string(sm));
     }
-    for (const auto &[sm, warp] : warp_lanes) {
-        metadataEvent(w, "thread_name", pidOfSm(sm), warp, "name",
-                      "warp " + std::to_string(warp));
+    for (const u32 key : warp_lanes) {
+        const u16 warp = laneOfKey(key);
+        metadataEvent(w, "thread_name", pidOfSm(smOfKey(key)), warp,
+                      "name", "warp " + std::to_string(warp));
     }
-    for (const auto &[sm, bank] : bank_lanes) {
-        metadataEvent(w, "thread_name", pidOfSm(sm),
+    for (const u32 key : bank_lanes) {
+        const u16 bank = laneOfKey(key);
+        metadataEvent(w, "thread_name", pidOfSm(smOfKey(key)),
                       kBankLaneBase + bank, "name",
                       "bank " + std::to_string(bank));
     }
@@ -200,20 +243,20 @@ writeChromeTrace(std::ostream &os, const ChromeTraceView &view,
     // into "gated" intervals on the bank lane (plus a short "waking"
     // interval covering the wakeup latency); everything else is an
     // instant event.
-    std::map<std::pair<u16, u16>, Cycle> open_off;
+    // open_off[i] is the pending gate-off of bank_lanes[i].
+    std::vector<std::optional<Cycle>> open_off(bank_lanes.size());
     for (const TraceEvent &ev : events) {
         const u32 pid = pidOfSm(ev.sm);
         if (ev.kind == TraceEventKind::GateOff) {
-            open_off[{ev.sm, ev.lane}] = ev.cycle;
+            open_off[indexOf(bank_lanes, laneKey(ev.sm, ev.lane))] =
+                ev.cycle;
             continue;
         }
         if (ev.kind == TraceEventKind::GateWake) {
-            const auto key = std::make_pair(ev.sm, ev.lane);
-            const auto it = open_off.find(key);
-            const Cycle off_at =
-                it != open_off.end() ? it->second : window_start;
-            if (it != open_off.end())
-                open_off.erase(it);
+            std::optional<Cycle> &off =
+                open_off[indexOf(bank_lanes, laneKey(ev.sm, ev.lane))];
+            const Cycle off_at = off.value_or(window_start);
+            off.reset();
             completeEvent(w, "gated", pid, kBankLaneBase + ev.lane,
                           off_at, ev.cycle);
             completeEvent(w, "waking", pid, kBankLaneBase + ev.lane,
@@ -232,9 +275,11 @@ writeChromeTrace(std::ostream &os, const ChromeTraceView &view,
         w.endObject();
     }
     // Banks still gated when the run (or the traced window) ended.
-    for (const auto &[key, off_at] : open_off) {
-        completeEvent(w, "gated", pidOfSm(key.first),
-                      kBankLaneBase + key.second, off_at, window_end);
+    for (std::size_t i = 0; i < bank_lanes.size(); ++i) {
+        if (open_off[i].has_value())
+            completeEvent(w, "gated", pidOfSm(smOfKey(bank_lanes[i])),
+                          kBankLaneBase + laneOfKey(bank_lanes[i]),
+                          *open_off[i], window_end);
     }
 
     // GPU-wide counter tracks from the windowed timelines.

@@ -1,7 +1,9 @@
 #include "obs/trace_stream.hpp"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include <fcntl.h>
@@ -293,17 +295,58 @@ failLoad(TraceDumpError *err, std::string code, std::string detail)
     return std::nullopt;
 }
 
+/** Whole file in one sized read; an unseekable input (a pipe) is read
+ *  to its end instead. */
+std::string
+readAll(std::ifstream &in)
+{
+    std::string raw;
+    if (in.seekg(0, std::ios::end)) {
+        raw.resize(static_cast<std::size_t>(in.tellg()));
+        in.seekg(0);
+        in.read(raw.data(), static_cast<std::streamsize>(raw.size()));
+        raw.resize(static_cast<std::size_t>(in.gcount()));
+    } else {
+        in.clear();
+        raw.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    return raw;
+}
+
+/** Events declared by the well-formed batch records from @p pos on, to
+ *  size the event vector once; the parse still checks every record. */
+std::size_t
+countBatchEvents(const u8 *data, std::size_t size, std::size_t pos)
+{
+    std::size_t n = 0;
+    while (pos + 5 <= size) {
+        const u32 len = get32(data + pos + 1);
+        if (data[pos] == kRecordEventBatch && len >= 4 &&
+            pos + 5 + len <= size) {
+            const u32 count = get32(data + pos + 5);
+            if (4 + static_cast<u64>(count) * kPackedEventBytes == len)
+                n += count;
+        }
+        pos += 5 + static_cast<std::size_t>(len);
+    }
+    return n;
+}
+
 } // namespace
 
 std::optional<TraceDump>
 loadTraceDump(const std::string &path, TraceDumpError *err)
 {
+    std::error_code ec;
+    if (std::filesystem::is_directory(path, ec))
+        return failLoad(err, "open_failed",
+                        "trace dump '" + path + "' is a directory");
     std::ifstream in(path, std::ios::binary);
     if (!in)
         return failLoad(err, "open_failed",
                         "cannot open trace dump '" + path + "'");
-    std::string raw((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+    const std::string raw = readAll(in);
     const u8 *data = reinterpret_cast<const u8 *>(raw.data());
     const std::size_t size = raw.size();
 
@@ -330,6 +373,7 @@ loadTraceDump(const std::string &path, TraceDumpError *err)
     dump.meta = *meta;
 
     std::size_t pos = 16 + json_len;
+    dump.events.reserve(countBatchEvents(data, size, pos));
     bool saw_footer = false;
     u64 footer_events = 0, footer_windows = 0;
     while (pos < size) {

@@ -30,8 +30,11 @@ struct WorkloadInstance
     /** Which frontend produced the kernel: "dsl" (KernelBuilder
      *  workloads) or "rv32" (binary images via `--kernel`). */
     std::string frontend = "dsl";
-    /** SHA-256 of the binary image for "rv32" kernels; empty for DSL. */
-    std::string imageSha;
+    /** SHA-256 of the binary image for "rv32" kernels; empty for DSL.
+     *  Defaulted here so the workloads' `return {name, kernel, dims,
+     *  gmem, cmem}` leaves it empty without a missing-initializer
+     *  warning. */
+    std::string imageSha{};
 };
 
 /** Load 32-bit kernel parameter @p index from the constant bank. */

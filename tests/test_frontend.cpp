@@ -50,7 +50,9 @@ KernelImage
 imageOf(const std::vector<u32> &words)
 {
     KernelImage img;
-    img.name = "t";
+    // Assigned from a std::string: assigning the literal directly
+    // trips a GCC 12 -Wrestrict false positive at -O3.
+    img.name = std::string("t");
     img.path = "test.hex";
     img.words = words;
     return img;

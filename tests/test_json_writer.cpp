@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the shared JSON writer: structural layout, string escaping,
- * and stable float formatting. Every machine-readable exporter (perf
- * records, sweep benches, stats dump, Chrome trace) rides on this, so
- * the byte-level guarantees are pinned here once.
+ * stable float formatting, and when buffered bytes reach the stream.
+ * Every machine-readable exporter (perf records, sweep benches, stats
+ * dump, Chrome trace) rides on this, so the byte-level guarantees are
+ * pinned here once.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/json_writer.hpp"
 
@@ -159,6 +162,137 @@ TEST(JsonWriter, NullValueAndRootNewline)
     w.valueNull();
     w.endArray();
     EXPECT_EQ(os.str(), "[\n  null\n]\n");
+}
+
+TEST(JsonWriter, IntegerExtremes)
+{
+    std::ostringstream os;
+    JsonWriter w(os, JsonWriter::Style::Compact);
+    w.beginArray();
+    w.value(std::numeric_limits<u64>::max());
+    w.value(std::numeric_limits<i64>::min());
+    w.value(std::numeric_limits<i64>::max());
+    w.value(u64{0});
+    w.endArray();
+    EXPECT_EQ(os.str(), "[18446744073709551615,-9223372036854775808,"
+                        "9223372036854775807,0]");
+}
+
+TEST(JsonWriter, KeysAndValuesEscapeOnlyWhatJsonRequires)
+{
+    // One special byte per case, so each must be found on its own.
+    const std::pair<const char *, const char *> cases[] = {
+        {"a\"b", "a\\\"b"},
+        {"a\\b", "a\\\\b"},
+        {"a\nb", "a\\nb"},
+        {"a\x01" "b", "a\\u0001b"},
+        {"a\x1f" "b", "a\\u001fb"},
+        {"a\x7f" "b", "a\x7f" "b"},
+    };
+    for (const auto &[raw, escaped] : cases) {
+        std::ostringstream os;
+        JsonWriter w(os, JsonWriter::Style::Compact);
+        w.beginObject();
+        w.field(raw, raw);
+        w.endObject();
+        EXPECT_EQ(os.str(), std::string("{\"") + escaped + "\":\"" +
+                                escaped + "\"}")
+            << escaped;
+        EXPECT_EQ(JsonWriter::escape(raw), escaped);
+    }
+}
+
+TEST(JsonWriter, EachTopLevelValueIsVisibleWhenItCompletes)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.field("a", u64{1});
+    w.endObject();
+    EXPECT_EQ(os.str(), "{\n  \"a\": 1\n}\n");
+    // A caller may append to the stream between documents.
+    os << "--\n";
+    w.beginArray();
+    w.endArray();
+    EXPECT_EQ(os.str(), "{\n  \"a\": 1\n}\n--\n[]\n");
+    w.value("top");
+    EXPECT_EQ(os.str(), "{\n  \"a\": 1\n}\n--\n[]\n\"top\"");
+
+    std::ostringstream compact;
+    JsonWriter c(compact, JsonWriter::Style::Compact);
+    c.value(0.25);
+    EXPECT_EQ(compact.str(), "0.25");
+}
+
+TEST(JsonWriter, ExplicitFlushHandsOverAnOpenDocument)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.field("a", u64{1});
+    w.flush();
+    EXPECT_EQ(os.str(), "{\n  \"a\": 1");
+    w.field("b", false);
+    w.endObject();
+    EXPECT_EQ(os.str(), "{\n  \"a\": 1,\n  \"b\": false\n}\n");
+}
+
+TEST(JsonWriter, DestructorFlushes)
+{
+    std::ostringstream os;
+    {
+        JsonWriter w(os);
+        w.beginArray();
+        w.value(u64{7});
+    }
+    EXPECT_EQ(os.str(), "[\n  7");
+}
+
+TEST(JsonWriter, LargeDocumentMatchesStreamReferenceInBoundedChunks)
+{
+    // Reference bytes built token by token on an ostream, the layout
+    // the writer must reproduce.
+    constexpr u64 kItems = 20000;
+    std::ostringstream ref;
+    ref << '[';
+    for (u64 i = 0; i < kItems; ++i) {
+        ref << (i > 0 ? "," : "") << "\n  {\n    \"i\": " << i
+            << ",\n    \"s\": \"k" << i << "\\n\"\n  }";
+    }
+    ref << "\n]\n";
+    ASSERT_GT(ref.str().size(), 4 * JsonWriter::kBufferBytes);
+
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginArray();
+    for (u64 i = 0; i < kItems; ++i) {
+        w.beginObject();
+        w.field("i", i);
+        std::string s = "k";
+        s += std::to_string(i);
+        s += '\n';
+        w.field("s", s);
+        w.endObject();
+    }
+    // The open document has mostly reached the stream already: the
+    // writer holds at most one buffer of it, and "\n]\n" is unwritten.
+    EXPECT_GE(os.str().size(),
+              ref.str().size() - 3 - JsonWriter::kBufferBytes);
+    w.endArray();
+    EXPECT_EQ(os.str(), ref.str());
+}
+
+TEST(JsonWriter, TokenLargerThanTheBufferPassesThrough)
+{
+    const std::string big(2 * JsonWriter::kBufferBytes + 5, 'x');
+    std::ostringstream os;
+    JsonWriter w(os, JsonWriter::Style::Compact);
+    w.beginArray();
+    w.value(u64{1});
+    w.rawValue(big);
+    w.value(u64{2});
+    w.endArray();
+    EXPECT_EQ(os.str(), "[1," + big + ",2]");
 }
 
 } // namespace

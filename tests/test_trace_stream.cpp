@@ -360,10 +360,32 @@ TEST(TraceStream, TruncationAndCorruptionAreStructuredErrors)
         EXPECT_EQ(err.code, "bad_record");
     }
 
+    // A batch whose count disagrees with its length (here: claims
+    // 2^32-1 events) is rejected, and sizes no allocation.
+    {
+        std::string bytes = good;
+        const u32 json_len =
+            static_cast<u8>(bytes[12]) |
+            (static_cast<u32>(static_cast<u8>(bytes[13])) << 8) |
+            (static_cast<u32>(static_cast<u8>(bytes[14])) << 16) |
+            (static_cast<u32>(static_cast<u8>(bytes[15])) << 24);
+        const std::size_t first_count = 16 + json_len + 5;
+        ASSERT_LT(first_count + 4, bytes.size());
+        for (std::size_t i = 0; i < 4; ++i)
+            bytes[first_count + i] = static_cast<char>(0xFF);
+        spit(path, bytes);
+        EXPECT_FALSE(loadTraceDump(path, &err).has_value());
+        EXPECT_EQ(err.code, "bad_record");
+    }
+
     // Missing file.
     EXPECT_FALSE(
         loadTraceDump(tempPath("nonexistent.wctrace"), &err)
             .has_value());
+    EXPECT_EQ(err.code, "open_failed");
+
+    // A directory, not a file.
+    EXPECT_FALSE(loadTraceDump(::testing::TempDir(), &err).has_value());
     EXPECT_EQ(err.code, "open_failed");
 
     std::remove(path.c_str());
