@@ -178,22 +178,17 @@ parseCycles(const char *spec, const char *end)
     return v;
 }
 
-/**
- * Whole-value flag parse through parseCycles: @p spec must be base-10
- * digits with a value in [@p min, @p max], else a one-line fatal error
- * saying @p flag must be @p what.
- */
+} // namespace
+
 u64
-parseCount(const char *flag, const char *spec, const char *what,
-           u64 min = 0, u64 max = std::numeric_limits<u64>::max())
+parseCount(const char *flag, const char *spec, const char *what, u64 min,
+           u64 max)
 {
     const auto v = parseCycles(spec, spec + std::strlen(spec));
     if (!v.has_value() || *v < min || *v > max)
         WC_FATAL(flag << " must be " << what << ", got '" << spec << "'");
     return *v;
 }
-
-} // namespace
 
 HarnessOptions
 parseHarnessArgs(int argc, char **argv, std::vector<char *> *rest)

@@ -178,6 +178,15 @@ HarnessOptions parseHarnessArgs(int argc, char **argv,
                                 std::vector<char *> *rest = nullptr);
 
 /**
+ * Whole-value integer flag parse, the rule every integer flag follows:
+ * @p spec must be base-10 digits only (no sign, space, or `0x`; a
+ * leading zero is still decimal) with a value in [@p min, @p max],
+ * else a one-line fatal error saying @p flag must be @p what.
+ */
+u64 parseCount(const char *flag, const char *spec, const char *what,
+               u64 min = 0, u64 max = std::numeric_limits<u64>::max());
+
+/**
  * Geometric-mean helper used for figure averages. Contract: returns
  * 0.0 on an empty input (an empty figure row renders as 0, never UB),
  * and panics via WC_ASSERT on non-positive values, for which the

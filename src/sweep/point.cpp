@@ -1,5 +1,6 @@
 #include "sweep/point.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <span>
@@ -350,7 +351,18 @@ writeJson(JsonWriter &w, const PointStats &s)
     w.field("ctas", s.ctas);
     w.field("hung", s.hung);
     w.field("unschedulable", s.unschedulable);
-    w.field("energy_pj", s.energyPj);
+    // Shortest text strtod reads back as the same double: the
+    // supervising parent sums exactly what the child measured, which
+    // the 12-digit formatDouble cannot carry.
+    w.key("energy_pj");
+    if (std::isfinite(s.energyPj)) {
+        char buf[32];
+        const char *end =
+            std::to_chars(buf, buf + sizeof buf, s.energyPj).ptr;
+        w.rawValue({buf, static_cast<std::size_t>(end - buf)});
+    } else {
+        w.valueNull();
+    }
     w.key("fault");
     w.beginObject();
     w.field("total_regs", s.fault.totalRegs);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -13,16 +14,6 @@
 namespace warpcomp {
 
 namespace {
-
-u64
-parseStrictU64(const char *spec, const char *flag)
-{
-    char *end = nullptr;
-    const u64 v = std::strtoull(spec, &end, 0);
-    if (end == spec || *end != '\0')
-        WC_FATAL(flag << " must be an integer, got '" << spec << "'");
-    return v;
-}
 
 void
 writeSweepStats(const std::string &path, const SweepCounters &ctr)
@@ -48,6 +39,7 @@ writeSweepStats(const std::string &path, const SweepCounters &ctr)
 SweepOptions
 parseSweepArgs(int argc, char **argv)
 {
+    constexpr u64 kU32Max = std::numeric_limits<u32>::max();
     SweepOptions opt;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -60,11 +52,8 @@ parseSweepArgs(int argc, char **argv)
             if (opt.pointOut.empty())
                 WC_FATAL("--point-out needs a file path");
         } else if (std::strncmp(arg, "--attempt=", 10) == 0) {
-            const u64 v = parseStrictU64(arg + 10, "--attempt");
-            if (v < 1 || v > 0xFFFFFFFFull)
-                WC_FATAL("--attempt must be >= 1, got '" << (arg + 10)
-                         << "'");
-            opt.attempt = static_cast<u32>(v);
+            opt.attempt = static_cast<u32>(parseCount(
+                "--attempt", arg + 10, "an integer >= 1", 1, kU32Max));
         } else if (std::strncmp(arg, "--chaos=", 8) == 0) {
             std::string err;
             const auto spec = chaosFromSpec(arg + 8, &err);
@@ -97,25 +86,15 @@ parseSweepArgs(int argc, char **argv)
                 WC_FATAL("--timeout must be a positive number of "
                          "seconds, got '" << spec << "'");
         } else if (std::strncmp(arg, "--attempts=", 11) == 0) {
-            const u64 v = parseStrictU64(arg + 11, "--attempts");
-            if (v < 1 || v > 100)
-                WC_FATAL("--attempts must be in 1..100, got '"
-                         << (arg + 11) << "'");
-            opt.maxAttempts = static_cast<u32>(v);
+            opt.maxAttempts = static_cast<u32>(parseCount(
+                "--attempts", arg + 11, "an integer in 1..100", 1, 100));
         } else if (std::strncmp(arg, "--backoff-ms=", 13) == 0) {
-            const u64 v = parseStrictU64(arg + 13, "--backoff-ms");
-            if (v > 60'000)
-                WC_FATAL("--backoff-ms must be <= 60000, got '"
-                         << (arg + 13) << "'");
-            opt.backoffMs = static_cast<u32>(v);
+            opt.backoffMs = static_cast<u32>(parseCount(
+                "--backoff-ms", arg + 13, "an integer in 0..60000", 0,
+                60'000));
         } else if (std::strncmp(arg, "--die-after=", 12) == 0) {
-            const u64 v = parseStrictU64(arg + 12, "--die-after");
-            if (v < 1 || v > 0xFFFFFFFFull)
-                WC_FATAL("--die-after must be >= 1, got '" << (arg + 12)
-                         << "'");
-            opt.dieAfterPoints = static_cast<u32>(v);
-        } else if (std::strcmp(arg, "--isolate") == 0) {
-            opt.isolate = true;
+            opt.dieAfterPoints = static_cast<u32>(parseCount(
+                "--die-after", arg + 12, "an integer >= 1", 1, kU32Max));
         } else if (std::strncmp(arg, "--grid=", 7) == 0) {
             opt.grid = arg + 7;
             if (opt.grid.empty())
@@ -207,39 +186,6 @@ runResilientSweep(const std::string &self_path,
               << " timeouts), " << counters.okPoints << " ok, "
               << counters.failedPoints << " failed\n";
     return outcomes;
-}
-
-std::vector<std::vector<std::optional<PointStats>>>
-runPointsGrid(const std::string &self_path,
-              const std::vector<ExperimentConfig> &configs,
-              const std::vector<std::string> &workloads,
-              const SweepOptions &opt, u32 threads)
-{
-    std::vector<std::vector<std::optional<PointStats>>> grid(
-        configs.size());
-    if (!opt.isolate) {
-        const auto results = runGrid(configs, workloads, threads);
-        for (std::size_t c = 0; c < results.size(); ++c)
-            for (const ExperimentResult &r : results[c])
-                grid[c].emplace_back(
-                    makePointStats(r, configs[c].energy));
-        return grid;
-    }
-    std::vector<SweepPoint> points;
-    points.reserve(configs.size() * workloads.size());
-    for (const ExperimentConfig &cfg : configs)
-        for (const std::string &w : workloads)
-            points.push_back({w, cfg});
-    const auto outcomes =
-        runResilientSweep(self_path, points, opt, threads);
-    std::size_t i = 0;
-    for (std::size_t c = 0; c < configs.size(); ++c)
-        for (std::size_t w = 0; w < workloads.size(); ++w, ++i)
-            grid[c].push_back(outcomes[i].ok()
-                                  ? std::optional<PointStats>(
-                                        *outcomes[i].stats)
-                                  : std::nullopt);
-    return grid;
 }
 
 void

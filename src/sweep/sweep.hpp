@@ -1,8 +1,8 @@
 /**
  * @file
- * Resilient sweep runner facade: the CLI surface and orchestration the
- * drivers (`bench_sweep`, and `bench_fault_sweep` / `bench_seu_sweep`
- * under `--isolate`) share.
+ * Resilient sweep runner facade: the CLI surface and orchestration
+ * behind `bench_sweep`, the one sweep driver, whose every grid (smoke,
+ * perf, and the fault and SEU curves) runs through runResilientSweep.
  *
  * A driver hands parseSweepArgs the arguments parseHarnessArgs left
  * unclaimed (its `rest` argv), then:
@@ -59,9 +59,6 @@ struct SweepOptions
     /** Test hook: abrupt _exit(3) after N journal appends
      *  (`--die-after=N`). */
     u32 dieAfterPoints = 0;
-    /** Route an in-process sweep bench through the supervisor
-     *  (`--isolate`). */
-    bool isolate = false;
     /** Named grid for bench_sweep (`--grid=NAME`). */
     std::string grid = "smoke";
 
@@ -102,21 +99,6 @@ runResilientSweep(const std::string &self_path,
 void writeSweepReport(std::ostream &os, const std::string &bench,
                       const std::string &grid,
                       const std::vector<PointOutcome> &outcomes);
-
-/**
- * Grid runner shared by the sweep benches: cells[c][w] is configs[c] x
- * workloads[w]. Default path is the in-process parallel runGrid (every
- * cell populated, bit-identical to the historical benches); under
- * `--isolate` each cell runs as a supervised child process and a cell
- * whose point exhausted its attempts is nullopt, which the benches
- * count as `failed` and drop from averages — the same graceful
- * degradation the merged sweep report applies.
- */
-std::vector<std::vector<std::optional<PointStats>>>
-runPointsGrid(const std::string &self_path,
-              const std::vector<ExperimentConfig> &configs,
-              const std::vector<std::string> &workloads,
-              const SweepOptions &opt, u32 threads);
 
 } // namespace warpcomp
 

@@ -358,6 +358,18 @@ TEST(SweepPointStats, JsonRoundTrip)
     EXPECT_EQ(back->frontend, "rv32");
     EXPECT_EQ(back->imageSha, "abc123");
 
+    // 0.1 + 0.2 needs 17 significant digits: the parent must read back
+    // the exact double the child measured, not a 12-digit rounding.
+    s.energyPj = 0.1 + 0.2;
+    std::ostringstream exact;
+    JsonWriter we(exact, JsonWriter::Style::Compact);
+    writeJson(we, s);
+    const JsonParseOutcome reparsed = parseJson(exact.str());
+    ASSERT_TRUE(reparsed.ok()) << reparsed.error;
+    const auto exact_back = pointStatsFromJson(*reparsed.value, &err);
+    ASSERT_TRUE(exact_back.has_value()) << err;
+    EXPECT_EQ(exact_back->energyPj, 0.1 + 0.2);
+
     std::string err2;
     EXPECT_FALSE(
         pointStatsFromJson(*parseJson("{}").value, &err2).has_value());
@@ -408,6 +420,14 @@ TEST(SweepArgs, ParsesAndDefaults)
     EXPECT_EQ(def.grid, "smoke");
 }
 
+TEST(SweepArgs, LeadingZeroIsDecimal)
+{
+    // Base-10 like every harness integer: 010 is ten, never octal 8.
+    EXPECT_EQ(parseSweepOne("--backoff-ms=010").backoffMs, 10u);
+    EXPECT_EQ(parseSweepOne("--attempts=010").maxAttempts, 10u);
+    EXPECT_EQ(parseSweepOne("--die-after=010").dieAfterPoints, 10u);
+}
+
 TEST(SweepArgsDeathTest, MalformedFlagsExitNonzero)
 {
     EXPECT_EXIT(parseSweepOne("--chaos=bogus,0.5,1"),
@@ -422,6 +442,22 @@ TEST(SweepArgsDeathTest, MalformedFlagsExitNonzero)
                 ::testing::ExitedWithCode(1), "--attempts");
     EXPECT_EXIT(parseSweepOne("--backoff-ms=99999999"),
                 ::testing::ExitedWithCode(1), "--backoff-ms");
+    // Integers are base-10 digits only, like the harness flags: no hex,
+    // no octal (0101 would be 65, inside 1..100), no leading space.
+    EXPECT_EXIT(parseSweepOne("--attempts=0x3"),
+                ::testing::ExitedWithCode(1), "--attempts");
+    EXPECT_EXIT(parseSweepOne("--attempts=0101"),
+                ::testing::ExitedWithCode(1), "--attempts");
+    EXPECT_EXIT(parseSweepOne("--attempts= 5"),
+                ::testing::ExitedWithCode(1), "--attempts");
+    EXPECT_EXIT(parseSweepOne("--backoff-ms=0x10"),
+                ::testing::ExitedWithCode(1), "--backoff-ms");
+    EXPECT_EXIT(parseSweepOne("--backoff-ms= 5"),
+                ::testing::ExitedWithCode(1), "--backoff-ms");
+    EXPECT_EXIT(parseSweepOne("--attempt=0x3"),
+                ::testing::ExitedWithCode(1), "--attempt");
+    EXPECT_EXIT(parseSweepOne("--die-after= 5"),
+                ::testing::ExitedWithCode(1), "--die-after");
     EXPECT_EXIT(parseSweepOne("--point=nw|scheme=None"),
                 ::testing::ExitedWithCode(1),
                 "--point requires --point-out");

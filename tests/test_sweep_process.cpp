@@ -12,15 +12,20 @@
  *   - worker count (--threads) never changes the report;
  *   - points that exhaust their attempts degrade to "failed" records
  *     while the process still exits 0;
- *   - the wall-clock watchdog reaps hung children.
+ *   - the wall-clock watchdog reaps hung children;
+ *   - the fault and SEU curves match pinned digests, also after a
+ *     mid-grid death and resume;
+ *   - every harness flag is honoured or rejected, never ignored.
  *
- * Every run uses the tiny smoke grid restricted to one cheap workload
- * (3 points) so the whole suite stays fast.
+ * Every run is restricted to one cheap workload (`--only=nw --sms=2`;
+ * 3 smoke points, 13 fault points, 42 SEU points) so the whole suite
+ * stays fast.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -28,6 +33,7 @@
 #include <sys/wait.h>
 
 #include "common/json_parse.hpp"
+#include "common/sha256.hpp"
 
 namespace warpcomp {
 namespace {
@@ -66,6 +72,13 @@ slurp(const std::string &path)
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+std::string
+sha256Of(const std::string &text)
+{
+    return sha256Hex(std::span<const u8>(
+        reinterpret_cast<const u8 *>(text.data()), text.size()));
 }
 
 u64
@@ -228,6 +241,126 @@ TEST(SweepProcess, WatchdogReapsHungChildren)
     EXPECT_EQ(statsCounter(stats, "failed_points"), 3u);
     const std::string text = slurp(report);
     EXPECT_NE(text.find("watchdog timeout"), std::string::npos);
+}
+
+// The fault and SEU curves as the retired in-process bench_fault_sweep
+// and bench_seu_sweep printed them for `--sms=2 --only=nw` (the same
+// at --threads=1 and 4): supervision must not change a byte.
+constexpr const char *kFaultCurveSha =
+    "d0f190cd1db8006ecd7250e90b54084b9f56663d42433120f2ee71af3aac97bc";
+constexpr const char *kSeuCurveSha =
+    "9c4f7be6c5177893dbd5da1941cfa6f2bcaaafa8308c9431cf62beeeeb8a78d3";
+
+TEST(SweepProcess, FaultCurveMatchesPinnedDigest)
+{
+    const std::string out = tempPath("fault.json");
+    const std::string err = tempPath("fault.err");
+    for (const char *threads : {"--threads=1", "--threads=4"}) {
+        ASSERT_EQ(runSweep(std::string("--grid=fault ") + threads +
+                               " >" + out,
+                           err),
+                  0)
+            << slurp(err);
+        EXPECT_EQ(sha256Of(slurp(out)), kFaultCurveSha) << threads;
+    }
+}
+
+TEST(SweepProcess, SeuCurveMatchesPinnedDigest)
+{
+    const std::string out = tempPath("seu.json");
+    const std::string err = tempPath("seu.err");
+    for (const char *threads : {"--threads=1", "--threads=4"}) {
+        ASSERT_EQ(runSweep(std::string("--grid=seu ") + threads +
+                               " >" + out,
+                           err),
+                  0)
+            << slurp(err);
+        EXPECT_EQ(sha256Of(slurp(out)), kSeuCurveSha) << threads;
+    }
+}
+
+TEST(SweepProcess, FaultCurveResumesToPinnedDigest)
+{
+    const std::string journal = tempPath("fault_resume.jsonl");
+    std::remove(journal.c_str());
+    const std::string out = tempPath("fault_resume.json");
+    const std::string err = tempPath("fault_resume.err");
+    EXPECT_EQ(runSweep("--grid=fault --threads=1 --die-after=5"
+                       " --journal=" + journal + " >" + out,
+                       err),
+              3);
+    const std::string stats = tempPath("fault_resume_stats.json");
+    ASSERT_EQ(runSweep("--grid=fault --threads=4 --resume=" + journal +
+                           " --sweep-stats=" + stats + " >" + out,
+                       err),
+              0)
+        << slurp(err);
+    EXPECT_EQ(sha256Of(slurp(out)), kFaultCurveSha);
+    EXPECT_EQ(statsCounter(stats, "cache_hits"), 5u);
+    EXPECT_EQ(statsCounter(stats, "spawned"), 8u);
+}
+
+TEST(SweepProcess, SeedsReachTheirGrids)
+{
+    // Digests of the retired benches' `--fault-seed=7` / `--seu-seed=9`
+    // curves, for the same `--sms=2 --only=nw`.
+    const std::string out = tempPath("seeded.json");
+    const std::string err = tempPath("seeded.err");
+    ASSERT_EQ(runSweep("--grid=fault --fault-seed=7 >" + out, err), 0)
+        << slurp(err);
+    EXPECT_EQ(sha256Of(slurp(out)),
+              "05288fb24e4a2fc2ad7e7846d427bb5b"
+              "10e7c84ea07d2c65a321a60f030d57b4");
+    ASSERT_EQ(runSweep("--grid=seu --seu-seed=9 >" + out, err), 0)
+        << slurp(err);
+    EXPECT_EQ(sha256Of(slurp(out)),
+              "b4c53164513e06b53452798cdbe17489"
+              "a8adfe9808e08b0ac12356d4bcc633a1");
+}
+
+TEST(SweepProcess, HarnessConfigFlagsReachTheBaseConfig)
+{
+    // --no-skip, --faults and --seu land in the base config, so every
+    // smoke point's canonical spec carries them ...
+    const std::string report = tempPath("flags.json");
+    const std::string err = tempPath("flags.err");
+    ASSERT_EQ(runSweep("--report=" + report +
+                           " --no-skip --faults=1e-4,CompressRemap"
+                           " --seu=1e-3,Ecc",
+                       err),
+              0)
+        << slurp(err);
+    const std::string text = slurp(report);
+    for (const char *part : {"skip=0", "seurate=0.001;seuscheme=Ecc",
+                             "fber=0.0001;fpolicy=CompressRemap"})
+        EXPECT_NE(text.find(part), std::string::npos) << part;
+    EXPECT_EQ(text.find("skip=1"), std::string::npos);
+
+    // ... and an SEU stream under the fault grid changes its curve.
+    const std::string out = tempPath("flags_fault.json");
+    ASSERT_EQ(runSweep("--grid=fault --seu=1e-3,Ecc >" + out, err), 0)
+        << slurp(err);
+    EXPECT_NE(sha256Of(slurp(out)), kFaultCurveSha);
+}
+
+TEST(SweepProcess, InProcessOnlyFlagsAreRejected)
+{
+    // Trace, stats and perf-record flags act on in-process suite runs;
+    // the driver must refuse them in one line rather than exit 0
+    // without the file.
+    const std::string err = tempPath("rejected.err");
+    for (const char *flag :
+         {"--trace=t.json", "--trace-out=t.wctrace", "--trace-window=500",
+          "--stats-json=s.json", "--json=p.json"}) {
+        EXPECT_EQ(runSweep(std::string("--grid=fault ") + flag, err), 1)
+            << flag;
+        const std::string text = slurp(err);
+        const std::string name(flag, std::strchr(flag, '=') - flag);
+        EXPECT_NE(text.find("does not take " + name + ":"),
+                  std::string::npos)
+            << text;
+        EXPECT_EQ(text.find('\n'), text.size() - 1) << text;
+    }
 }
 
 } // namespace
