@@ -2,16 +2,20 @@
  * @file
  * Google-benchmark microbenchmarks of the hot paths: the BDI codec
  * (hardware-critical path under a 1-2 cycle budget), bank arbitration,
- * and the SIMT stack. These size the simulator's own cost, not the
- * paper's results.
+ * the SIMT stack and the functional lane kernels. These size the
+ * simulator's own cost, not the paper's results.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
+
 #include "analysis/similarity.hpp"
 #include "common/rng.hpp"
 #include "compress/bdi.hpp"
+#include "mem/memory.hpp"
 #include "sim/arbiter.hpp"
+#include "sim/functional.hpp"
 #include "sim/simt_stack.hpp"
 
 namespace warpcomp {
@@ -138,6 +142,66 @@ BM_SimtStackDivergeReconverge(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SimtStackDivergeReconverge);
+
+/**
+ * One functional execute of @p op (reading @p num_srcs registers into a
+ * separate destination) on a full warp under guard mask @p guard. The
+ * kernel is the instruction plus EXIT; each iteration rewinds the pc,
+ * so the loop times the lane kernel and its mask merge alone.
+ */
+void
+executeLoop(benchmark::State &state, Opcode op, u32 num_srcs,
+            LaneMask guard)
+{
+    Kernel k("bench_execute", 4, 1);
+    Instruction in;
+    in.op = op;
+    in.dst = 3;
+    for (u32 i = 0; i < num_srcs; ++i)
+        in.src[i] = Operand::fromReg(static_cast<u8>(i));
+    if (guard != kFullMask)
+        in.guardPred = 0;
+    k.append(in);
+    Instruction ex;
+    ex.op = Opcode::Exit;
+    k.append(ex);
+
+    GlobalMemory gmem(4096);
+    ConstantMemory cmem;
+    FunctionalExecutor fex(gmem, cmem);
+    Warp warp;
+    warp.launch(k, 0, 0, 0, kWarpSize, 0);
+    for (u32 r = 0; r < num_srcs; ++r) {
+        for (u32 lane = 0; lane < kWarpSize; ++lane) {
+            warp.reg(r)[lane] =
+                std::bit_cast<u32>(1.5f + static_cast<float>(lane + r));
+        }
+    }
+    warp.setPred(0, guard, kFullMask);
+    const LaunchDims dims{kWarpSize, 1};
+    for (auto _ : state) {
+        const ExecOutcome out = fex.execute(warp, 0, nullptr, dims);
+        benchmark::DoNotOptimize(out.effMask);
+        benchmark::DoNotOptimize(warp.reg(3).data());
+        warp.stack().advance(0);
+    }
+}
+
+void
+BM_ExecuteFullMask(benchmark::State &state, Opcode op, u32 num_srcs)
+{
+    executeLoop(state, op, num_srcs, kFullMask);
+}
+BENCHMARK_CAPTURE(BM_ExecuteFullMask, iadd, Opcode::IAdd, 2);
+BENCHMARK_CAPTURE(BM_ExecuteFullMask, ffma, Opcode::FFma, 3);
+
+void
+BM_ExecutePartialMask(benchmark::State &state, Opcode op, u32 num_srcs)
+{
+    // Alternating nibbles: the blend path, not the full-mask copy.
+    executeLoop(state, op, num_srcs, 0x0F0F0F0Fu);
+}
+BENCHMARK_CAPTURE(BM_ExecutePartialMask, iadd, Opcode::IAdd, 2);
 
 } // namespace
 } // namespace warpcomp

@@ -47,14 +47,6 @@ SimilarityBins::record(const WarpRegValue &value, LaneMask written,
     }
 }
 
-void
-SimilarityBins::recordScanned(const LaneScan &scan, bool divergent)
-{
-    u64 *bins = bins_[divergent ? kDivergent : kNonDivergent];
-    for (u32 b = 0; b < kNumDistanceBins; ++b)
-        bins[b] += scan.bins[b];
-}
-
 u64
 SimilarityBins::count(Phase phase, DistanceBin bin) const
 {
@@ -86,17 +78,6 @@ SimilarityBins::merge(const SimilarityBins &other)
         for (u32 b = 0; b < kNumDistanceBins; ++b)
             bins_[p][b] += other.bins_[p][b];
     }
-}
-
-void
-RatioAccum::record(u32 compressed_bytes, bool divergent)
-{
-    WC_ASSERT(compressed_bytes > 0 && compressed_bytes <= kWarpRegBytes,
-              "bad compressed size " << compressed_bytes);
-    const u32 phase = divergent ? kDivergent : kNonDivergent;
-    origBytes_[phase] += kWarpRegBytes;
-    compBytes_[phase] += compressed_bytes;
-    ++writes_[phase];
 }
 
 double

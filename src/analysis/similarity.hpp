@@ -10,6 +10,7 @@
 #ifndef WARPCOMP_ANALYSIS_SIMILARITY_HPP
 #define WARPCOMP_ANALYSIS_SIMILARITY_HPP
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 #include "compress/bdi.hpp"
 
@@ -49,7 +50,13 @@ class SimilarityBins
     /** Record one full-mask write whose lanes were already scanned:
      *  same effect as record(value, kFullMask, divergent) for the
      *  value @p scan came from. */
-    void recordScanned(const LaneScan &scan, bool divergent);
+    void
+    recordScanned(const LaneScan &scan, bool divergent)
+    {
+        u64 *bins = bins_[divergent ? kDivergent : kNonDivergent];
+        for (u32 b = 0; b < kNumDistanceBins; ++b)
+            bins[b] += scan.bins[b];
+    }
 
     u64 count(Phase phase, DistanceBin bin) const;
     u64 total(Phase phase) const;
@@ -67,7 +74,16 @@ class RatioAccum
 {
   public:
     /** Record one write compressed to @p compressed_bytes. */
-    void record(u32 compressed_bytes, bool divergent);
+    void
+    record(u32 compressed_bytes, bool divergent)
+    {
+        WC_ASSERT(compressed_bytes > 0 && compressed_bytes <= kWarpRegBytes,
+                  "bad compressed size " << compressed_bytes);
+        const u32 phase = divergent ? kDivergent : kNonDivergent;
+        origBytes_[phase] += kWarpRegBytes;
+        compBytes_[phase] += compressed_bytes;
+        ++writes_[phase];
+    }
 
     /** originalBytes / compressedBytes for the phase (1.0 when empty). */
     double ratio(Phase phase) const;

@@ -75,45 +75,4 @@ schemeFromId(const std::string &id)
     return std::nullopt;
 }
 
-u32
-indicatorBanks(RangeIndicator ind)
-{
-    switch (ind) {
-      case RangeIndicator::Base40: return 1;
-      case RangeIndicator::Base41: return 3;
-      case RangeIndicator::Base42: return 5;
-      case RangeIndicator::Uncompressed: return kBanksPerWarpReg;
-      default: WC_PANIC("unknown range indicator");
-    }
-}
-
-u32
-indicatorBytes(RangeIndicator ind)
-{
-    switch (ind) {
-      case RangeIndicator::Base40: return bdiCompressedSize({4, 0});
-      case RangeIndicator::Base41: return bdiCompressedSize({4, 1});
-      case RangeIndicator::Base42: return bdiCompressedSize({4, 2});
-      case RangeIndicator::Uncompressed: return kWarpRegBytes;
-      default: WC_PANIC("unknown range indicator");
-    }
-}
-
-RangeIndicator
-indicatorFor(const BdiEncoded &enc)
-{
-    if (!enc.compressed)
-        return RangeIndicator::Uncompressed;
-    if (enc.params == BdiParams{4, 0})
-        return RangeIndicator::Base40;
-    if (enc.params == BdiParams{4, 1})
-        return RangeIndicator::Base41;
-    if (enc.params == BdiParams{4, 2})
-        return RangeIndicator::Base42;
-    // Non-warped parameter (e.g. an <8,Y> from the FullBdi explorer):
-    // represent by footprint only; the indicator is a warped-scheme
-    // concept and the closest bucket is uncompressed.
-    return RangeIndicator::Uncompressed;
-}
-
 } // namespace warpcomp

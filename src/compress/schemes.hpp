@@ -12,6 +12,7 @@
 #include <span>
 #include <string>
 
+#include "common/log.hpp"
 #include "compress/bdi.hpp"
 
 namespace warpcomp {
@@ -52,13 +53,48 @@ enum class RangeIndicator : u8 {
 };
 
 /** Banks occupied for a range-indicator value. */
-u32 indicatorBanks(RangeIndicator ind);
+inline u32
+indicatorBanks(RangeIndicator ind)
+{
+    switch (ind) {
+      case RangeIndicator::Base40: return 1;
+      case RangeIndicator::Base41: return 3;
+      case RangeIndicator::Base42: return 5;
+      case RangeIndicator::Uncompressed: return kBanksPerWarpReg;
+      default: WC_PANIC("unknown range indicator");
+    }
+}
 
 /** Payload bytes stored for a range-indicator value (4/35/66/128). */
-u32 indicatorBytes(RangeIndicator ind);
+inline u32
+indicatorBytes(RangeIndicator ind)
+{
+    switch (ind) {
+      case RangeIndicator::Base40: return bdiCompressedSize({4, 0});
+      case RangeIndicator::Base41: return bdiCompressedSize({4, 1});
+      case RangeIndicator::Base42: return bdiCompressedSize({4, 2});
+      case RangeIndicator::Uncompressed: return kWarpRegBytes;
+      default: WC_PANIC("unknown range indicator");
+    }
+}
 
 /** Indicator for a compression outcome under the Warped scheme. */
-RangeIndicator indicatorFor(const BdiEncoded &enc);
+inline RangeIndicator
+indicatorFor(const BdiEncoded &enc)
+{
+    if (!enc.compressed)
+        return RangeIndicator::Uncompressed;
+    if (enc.params == BdiParams{4, 0})
+        return RangeIndicator::Base40;
+    if (enc.params == BdiParams{4, 1})
+        return RangeIndicator::Base41;
+    if (enc.params == BdiParams{4, 2})
+        return RangeIndicator::Base42;
+    // Non-warped parameter (e.g. an <8,Y> from the FullBdi explorer):
+    // represent by footprint only; the indicator is a warped-scheme
+    // concept and the closest bucket is uncompressed.
+    return RangeIndicator::Uncompressed;
+}
 
 } // namespace warpcomp
 

@@ -10,24 +10,4 @@ UnitPool::UnitPool(u32 count, u32 latency)
     WC_ASSERT(count > 0, "unit pool must have at least one unit");
 }
 
-bool
-UnitPool::canIssue(Cycle now) const
-{
-    return lastCycle_ != now || issuedThisCycle_ < count_;
-}
-
-std::optional<Cycle>
-UnitPool::tryIssue(Cycle now)
-{
-    if (lastCycle_ != now) {
-        lastCycle_ = now;
-        issuedThisCycle_ = 0;
-    }
-    if (issuedThisCycle_ >= count_)
-        return std::nullopt;
-    ++issuedThisCycle_;
-    ++activations_;
-    return now + latency_;
-}
-
 } // namespace warpcomp

@@ -35,10 +35,26 @@ class UnitPool
      * cycle is then @p now itself (an unambiguous value, unlike the old
      * `0` sentinel, which a `decompressLatency = 0` sweep could forge).
      */
-    std::optional<Cycle> tryIssue(Cycle now);
+    std::optional<Cycle>
+    tryIssue(Cycle now)
+    {
+        if (lastCycle_ != now) {
+            lastCycle_ = now;
+            issuedThisCycle_ = 0;
+        }
+        if (issuedThisCycle_ >= count_)
+            return std::nullopt;
+        ++issuedThisCycle_;
+        ++activations_;
+        return now + latency_;
+    }
 
     /** True when another operation can still start at @p now. */
-    bool canIssue(Cycle now) const;
+    bool
+    canIssue(Cycle now) const
+    {
+        return lastCycle_ != now || issuedThisCycle_ < count_;
+    }
 
     u32 count() const { return count_; }
     u32 latency() const { return latency_; }

@@ -4,45 +4,6 @@
 
 namespace warpcomp {
 
-u32
-Instruction::numRegSources() const
-{
-    u32 n = 0;
-    std::array<u8, 3> seen{kNoReg, kNoReg, kNoReg};
-    for (const Operand &o : src) {
-        if (!o.isReg())
-            continue;
-        bool dup = false;
-        for (u32 j = 0; j < n; ++j) {
-            if (seen[j] == o.reg)
-                dup = true;
-        }
-        if (!dup)
-            seen[n++] = o.reg;
-    }
-    return n;
-}
-
-u8
-Instruction::regSource(u32 i) const
-{
-    u32 n = 0;
-    std::array<u8, 3> seen{kNoReg, kNoReg, kNoReg};
-    for (const Operand &o : src) {
-        if (!o.isReg())
-            continue;
-        bool dup = false;
-        for (u32 j = 0; j < n; ++j) {
-            if (seen[j] == o.reg)
-                dup = true;
-        }
-        if (!dup)
-            seen[n++] = o.reg;
-    }
-    WC_ASSERT(i < n, "regSource index out of range");
-    return seen[i];
-}
-
 void
 Instruction::finalizeIssueMasks()
 {
@@ -54,6 +15,20 @@ Instruction::finalizeIssueMasks()
     if (hasDst())
         regs |= u64{1} << dst;
     sbRegMask = regs;
+
+    // Distinct register sources, first occurrence wins (IMAD r, a, a, b
+    // reads a once).
+    srcRegs = {kNoReg, kNoReg, kNoReg};
+    numSrcRegs = 0;
+    for (const Operand &o : src) {
+        if (!o.isReg())
+            continue;
+        bool dup = false;
+        for (u32 j = 0; j < numSrcRegs; ++j)
+            dup = dup || srcRegs[j] == o.reg;
+        if (!dup)
+            srcRegs[numSrcRegs++] = o.reg;
+    }
 
     u8 preds = 0;
     const auto add_pred = [&preds](u8 p) {
@@ -70,6 +45,7 @@ Instruction::finalizeIssueMasks()
     sbPipeline = !(op == Opcode::Bra || op == Opcode::Bar ||
                    op == Opcode::Exit || op == Opcode::Nop);
     sbMemory = isMemory();
+    finalized = true;
 }
 
 } // namespace warpcomp

@@ -9,6 +9,7 @@
 #include <array>
 #include <string>
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 #include "isa/opcode.hpp"
 
@@ -108,10 +109,24 @@ struct Instruction
     bool hasDst() const { return dst != kNoReg && writesGpr(op); }
     bool hasGuard() const { return guardPred != kNoPred; }
 
-    /** Number of distinct GPR source registers read. */
-    u32 numRegSources() const;
-    /** i-th GPR source register read (0 <= i < numRegSources()). */
-    u8 regSource(u32 i) const;
+    /** Number of distinct GPR source registers read (decoded by
+     *  finalizeIssueMasks()). */
+    u32
+    numRegSources() const
+    {
+        WC_ASSERT(finalized, "source decode of an unfinalized "
+                  << opcodeName(op));
+        return numSrcRegs;
+    }
+
+    /** i-th GPR source register read (0 <= i < numRegSources()), in
+     *  operand order with duplicates dropped. */
+    u8
+    regSource(u32 i) const
+    {
+        WC_ASSERT(i < numRegSources(), "regSource index out of range");
+        return srcRegs[i];
+    }
 
     /**
      * Issue-time metadata cached off the operand fields (filled by
@@ -124,6 +139,12 @@ struct Instruction
     u8 sbPredMask = 0;   ///< every predicate read or written
     bool sbPipeline = false; ///< occupies a collector / exec slot
     bool sbMemory = false;   ///< counts against the MSHR budget
+    /** Distinct GPR sources in operand order (first numSrcRegs valid);
+     *  the operand collector reads them once per issue. */
+    std::array<u8, 3> srcRegs{kNoReg, kNoReg, kNoReg};
+    u8 numSrcRegs = 0;
+    /** The cached fields above match the operand fields. */
+    bool finalized = false;
 
     /** (Re)derive the cached issue metadata from the operand fields. */
     void finalizeIssueMasks();

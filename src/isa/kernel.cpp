@@ -19,7 +19,12 @@ u32
 Kernel::append(const Instruction &inst)
 {
     code_.push_back(inst);
-    code_.back().finalizeIssueMasks();
+    Instruction &stored = code_.back();
+    stored.finalizeIssueMasks();
+    // The issue path reads the decoded sources and masks only from
+    // stored instructions; an unfinalized one would read as sourceless.
+    WC_ASSERT(stored.finalized, "kernel " << name_ << " stored an "
+              "unfinalized " << opcodeName(stored.op));
     return static_cast<u32>(code_.size()) - 1;
 }
 

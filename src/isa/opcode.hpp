@@ -11,6 +11,7 @@
 #ifndef WARPCOMP_ISA_OPCODE_HPP
 #define WARPCOMP_ISA_OPCODE_HPP
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 
 namespace warpcomp {
@@ -88,13 +89,125 @@ enum class ExecClass : u8 {
 const char *opcodeName(Opcode op);
 
 /** Resource class the opcode executes on. */
-ExecClass execClass(Opcode op);
+inline ExecClass
+execClass(Opcode op)
+{
+    switch (op) {
+      case Opcode::Nop:
+      case Opcode::S2R:
+      case Opcode::Mov:
+      case Opcode::MovImm:
+      case Opcode::IAdd:
+      case Opcode::ISub:
+      case Opcode::IMin:
+      case Opcode::IMax:
+      case Opcode::IAbs:
+      case Opcode::And:
+      case Opcode::Or:
+      case Opcode::Xor:
+      case Opcode::Not:
+      case Opcode::Shl:
+      case Opcode::Shr:
+      case Opcode::Sra:
+      case Opcode::ISetP:
+      case Opcode::SelP:
+      case Opcode::PAnd:
+      case Opcode::POr:
+      case Opcode::PNot:
+        return ExecClass::Alu;
+      case Opcode::IMul:
+      case Opcode::IMad:
+      case Opcode::IMulHi:
+      case Opcode::IMulHiU:
+      case Opcode::IDiv:
+      case Opcode::IDivU:
+      case Opcode::IRem:
+      case Opcode::IRemU:
+        return ExecClass::Mul;
+      case Opcode::FAdd:
+      case Opcode::FMul:
+      case Opcode::FFma:
+      case Opcode::FMin:
+      case Opcode::FMax:
+      case Opcode::FSetP:
+      case Opcode::I2F:
+      case Opcode::F2I:
+      case Opcode::FRcp:
+        return ExecClass::Fpu;
+      case Opcode::Ldg:
+      case Opcode::Stg:
+      case Opcode::Lds:
+      case Opcode::Sts:
+      case Opcode::Ldc:
+        return ExecClass::Mem;
+      case Opcode::Bra:
+      case Opcode::Bar:
+      case Opcode::Exit:
+        return ExecClass::Ctrl;
+      default:
+        WC_PANIC("unknown opcode " << static_cast<int>(op));
+    }
+}
 
 /** Result latency in cycles for non-memory classes. */
-u32 execLatency(ExecClass cls);
+inline u32
+execLatency(ExecClass cls)
+{
+    switch (cls) {
+      case ExecClass::Alu: return 4;
+      case ExecClass::Mul: return 6;
+      case ExecClass::Fpu: return 6;
+      case ExecClass::Ctrl: return 2;
+      case ExecClass::Mem: return 0; // determined by the memory model
+      default: WC_PANIC("unknown exec class");
+    }
+}
 
 /** True when the opcode writes a general-purpose destination register. */
-bool writesGpr(Opcode op);
+inline bool
+writesGpr(Opcode op)
+{
+    switch (op) {
+      case Opcode::S2R:
+      case Opcode::Mov:
+      case Opcode::MovImm:
+      case Opcode::IAdd:
+      case Opcode::ISub:
+      case Opcode::IMul:
+      case Opcode::IMad:
+      case Opcode::IMin:
+      case Opcode::IMax:
+      case Opcode::IAbs:
+      case Opcode::And:
+      case Opcode::Or:
+      case Opcode::Xor:
+      case Opcode::Not:
+      case Opcode::Shl:
+      case Opcode::Shr:
+      case Opcode::Sra:
+      case Opcode::IMulHi:
+      case Opcode::IMulHiU:
+      case Opcode::IDiv:
+      case Opcode::IDivU:
+      case Opcode::IRem:
+      case Opcode::IRemU:
+      case Opcode::SelP:
+      case Opcode::FAdd:
+      case Opcode::FMul:
+      case Opcode::FFma:
+      case Opcode::FMin:
+      case Opcode::FMax:
+      case Opcode::I2F:
+      case Opcode::F2I:
+      case Opcode::FRcp:
+      case Opcode::Ldg:
+      case Opcode::Lds:
+      case Opcode::Ldc:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True when the opcode writes a predicate register. */
 bool writesPred(Opcode op);

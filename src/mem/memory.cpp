@@ -28,30 +28,6 @@ GlobalMemory::alloc(u64 bytes, u64 align)
     return base;
 }
 
-void
-GlobalMemory::checkAddr(u64 addr) const
-{
-    WC_ASSERT(addr + 4 <= size_,
-              "global access at " << addr << " beyond " << size_);
-    WC_ASSERT((addr & 3) == 0, "unaligned 32-bit global access at " << addr);
-}
-
-u32
-GlobalMemory::read32(u64 addr) const
-{
-    checkAddr(addr);
-    u32 v;
-    std::memcpy(&v, data_.get() + addr, 4);
-    return v;
-}
-
-void
-GlobalMemory::write32(u64 addr, u32 value)
-{
-    checkAddr(addr);
-    std::memcpy(data_.get() + addr, &value, 4);
-}
-
 float
 GlobalMemory::readF32(u64 addr) const
 {
@@ -68,24 +44,6 @@ SharedMemory::SharedMemory(u32 bytes) : data_(bytes, 0)
 {
 }
 
-u32
-SharedMemory::read32(u32 addr) const
-{
-    WC_ASSERT(addr + 4 <= data_.size(),
-              "shared access at " << addr << " beyond " << data_.size());
-    u32 v;
-    std::memcpy(&v, data_.data() + addr, 4);
-    return v;
-}
-
-void
-SharedMemory::write32(u32 addr, u32 value)
-{
-    WC_ASSERT(addr + 4 <= data_.size(),
-              "shared access at " << addr << " beyond " << data_.size());
-    std::memcpy(data_.data() + addr, &value, 4);
-}
-
 ConstantMemory::ConstantMemory(u32 bytes) : data_(bytes, 0)
 {
 }
@@ -95,15 +53,6 @@ ConstantMemory::write32(u32 addr, u32 value)
 {
     WC_ASSERT(addr + 4 <= data_.size(), "constant write out of range");
     std::memcpy(data_.data() + addr, &value, 4);
-}
-
-u32
-ConstantMemory::read32(u32 addr) const
-{
-    WC_ASSERT(addr + 4 <= data_.size(), "constant read out of range");
-    u32 v;
-    std::memcpy(&v, data_.data() + addr, 4);
-    return v;
 }
 
 u32

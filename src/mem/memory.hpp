@@ -9,10 +9,12 @@
 #define WARPCOMP_MEM_MEMORY_HPP
 
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 
 namespace warpcomp {
@@ -30,8 +32,21 @@ class GlobalMemory
     /** Allocate @p bytes aligned to @p align; returns the base address. */
     u64 alloc(u64 bytes, u64 align = 128);
 
-    u32 read32(u64 addr) const;
-    void write32(u64 addr, u32 value);
+    u32
+    read32(u64 addr) const
+    {
+        checkAddr(addr);
+        u32 v;
+        std::memcpy(&v, data_.get() + addr, 4);
+        return v;
+    }
+
+    void
+    write32(u64 addr, u32 value)
+    {
+        checkAddr(addr);
+        std::memcpy(data_.get() + addr, &value, 4);
+    }
 
     float readF32(u64 addr) const;
     void writeF32(u64 addr, float value);
@@ -42,7 +57,14 @@ class GlobalMemory
     std::span<const u8> bytes() const { return {data_.get(), size_}; }
 
   private:
-    void checkAddr(u64 addr) const;
+    void
+    checkAddr(u64 addr) const
+    {
+        WC_ASSERT(addr + 4 <= size_,
+                  "global access at " << addr << " beyond " << size_);
+        WC_ASSERT((addr & 3) == 0,
+                  "unaligned 32-bit global access at " << addr);
+    }
 
     struct FreeDeleter
     {
@@ -62,8 +84,24 @@ class SharedMemory
   public:
     explicit SharedMemory(u32 bytes);
 
-    u32 read32(u32 addr) const;
-    void write32(u32 addr, u32 value);
+    u32
+    read32(u32 addr) const
+    {
+        WC_ASSERT(addr + 4 <= data_.size(), "shared access at " << addr
+                  << " beyond " << data_.size());
+        u32 v;
+        std::memcpy(&v, data_.data() + addr, 4);
+        return v;
+    }
+
+    void
+    write32(u32 addr, u32 value)
+    {
+        WC_ASSERT(addr + 4 <= data_.size(), "shared access at " << addr
+                  << " beyond " << data_.size());
+        std::memcpy(data_.data() + addr, &value, 4);
+    }
+
     u32 size() const { return static_cast<u32>(data_.size()); }
 
   private:
@@ -80,7 +118,16 @@ class ConstantMemory
     explicit ConstantMemory(u32 bytes = 4096);
 
     void write32(u32 addr, u32 value);
-    u32 read32(u32 addr) const;
+
+    u32
+    read32(u32 addr) const
+    {
+        WC_ASSERT(addr + 4 <= data_.size(), "constant read out of range");
+        u32 v;
+        std::memcpy(&v, data_.data() + addr, 4);
+        return v;
+    }
+
     u32 size() const { return static_cast<u32>(data_.size()); }
 
     /** Append one 32-bit parameter; returns its byte address. */

@@ -1,7 +1,8 @@
 /**
  * @file
- * BankSet implementation: valid-bit bookkeeping with incremental
- * gated-bank counting, and the per-cycle / closed-form leakage census.
+ * BankSet implementation: construction and the drowsy-mode and
+ * closed-form leakage census. The per-write valid-bit and wake paths
+ * are inline in the header.
  */
 
 #include "regfile/bank.hpp"
@@ -31,59 +32,11 @@ BankSet::BankSet(u32 num_banks, u32 entries, u32 wakeup_latency,
     offCount_ = gating_enabled ? num_banks : 0;
 }
 
-void
-BankSet::setValid(u32 bank, u32 entry, bool v, Cycle now)
-{
-    WC_ASSERT(bank < numBanks() && entry < entries_,
-              "bank " << bank << " entry " << entry << " out of range");
-    const u32 row = rowOf(bank, entry);
-    const u8 bit = static_cast<u8>(1u << (bank % kBanksPerWarpReg));
-    const bool cur = (validMask_[row] & bit) != 0;
-    if (cur == v)
-        return;
-    if (v) {
-        WC_ASSERT(!gates_[bank].isOff(now),
-                  "marking entry " << entry << " valid in gated bank "
-                  << bank << "; wake it first");
-        validMask_[row] = static_cast<u8>(validMask_[row] | bit);
-        ++validCount_[bank];
-    } else {
-        WC_ASSERT(validCount_[bank] > 0,
-                  "valid-count underflow in bank " << bank);
-        validMask_[row] = static_cast<u8>(validMask_[row] & ~bit);
-        if (--validCount_[bank] == 0) {
-            // Last valid entry gone: gate the bank. sleep() no-ops when
-            // gating is disabled or the gate is mid-wakeup, so recheck
-            // the state before counting it as off.
-            const bool was_off = gates_[bank].isOff(now);
-            gates_[bank].sleep(now);
-            if (!was_off && gates_[bank].isOff(now))
-                ++offCount_;
-        }
-    }
-}
-
-Cycle
-BankSet::wake(u32 bank, Cycle now)
-{
-    WC_ASSERT(bank < numBanks(), "bank " << bank << " out of range");
-    PowerGate &g = gates_[bank];
-    if (g.isOff(now)) {
-        WC_ASSERT(offCount_ > 0, "gated-bank count underflow");
-        --offCount_;
-    }
-    return g.wake(now);
-}
-
 BankSet::Activity
-BankSet::activity(Cycle now, bool drowsy_enabled, u32 drowsy_after) const
+BankSet::drowsyActivity(Cycle now, u32 drowsy_after) const
 {
     Activity act;
     const u32 n = numBanks();
-    if (!drowsy_enabled) {
-        act.active = n - offCount_;
-        return act;
-    }
     for (u32 b = 0; b < n; ++b) {
         if (gates_[b].isOff(now))
             continue;

@@ -68,7 +68,37 @@ class BankSet
      * entry disappears. Marking an entry valid requires the bank to be
      * powered; the caller wakes it first (see RegisterFile::recordWrite).
      */
-    void setValid(u32 bank, u32 entry, bool v, Cycle now);
+    void
+    setValid(u32 bank, u32 entry, bool v, Cycle now)
+    {
+        WC_ASSERT(bank < numBanks() && entry < entries_,
+                  "bank " << bank << " entry " << entry << " out of range");
+        const u32 row = rowOf(bank, entry);
+        const u8 bit = static_cast<u8>(1u << (bank % kBanksPerWarpReg));
+        const bool cur = (validMask_[row] & bit) != 0;
+        if (cur == v)
+            return;
+        if (v) {
+            WC_ASSERT(!gates_[bank].isOff(now),
+                      "marking entry " << entry << " valid in gated bank "
+                      << bank << "; wake it first");
+            validMask_[row] = static_cast<u8>(validMask_[row] | bit);
+            ++validCount_[bank];
+        } else {
+            WC_ASSERT(validCount_[bank] > 0,
+                      "valid-count underflow in bank " << bank);
+            validMask_[row] = static_cast<u8>(validMask_[row] & ~bit);
+            if (--validCount_[bank] == 0) {
+                // Last valid entry gone: gate the bank. sleep() no-ops
+                // when gating is disabled or the gate is mid-wakeup, so
+                // recheck the state before counting it as off.
+                const bool was_off = gates_[bank].isOff(now);
+                gates_[bank].sleep(now);
+                if (!was_off && gates_[bank].isOff(now))
+                    ++offCount_;
+            }
+        }
+    }
 
     const PowerGate &gate(u32 bank) const { return gates_[bank]; }
     bool isOff(u32 bank, Cycle now) const
@@ -81,7 +111,17 @@ class BankSet
      * wake-ups route through here (never the raw PowerGate) so the
      * gated-bank count stays exact.
      */
-    Cycle wake(u32 bank, Cycle now);
+    Cycle
+    wake(u32 bank, Cycle now)
+    {
+        WC_ASSERT(bank < numBanks(), "bank " << bank << " out of range");
+        PowerGate &g = gates_[bank];
+        if (g.isOff(now)) {
+            WC_ASSERT(offCount_ > 0, "gated-bank count underflow");
+            --offCount_;
+        }
+        return g.wake(now);
+    }
 
     u64 gatedCycles(u32 bank, Cycle now) const
     {
@@ -120,8 +160,13 @@ class BankSet
     };
 
     /** Census at @p now: O(1) without drowsy mode, one flat scan with. */
-    Activity activity(Cycle now, bool drowsy_enabled,
-                      u32 drowsy_after) const;
+    Activity
+    activity(Cycle now, bool drowsy_enabled, u32 drowsy_after) const
+    {
+        if (!drowsy_enabled)
+            return Activity{numBanks() - offCount_, 0};
+        return drowsyActivity(now, drowsy_after);
+    }
 
     /**
      * Closed-form census over the uneventful span [from, to): no gate
@@ -135,6 +180,9 @@ class BankSet
                       u32 drowsy_after, u64 &active, u64 &drowsy) const;
 
   private:
+    /** activity() with the drowsy comparator on. */
+    Activity drowsyActivity(Cycle now, u32 drowsy_after) const;
+
     u32
     rowOf(u32 bank, u32 entry) const
     {

@@ -15,38 +15,6 @@ PowerGate::PowerGate(u32 wakeup_latency, bool enabled)
     }
 }
 
-void
-PowerGate::sleep(Cycle now)
-{
-    if (!enabled_)
-        return;
-    if (state(now) != State::On)
-        return;
-    state_ = State::Off;
-    offSince_ = now;
-}
-
-Cycle
-PowerGate::wake(Cycle now)
-{
-    switch (state(now)) {
-      case State::On:
-        state_ = State::On;
-        return now;
-      case State::Waking:
-        // A wake is already in flight; latch onto it.
-        return wakeReady_;
-      case State::Off:
-        WC_ASSERT(now >= offSince_, "time went backwards in power gate");
-        accumOff_ += now - offSince_;
-        state_ = State::Waking;
-        wakeReady_ = now + wakeupLatency_;
-        return wakeReady_;
-      default:
-        WC_PANIC("unreachable power gate state");
-    }
-}
-
 u64
 PowerGate::gatedCycles(Cycle now) const
 {

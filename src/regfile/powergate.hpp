@@ -8,6 +8,7 @@
 #ifndef WARPCOMP_REGFILE_POWERGATE_HPP
 #define WARPCOMP_REGFILE_POWERGATE_HPP
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 
 namespace warpcomp {
@@ -37,13 +38,42 @@ class PowerGate
     bool isOff(Cycle now) const { return state(now) == State::Off; }
 
     /** Gate the bank; no-op when disabled or already off/waking. */
-    void sleep(Cycle now);
+    void
+    sleep(Cycle now)
+    {
+        if (!enabled_)
+            return;
+        if (state(now) != State::On)
+            return;
+        state_ = State::Off;
+        offSince_ = now;
+    }
 
     /**
      * Ensure the bank is powered; returns the first cycle it is usable
      * (now when already on, now + wakeup latency when it was off).
      */
-    Cycle wake(Cycle now);
+    Cycle
+    wake(Cycle now)
+    {
+        switch (state(now)) {
+          case State::On:
+            state_ = State::On;
+            return now;
+          case State::Waking:
+            // A wake is already in flight; latch onto it.
+            return wakeReady_;
+          case State::Off:
+            WC_ASSERT(now >= offSince_,
+                      "time went backwards in power gate");
+            accumOff_ += now - offSince_;
+            state_ = State::Waking;
+            wakeReady_ = now + wakeupLatency_;
+            return wakeReady_;
+          default:
+            WC_PANIC("unreachable power gate state");
+        }
+    }
 
     /** Cumulative fully-gated cycles up to @p now. */
     u64 gatedCycles(Cycle now) const;

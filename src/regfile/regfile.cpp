@@ -235,24 +235,6 @@ RegisterFile::release(u32 warp_slot, Cycle now)
     slot = SlotAlloc{};
 }
 
-u32
-RegisterFile::regId(u32 warp_slot, u32 reg) const
-{
-    WC_ASSERT(warp_slot < slots_.size() && slots_[warp_slot].active,
-              "access to inactive warp slot " << warp_slot);
-    const SlotAlloc &slot = slots_[warp_slot];
-    WC_ASSERT(reg < slot.count, "register r" << reg
-              << " beyond slot allocation of " << slot.count);
-    return idAlloc_ ? slot.ids[reg] : slot.base + reg;
-}
-
-RegSlot
-RegisterFile::slotOf(u32 id) const
-{
-    const u32 clusters = params_.numClusters();
-    return RegSlot{id % clusters, id / clusters};
-}
-
 RegSlot
 RegisterFile::locate(u32 warp_slot, u32 reg) const
 {
@@ -263,46 +245,6 @@ RangeIndicator
 RegisterFile::indicator(u32 warp_slot, u32 reg) const
 {
     return regs_[regId(warp_slot, reg)].ind;
-}
-
-bool
-RegisterFile::isCompressed(u32 warp_slot, u32 reg) const
-{
-    const RegState &st = regs_[regId(warp_slot, reg)];
-    return st.written && st.ind != RangeIndicator::Uncompressed;
-}
-
-bool
-RegisterFile::isWritten(u32 warp_slot, u32 reg) const
-{
-    return regs_[regId(warp_slot, reg)].written;
-}
-
-u32
-RegisterFile::footprintBanks(u32 id) const
-{
-    const RegState &st = regs_[id];
-    if (st.written)
-        return indicatorBanks(st.ind);
-    return params_.validAtAlloc ? kBanksPerWarpReg : 0;
-}
-
-RegAccess
-RegisterFile::readAccess(u32 warp_slot, u32 reg) const
-{
-    const u32 id = regId(warp_slot, reg);
-    const RegSlot s = slotOf(id);
-    const RegState &st = regs_[id];
-
-    RegAccess a;
-    a.firstBank = s.firstBank();
-    a.entry = s.entry;
-    a.numBanks = footprintBanks(id);
-    a.compressed = st.written && st.ind != RangeIndicator::Uncompressed;
-    a.bytes = st.written ? indicatorBytes(st.ind)
-                         : (params_.validAtAlloc ? kWarpRegBytes : 0);
-    a.remapped = st.written && st.remapped;
-    return a;
 }
 
 std::pair<Cycle, RegAccess>
@@ -442,14 +384,6 @@ RegisterFile::noteRead(const RegAccess &access, Cycle now)
 {
     for (u32 b = 0; b < access.numBanks; ++b)
         banks_.noteRead(access.firstBank + b, now);
-}
-
-RegisterFile::BankActivity
-RegisterFile::bankActivity(Cycle now) const
-{
-    const BankSet::Activity act = banks_.activity(
-        now, params_.drowsyEnabled, params_.drowsyAfterCycles);
-    return BankActivity{act.active, act.drowsy};
 }
 
 void

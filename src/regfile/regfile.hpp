@@ -18,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 #include "compress/schemes.hpp"
 #include "fault/fault.hpp"
@@ -167,13 +168,38 @@ class RegisterFile
     RangeIndicator indicator(u32 warp_slot, u32 reg) const;
 
     /** True when the register currently holds compressed data. */
-    bool isCompressed(u32 warp_slot, u32 reg) const;
+    bool
+    isCompressed(u32 warp_slot, u32 reg) const
+    {
+        const RegState &st = regs_[regId(warp_slot, reg)];
+        return st.written && st.ind != RangeIndicator::Uncompressed;
+    }
 
     /** True when the register has been written since allocation. */
-    bool isWritten(u32 warp_slot, u32 reg) const;
+    bool
+    isWritten(u32 warp_slot, u32 reg) const
+    {
+        return regs_[regId(warp_slot, reg)].written;
+    }
 
     /** Footprint a read of this register touches right now. */
-    RegAccess readAccess(u32 warp_slot, u32 reg) const;
+    RegAccess
+    readAccess(u32 warp_slot, u32 reg) const
+    {
+        const u32 id = regId(warp_slot, reg);
+        const RegSlot s = slotOf(id);
+        const RegState &st = regs_[id];
+
+        RegAccess a;
+        a.firstBank = s.firstBank();
+        a.entry = s.entry;
+        a.numBanks = footprintBanks(id);
+        a.compressed = st.written && st.ind != RangeIndicator::Uncompressed;
+        a.bytes = st.written ? indicatorBytes(st.ind)
+                             : (params_.validAtAlloc ? kWarpRegBytes : 0);
+        a.remapped = st.written && st.remapped;
+        return a;
+    }
 
     /**
      * Record a write with compression outcome @p enc. Updates valid
@@ -231,7 +257,13 @@ class RegisterFile
     };
 
     /** Leakage census at @p now (drowsy == 0 unless drowsyEnabled). */
-    BankActivity bankActivity(Cycle now) const;
+    BankActivity
+    bankActivity(Cycle now) const
+    {
+        const BankSet::Activity act = banks_.activity(
+            now, params_.drowsyEnabled, params_.drowsyAfterCycles);
+        return BankActivity{act.active, act.drowsy};
+    }
 
     /**
      * Closed-form leakage census over the uneventful span [from, to):
@@ -278,9 +310,32 @@ class RegisterFile
         std::vector<u32> ids;
     };
 
-    u32 regId(u32 warp_slot, u32 reg) const;
-    RegSlot slotOf(u32 id) const;
-    u32 footprintBanks(u32 id) const;
+    u32
+    regId(u32 warp_slot, u32 reg) const
+    {
+        WC_ASSERT(warp_slot < slots_.size() && slots_[warp_slot].active,
+                  "access to inactive warp slot " << warp_slot);
+        const SlotAlloc &slot = slots_[warp_slot];
+        WC_ASSERT(reg < slot.count, "register r" << reg
+                  << " beyond slot allocation of " << slot.count);
+        return idAlloc_ ? slot.ids[reg] : slot.base + reg;
+    }
+
+    RegSlot
+    slotOf(u32 id) const
+    {
+        const u32 clusters = params_.numClusters();
+        return RegSlot{id % clusters, id / clusters};
+    }
+
+    u32
+    footprintBanks(u32 id) const
+    {
+        const RegState &st = regs_[id];
+        if (st.written)
+            return indicatorBanks(st.ind);
+        return params_.validAtAlloc ? kBanksPerWarpReg : 0;
+    }
     void releaseId(u32 id, Cycle now);
 
     u32

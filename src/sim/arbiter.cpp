@@ -10,36 +10,4 @@ BankArbiter::BankArbiter(u32 num_banks) : numBanks_(num_banks)
               "arbiter supports 1..64 banks, got " << num_banks);
 }
 
-void
-BankArbiter::newCycle()
-{
-    readUsed_ = 0;
-    writeUsed_ = 0;
-}
-
-bool
-BankArbiter::tryRead(u32 bank)
-{
-    WC_ASSERT(bank < numBanks_, "bank " << bank << " out of range");
-    const u64 bit = u64{1} << bank;
-    if (readUsed_ & bit)
-        return false;
-    readUsed_ |= bit;
-    return true;
-}
-
-bool
-BankArbiter::tryWriteRange(u32 first, u32 count)
-{
-    WC_ASSERT(first + count <= numBanks_, "write range out of bounds");
-    if (count == 0)
-        return true;
-    const u64 mask = ((count >= 64 ? ~u64{0} : ((u64{1} << count) - 1)))
-        << first;
-    if (writeUsed_ & mask)
-        return false;
-    writeUsed_ |= mask;
-    return true;
-}
-
 } // namespace warpcomp

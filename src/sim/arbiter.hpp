@@ -8,6 +8,7 @@
 #ifndef WARPCOMP_SIM_ARBITER_HPP
 #define WARPCOMP_SIM_ARBITER_HPP
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 
 namespace warpcomp {
@@ -19,16 +20,42 @@ class BankArbiter
     explicit BankArbiter(u32 num_banks);
 
     /** Forget all grants; call at the start of every cycle. */
-    void newCycle();
+    void
+    newCycle()
+    {
+        readUsed_ = 0;
+        writeUsed_ = 0;
+    }
 
     /** Claim the read port of @p bank; false when already taken. */
-    bool tryRead(u32 bank);
+    bool
+    tryRead(u32 bank)
+    {
+        WC_ASSERT(bank < numBanks_, "bank " << bank << " out of range");
+        const u64 bit = u64{1} << bank;
+        if (readUsed_ & bit)
+            return false;
+        readUsed_ |= bit;
+        return true;
+    }
 
     /**
      * Claim the write ports of banks [first, first+count) atomically;
      * false (and no ports claimed) when any is taken.
      */
-    bool tryWriteRange(u32 first, u32 count);
+    bool
+    tryWriteRange(u32 first, u32 count)
+    {
+        WC_ASSERT(first + count <= numBanks_, "write range out of bounds");
+        if (count == 0)
+            return true;
+        const u64 mask =
+            (count >= 64 ? ~u64{0} : ((u64{1} << count) - 1)) << first;
+        if (writeUsed_ & mask)
+            return false;
+        writeUsed_ |= mask;
+        return true;
+    }
 
     u32 numBanks() const { return numBanks_; }
 

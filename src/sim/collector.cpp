@@ -1,7 +1,5 @@
 #include "sim/collector.hpp"
 
-#include <algorithm>
-
 #include "common/log.hpp"
 
 namespace warpcomp {
@@ -10,37 +8,6 @@ CollectorPool::CollectorPool(u32 num_units) : units_(num_units, nullptr)
 {
     WC_ASSERT(num_units > 0, "need at least one collector unit");
     order_.reserve(num_units);
-}
-
-bool
-CollectorPool::hasFree() const
-{
-    return order_.size() < units_.size();
-}
-
-u32
-CollectorPool::insert(InFlight *entry)
-{
-    WC_ASSERT(entry != nullptr, "inserting a null in-flight entry");
-    for (u32 i = 0; i < units_.size(); ++i) {
-        if (units_[i] == nullptr) {
-            units_[i] = entry;
-            order_.push_back(i);
-            return i;
-        }
-    }
-    WC_PANIC("insert into a full collector pool");
-}
-
-InFlight *
-CollectorPool::take(u32 index)
-{
-    WC_ASSERT(index < units_.size() && units_[index] != nullptr,
-              "taking an empty collector unit " << index);
-    InFlight *out = units_[index];
-    units_[index] = nullptr;
-    order_.erase(std::find(order_.begin(), order_.end(), index));
-    return out;
 }
 
 } // namespace warpcomp

@@ -8,6 +8,7 @@
 #ifndef WARPCOMP_SIM_COLLECTOR_HPP
 #define WARPCOMP_SIM_COLLECTOR_HPP
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <vector>
@@ -64,6 +65,32 @@ struct InFlight
     RegAccess writeAcc{};
     BdiEncoded encoded{};
 
+    /**
+     * Make a recycled entry ready for the issue path: reset exactly the
+     * fields some stage reads before the issue path writes them — the
+     * operand fetches, the counters, the stage and readyAt, and the
+     * dummyMov / memReleased / wbRecorded flags. Everything else is
+     * written first: inst, warpSlot, effMask, divergentWrite and
+     * writesBack at every issue, memLatency for memory ops, encoded
+     * for register writes, writeAcc together with wbRecorded. Skipping
+     * those (the 128-byte encoded buffer and the Instruction copy
+     * above all) saves clearing the whole ~384-byte entry per issue.
+     */
+    void
+    resetForIssue()
+    {
+        ops = {};
+        numOps = 0;
+        compressedSrcs = 0;
+        decompIssued = 0;
+        decompReadyAt = 0;
+        stage = Stage::Collect;
+        readyAt = 0;
+        dummyMov = false;
+        memReleased = false;
+        wbRecorded = false;
+    }
+
     /** All source banks granted? */
     bool
     collected() const
@@ -88,14 +115,35 @@ class CollectorPool
   public:
     explicit CollectorPool(u32 num_units);
 
-    bool hasFree() const;
+    bool hasFree() const { return order_.size() < units_.size(); }
 
     /** Claim a unit for @p entry (not owned); returns its index.
      *  Requires hasFree(). */
-    u32 insert(InFlight *entry);
+    u32
+    insert(InFlight *entry)
+    {
+        WC_ASSERT(entry != nullptr, "inserting a null in-flight entry");
+        for (u32 i = 0; i < units_.size(); ++i) {
+            if (units_[i] == nullptr) {
+                units_[i] = entry;
+                order_.push_back(i);
+                return i;
+            }
+        }
+        WC_PANIC("insert into a full collector pool");
+    }
 
     /** Release unit @p index; returns the entry pointer. */
-    InFlight *take(u32 index);
+    InFlight *
+    take(u32 index)
+    {
+        WC_ASSERT(index < units_.size() && units_[index] != nullptr,
+                  "taking an empty collector unit " << index);
+        InFlight *out = units_[index];
+        units_[index] = nullptr;
+        order_.erase(std::find(order_.begin(), order_.end(), index));
+        return out;
+    }
 
     InFlight *
     at(u32 index)

@@ -9,27 +9,4 @@ DispatchLimiter::DispatchLimiter(u32 per_cycle) : perCycle_(per_cycle)
     WC_ASSERT(per_cycle > 0, "dispatch rate must be positive");
 }
 
-bool
-DispatchLimiter::tryDispatch(Cycle now)
-{
-    if (lastCycle_ != now) {
-        lastCycle_ = now;
-        usedThisCycle_ = 0;
-    }
-    if (usedThisCycle_ >= perCycle_)
-        return false;
-    ++usedThisCycle_;
-    ++dispatched_;
-    return true;
-}
-
-u32
-resultLatency(Opcode op)
-{
-    const ExecClass cls = execClass(op);
-    WC_ASSERT(cls != ExecClass::Mem,
-              "memory latency comes from the coalescing model");
-    return execLatency(cls);
-}
-
 } // namespace warpcomp

@@ -7,6 +7,7 @@
 #ifndef WARPCOMP_SIM_EXEC_UNIT_HPP
 #define WARPCOMP_SIM_EXEC_UNIT_HPP
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 #include "isa/opcode.hpp"
 #include "mem/mem_timing.hpp"
@@ -20,7 +21,19 @@ class DispatchLimiter
     explicit DispatchLimiter(u32 per_cycle);
 
     /** Consume one dispatch slot at @p now; false when exhausted. */
-    bool tryDispatch(Cycle now);
+    bool
+    tryDispatch(Cycle now)
+    {
+        if (lastCycle_ != now) {
+            lastCycle_ = now;
+            usedThisCycle_ = 0;
+        }
+        if (usedThisCycle_ >= perCycle_)
+            return false;
+        ++usedThisCycle_;
+        ++dispatched_;
+        return true;
+    }
 
     u64 dispatched() const { return dispatched_; }
 
@@ -35,7 +48,14 @@ class DispatchLimiter
  * Result latency of a non-memory instruction (memory latencies come
  * from the coalescing model at issue time).
  */
-u32 resultLatency(Opcode op);
+inline u32
+resultLatency(Opcode op)
+{
+    const ExecClass cls = execClass(op);
+    WC_ASSERT(cls != ExecClass::Mem,
+              "memory latency comes from the coalescing model");
+    return execLatency(cls);
+}
 
 } // namespace warpcomp
 

@@ -3,6 +3,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <type_traits>
 
 #include "common/bitops.hpp"
 #include "common/log.hpp"
@@ -10,34 +13,6 @@
 namespace warpcomp {
 
 namespace {
-
-bool
-compareI(CmpOp op, i32 a, i32 b)
-{
-    switch (op) {
-      case CmpOp::Lt: return a < b;
-      case CmpOp::Le: return a <= b;
-      case CmpOp::Gt: return a > b;
-      case CmpOp::Ge: return a >= b;
-      case CmpOp::Eq: return a == b;
-      case CmpOp::Ne: return a != b;
-      default: WC_PANIC("unknown compare op");
-    }
-}
-
-bool
-compareF(CmpOp op, float a, float b)
-{
-    switch (op) {
-      case CmpOp::Lt: return a < b;
-      case CmpOp::Le: return a <= b;
-      case CmpOp::Gt: return a > b;
-      case CmpOp::Ge: return a >= b;
-      case CmpOp::Eq: return a == b;
-      case CmpOp::Ne: return a != b;
-      default: WC_PANIC("unknown compare op");
-    }
-}
 
 float
 asF(u32 v)
@@ -49,6 +24,98 @@ u32
 asU(float v)
 {
     return std::bit_cast<u32>(v);
+}
+
+/** What an absent operand or a zero immediate reads: 32 zero lanes,
+ *  shared so the common case fills no broadcast array. */
+constexpr WarpRegValue kZeroLanes{};
+
+/** Each lane's bit in a LaneMask, as data. The mask tests below read
+ *  `m & kLaneBit[lane]`: GCC turns `1u << lane` back into a shift by
+ *  the lane index, which does not vectorize on SSE2 (no per-lane
+ *  vector shift counts), while a table load does. */
+constexpr std::array<u32, kWarpSize> kLaneBit = [] {
+    std::array<u32, kWarpSize> bits{};
+    for (u32 lane = 0; lane < kWarpSize; ++lane)
+        bits[lane] = 1u << lane;
+    return bits;
+}();
+
+/** Copy the @p eff lanes of @p res into @p dst; inactive lanes keep
+ *  their old bits. */
+void
+mergeLanes(WarpRegValue &dst, const WarpRegValue &res, LaneMask eff)
+{
+    if (eff == kFullMask) {
+        std::memcpy(dst.data(), res.data(), sizeof(WarpRegValue));
+        return;
+    }
+    for (u32 lane = 0; lane < kWarpSize; ++lane) {
+        const u32 take = (eff & kLaneBit[lane]) != 0 ? ~0u : 0u;
+        dst[lane] = (res[lane] & take) | (dst[lane] & ~take);
+    }
+}
+
+/** A lane's 32 bits as the comparison type (i32 or float). */
+template <typename T>
+T
+asLane(u32 v)
+{
+    if constexpr (std::is_same_v<T, float>)
+        return asF(v);
+    else
+        return static_cast<T>(v);
+}
+
+/** Bit i set when rel(a[i], b[i]) holds, over all 32 lanes. */
+template <typename T, typename Rel>
+LaneMask
+compareLanes(const u32 *a, const u32 *b, Rel rel)
+{
+    LaneMask m = 0;
+    for (u32 lane = 0; lane < kWarpSize; ++lane) {
+        const bool hit = rel(asLane<T>(a[lane]), asLane<T>(b[lane]));
+        m |= kLaneBit[lane] & (0u - static_cast<u32>(hit));
+    }
+    return m;
+}
+
+/** compareLanes for @p op, reading the lanes as @p T. */
+template <typename T>
+LaneMask
+compareAll(CmpOp op, const u32 *a, const u32 *b)
+{
+    switch (op) {
+      case CmpOp::Lt: return compareLanes<T>(a, b, std::less<>{});
+      case CmpOp::Le: return compareLanes<T>(a, b, std::less_equal<>{});
+      case CmpOp::Gt: return compareLanes<T>(a, b, std::greater<>{});
+      case CmpOp::Ge: return compareLanes<T>(a, b, std::greater_equal<>{});
+      case CmpOp::Eq: return compareLanes<T>(a, b, std::equal_to<>{});
+      case CmpOp::Ne: return compareLanes<T>(a, b, std::not_equal_to<>{});
+      default: WC_PANIC("unknown compare op");
+    }
+}
+
+/** IABS: the two's-complement wrap, so |INT32_MIN| == INT32_MIN. */
+u32
+iabsLane(u32 v)
+{
+    return static_cast<i32>(v) < 0 ? 0u - v : v;
+}
+
+/** F2I truncating toward zero and saturating like PTX
+ *  cvt.rzi.s32.f32: NaN -> 0, out-of-range -> INT32_MIN / INT32_MAX. */
+u32
+f2iLane(u32 v)
+{
+    const float f = asF(v);
+    if (std::isnan(f))
+        return 0;
+    if (f >= 2147483648.0f)
+        return static_cast<u32>(INT32_MAX);
+    if (f < -2147483648.0f)
+        return static_cast<u32>(INT32_MIN);
+    return static_cast<u32>(static_cast<i32>(f));
 }
 
 } // namespace
@@ -98,189 +165,181 @@ FunctionalExecutor::execute(Warp &warp, u32 pc, SharedMemory *smem,
     ExecOutcome out;
     out.effMask = eff;
 
-    // Per-lane ALU helper: applies fn over effective lanes, merging into
-    // the destination register (inactive lanes keep their old value).
-    auto lanewise = [&](auto &&fn) {
-        if (in.dst == kNoReg)
-            return;
-        WarpRegValue &d = warp.reg(in.dst);
-        for (u32 lane = 0; lane < kWarpSize; ++lane) {
-            if (laneActive(eff, lane))
-                d[lane] = fn(lane);
+    // Resolve each source once per instruction into a flat 32-lane
+    // array: a register is its own lanes, an immediate a broadcast
+    // (an absent operand reads as immediate 0). The lane kernels below
+    // then index plain arrays with no per-lane operand-kind test.
+    // imm[i] is filled before src[i] points at it and is never read
+    // otherwise, so it is not cleared up front.
+    WarpRegValue imm[3];
+    const u32 *src[3];
+    for (u32 i = 0; i < 3; ++i) {
+        const Operand &o = in.src[i];
+        if (o.isReg()) {
+            src[i] = warp.reg(o.reg).data();
+        } else if (o.imm == 0) {
+            src[i] = kZeroLanes.data();
+        } else {
+            imm[i].fill(static_cast<u32>(o.imm));
+            src[i] = imm[i].data();
         }
-        out.wroteReg = eff != 0;
+    }
+    const u32 *const a = src[0];
+    const u32 *const b = src[1];
+    const u32 *const c = src[2];
+
+    // Lane kernel for a GPR-writing ALU op: fn runs on all 32 lanes,
+    // active or not, into a temporary, which then merges into the
+    // destination by the effective mask (inactive lanes keep their old
+    // bits). With no mask test inside, GCC vectorizes the simple
+    // bodies; completing the temporary first makes dst == src safe.
+    auto lanewise = [&](auto &&fn) {
+        if (in.dst == kNoReg || eff == 0)
+            return;
+        WarpRegValue res;
+        for (u32 lane = 0; lane < kWarpSize; ++lane)
+            res[lane] = fn(lane);
+        mergeLanes(warp.reg(in.dst), res, eff);
+        out.wroteReg = true;
     };
-    // Resolve each source once per instruction — a lane pointer for
-    // registers, a broadcast value for immediates — so the per-lane
-    // loops below index flat arrays instead of re-deriving the operand
-    // kind 32 times.
-    struct SrcRef
-    {
-        const u32 *lanes = nullptr;
-        u32 imm = 0;
-    };
-    const auto resolve = [&warp](const Operand &o) -> SrcRef {
-        if (o.isReg())
-            return {warp.reg(o.reg).data(), 0};
-        return {nullptr, static_cast<u32>(o.imm)};
-    };
-    const SrcRef r0 = resolve(in.src[0]);
-    const SrcRef r1 = resolve(in.src[1]);
-    const SrcRef r2 = resolve(in.src[2]);
-    auto s0 = [&](u32 lane) { return r0.lanes ? r0.lanes[lane] : r0.imm; };
-    auto s1 = [&](u32 lane) { return r1.lanes ? r1.lanes[lane] : r1.imm; };
-    auto s2 = [&](u32 lane) { return r2.lanes ? r2.lanes[lane] : r2.imm; };
 
     switch (in.op) {
       case Opcode::Nop:
         break;
       case Opcode::S2R:
-        lanewise([&](u32 lane) -> u32 {
-            switch (in.sreg) {
-              case SpecialReg::TidX: return warp.tid(lane);
-              case SpecialReg::CtaIdX: return warp.ctaId();
-              case SpecialReg::NTidX: return dims.blockDim;
-              case SpecialReg::NCtaIdX: return dims.gridDim;
-              case SpecialReg::LaneId: return lane;
-              default: WC_PANIC("unknown special register");
-            }
-        });
+        switch (in.sreg) {
+          case SpecialReg::TidX:
+            lanewise([&](u32 lane) { return warp.tid(lane); });
+            break;
+          case SpecialReg::LaneId:
+            lanewise([](u32 lane) { return lane; });
+            break;
+          case SpecialReg::CtaIdX:
+          case SpecialReg::NTidX:
+          case SpecialReg::NCtaIdX: {
+            const u32 v = in.sreg == SpecialReg::CtaIdX ? warp.ctaId()
+                : in.sreg == SpecialReg::NTidX          ? dims.blockDim
+                                                        : dims.gridDim;
+            lanewise([v](u32) { return v; });
+            break;
+          }
+          default: WC_PANIC("unknown special register");
+        }
         break;
       case Opcode::Mov:
       case Opcode::MovImm:
-        lanewise([&](u32 lane) { return s0(lane); });
+        lanewise([&](u32 lane) { return a[lane]; });
         break;
       case Opcode::IAdd:
-        lanewise([&](u32 lane) { return s0(lane) + s1(lane); });
+        lanewise([&](u32 lane) { return a[lane] + b[lane]; });
         break;
       case Opcode::ISub:
-        lanewise([&](u32 lane) { return s0(lane) - s1(lane); });
+        lanewise([&](u32 lane) { return a[lane] - b[lane]; });
         break;
       case Opcode::IMul:
-        lanewise([&](u32 lane) { return s0(lane) * s1(lane); });
+        lanewise([&](u32 lane) { return a[lane] * b[lane]; });
         break;
       case Opcode::IMad:
-        lanewise([&](u32 lane) { return s0(lane) * s1(lane) + s2(lane); });
+        lanewise([&](u32 lane) { return a[lane] * b[lane] + c[lane]; });
         break;
       case Opcode::IMin:
         lanewise([&](u32 lane) {
-            const i32 a = static_cast<i32>(s0(lane));
-            const i32 b = static_cast<i32>(s1(lane));
-            return static_cast<u32>(a < b ? a : b);
+            const i32 x = static_cast<i32>(a[lane]);
+            const i32 y = static_cast<i32>(b[lane]);
+            return static_cast<u32>(x < y ? x : y);
         });
         break;
       case Opcode::IMax:
         lanewise([&](u32 lane) {
-            const i32 a = static_cast<i32>(s0(lane));
-            const i32 b = static_cast<i32>(s1(lane));
-            return static_cast<u32>(a > b ? a : b);
+            const i32 x = static_cast<i32>(a[lane]);
+            const i32 y = static_cast<i32>(b[lane]);
+            return static_cast<u32>(x > y ? x : y);
         });
         break;
       case Opcode::IAbs:
-        lanewise([&](u32 lane) {
-            const i32 a = static_cast<i32>(s0(lane));
-            return static_cast<u32>(a < 0 ? -a : a);
-        });
+        lanewise([&](u32 lane) { return iabsLane(a[lane]); });
         break;
       case Opcode::And:
-        lanewise([&](u32 lane) { return s0(lane) & s1(lane); });
+        lanewise([&](u32 lane) { return a[lane] & b[lane]; });
         break;
       case Opcode::Or:
-        lanewise([&](u32 lane) { return s0(lane) | s1(lane); });
+        lanewise([&](u32 lane) { return a[lane] | b[lane]; });
         break;
       case Opcode::Xor:
-        lanewise([&](u32 lane) { return s0(lane) ^ s1(lane); });
+        lanewise([&](u32 lane) { return a[lane] ^ b[lane]; });
         break;
       case Opcode::Not:
-        lanewise([&](u32 lane) { return ~s0(lane); });
+        lanewise([&](u32 lane) { return ~a[lane]; });
         break;
       case Opcode::Shl:
-        lanewise([&](u32 lane) { return s0(lane) << (s1(lane) & 31); });
+        lanewise([&](u32 lane) { return a[lane] << (b[lane] & 31); });
         break;
       case Opcode::Shr:
-        lanewise([&](u32 lane) { return s0(lane) >> (s1(lane) & 31); });
+        lanewise([&](u32 lane) { return a[lane] >> (b[lane] & 31); });
         break;
       case Opcode::Sra:
         lanewise([&](u32 lane) {
-            return static_cast<u32>(static_cast<i32>(s0(lane)) >>
-                                    (s1(lane) & 31));
+            return static_cast<u32>(static_cast<i32>(a[lane]) >>
+                                    (b[lane] & 31));
         });
         break;
       case Opcode::IMulHi:
         lanewise([&](u32 lane) {
-            const i64 p = static_cast<i64>(static_cast<i32>(s0(lane))) *
-                          static_cast<i64>(static_cast<i32>(s1(lane)));
+            const i64 p = static_cast<i64>(static_cast<i32>(a[lane])) *
+                          static_cast<i64>(static_cast<i32>(b[lane]));
             return static_cast<u32>(static_cast<u64>(p) >> 32);
         });
         break;
       case Opcode::IMulHiU:
         lanewise([&](u32 lane) {
-            const u64 p = static_cast<u64>(s0(lane)) *
-                          static_cast<u64>(s1(lane));
+            const u64 p = static_cast<u64>(a[lane]) *
+                          static_cast<u64>(b[lane]);
             return static_cast<u32>(p >> 32);
         });
         break;
       // Division follows the RISC-V M rules the binary frontend relies
       // on: x/0 = -1 (all ones), x%0 = x, INT_MIN / -1 = INT_MIN with
-      // remainder 0 — no lane ever traps.
+      // remainder 0 — no lane ever traps, active or not.
       case Opcode::IDiv:
         lanewise([&](u32 lane) {
-            const i32 a = static_cast<i32>(s0(lane));
-            const i32 b = static_cast<i32>(s1(lane));
-            if (b == 0)
+            const i32 x = static_cast<i32>(a[lane]);
+            const i32 y = static_cast<i32>(b[lane]);
+            if (y == 0)
                 return ~0u;
-            if (a == INT32_MIN && b == -1)
+            if (x == INT32_MIN && y == -1)
                 return static_cast<u32>(INT32_MIN);
-            return static_cast<u32>(a / b);
+            return static_cast<u32>(x / y);
         });
         break;
       case Opcode::IDivU:
         lanewise([&](u32 lane) {
-            const u32 b = s1(lane);
-            return b == 0 ? ~0u : s0(lane) / b;
+            const u32 y = b[lane];
+            return y == 0 ? ~0u : a[lane] / y;
         });
         break;
       case Opcode::IRem:
         lanewise([&](u32 lane) {
-            const i32 a = static_cast<i32>(s0(lane));
-            const i32 b = static_cast<i32>(s1(lane));
-            if (b == 0)
-                return static_cast<u32>(a);
-            if (a == INT32_MIN && b == -1)
+            const i32 x = static_cast<i32>(a[lane]);
+            const i32 y = static_cast<i32>(b[lane]);
+            if (y == 0)
+                return static_cast<u32>(x);
+            if (x == INT32_MIN && y == -1)
                 return 0u;
-            return static_cast<u32>(a % b);
+            return static_cast<u32>(x % y);
         });
         break;
       case Opcode::IRemU:
         lanewise([&](u32 lane) {
-            const u32 b = s1(lane);
-            return b == 0 ? s0(lane) : s0(lane) % b;
+            const u32 y = b[lane];
+            return y == 0 ? a[lane] : a[lane] % y;
         });
         break;
-      case Opcode::ISetP: {
-        LaneMask result = 0;
-        for (u32 lane = 0; lane < kWarpSize; ++lane) {
-            if (!laneActive(eff, lane))
-                continue;
-            if (compareI(in.cmp, static_cast<i32>(s0(lane)),
-                         static_cast<i32>(s1(lane)))) {
-                result |= 1u << lane;
-            }
-        }
-        warp.setPred(in.dstPred, result, eff);
+      case Opcode::ISetP:
+        warp.setPred(in.dstPred, compareAll<i32>(in.cmp, a, b), eff);
         break;
-      }
-      case Opcode::FSetP: {
-        LaneMask result = 0;
-        for (u32 lane = 0; lane < kWarpSize; ++lane) {
-            if (!laneActive(eff, lane))
-                continue;
-            if (compareF(in.cmp, asF(s0(lane)), asF(s1(lane))))
-                result |= 1u << lane;
-        }
-        warp.setPred(in.dstPred, result, eff);
+      case Opcode::FSetP:
+        warp.setPred(in.dstPred, compareAll<float>(in.cmp, a, b), eff);
         break;
-      }
       case Opcode::PAnd:
         warp.setPred(in.dstPred,
                      warp.pred(in.srcPred) & warp.pred(in.srcPred2), eff);
@@ -295,47 +354,43 @@ FunctionalExecutor::execute(Warp &warp, u32 pc, SharedMemory *smem,
       case Opcode::SelP: {
         const LaneMask p = warp.pred(in.srcPred);
         lanewise([&](u32 lane) {
-            return laneActive(p, lane) ? s0(lane) : s1(lane);
+            // All ones where the select predicate holds.
+            const u32 take = (p & kLaneBit[lane]) != 0 ? ~0u : 0u;
+            return (a[lane] & take) | (b[lane] & ~take);
         });
         break;
       }
       case Opcode::FAdd:
-        lanewise([&](u32 lane) {
-            return asU(asF(s0(lane)) + asF(s1(lane)));
-        });
+        lanewise([&](u32 lane) { return asU(asF(a[lane]) + asF(b[lane])); });
         break;
       case Opcode::FMul:
-        lanewise([&](u32 lane) {
-            return asU(asF(s0(lane)) * asF(s1(lane)));
-        });
+        lanewise([&](u32 lane) { return asU(asF(a[lane]) * asF(b[lane])); });
         break;
       case Opcode::FFma:
         lanewise([&](u32 lane) {
-            return asU(asF(s0(lane)) * asF(s1(lane)) + asF(s2(lane)));
+            return asU(asF(a[lane]) * asF(b[lane]) + asF(c[lane]));
         });
         break;
       case Opcode::FMin:
         lanewise([&](u32 lane) {
-            return asU(std::fmin(asF(s0(lane)), asF(s1(lane))));
+            return asU(std::fmin(asF(a[lane]), asF(b[lane])));
         });
         break;
       case Opcode::FMax:
         lanewise([&](u32 lane) {
-            return asU(std::fmax(asF(s0(lane)), asF(s1(lane))));
+            return asU(std::fmax(asF(a[lane]), asF(b[lane])));
         });
         break;
       case Opcode::I2F:
         lanewise([&](u32 lane) {
-            return asU(static_cast<float>(static_cast<i32>(s0(lane))));
+            return asU(static_cast<float>(static_cast<i32>(a[lane])));
         });
         break;
       case Opcode::F2I:
-        lanewise([&](u32 lane) {
-            return static_cast<u32>(static_cast<i32>(asF(s0(lane))));
-        });
+        lanewise([&](u32 lane) { return f2iLane(a[lane]); });
         break;
       case Opcode::FRcp:
-        lanewise([&](u32 lane) { return asU(1.0f / asF(s0(lane))); });
+        lanewise([&](u32 lane) { return asU(1.0f / asF(a[lane])); });
         break;
       case Opcode::Ldg:
       case Opcode::Stg:
@@ -343,49 +398,57 @@ FunctionalExecutor::execute(Warp &warp, u32 pc, SharedMemory *smem,
       case Opcode::Sts:
       case Opcode::Ldc: {
         out.isMem = true;
-        const bool shared = in.op == Opcode::Lds || in.op == Opcode::Sts;
-        if (shared) {
+        if (in.op == Opcode::Lds || in.op == Opcode::Sts) {
             WC_ASSERT(smem != nullptr,
                       "shared access in a kernel with no shared memory");
         }
-        for (u32 lane = 0; lane < kWarpSize; ++lane) {
-            if (!laneActive(eff, lane))
-                continue;
-            const u64 addr = static_cast<u64>(s0(lane)) +
-                static_cast<i64>(in.memOffset);
-            out.addrs[lane] = addr;
-            if (containFaults_ && !addrValid(in.op, addr, smem)) {
-                // Fault injection drove this address out of range; on
-                // hardware this raises a memory fault. Squash the lane
-                // access and count it as unrecoverable.
-                ++contained_;
-                if (in.isLoad())
-                    warp.reg(in.dst)[lane] = 0;
-                continue;
+        // Memory touches only the effective lanes, lowest first (the
+        // order later stores to one address resolve in). Per-lane
+        // reads of the address precede the lane's load, so dst == src0
+        // is safe without a temporary.
+        u32 *const d = in.isLoad() ? warp.reg(in.dst).data() : nullptr;
+        auto each = [&](auto &&access) {
+            for (LaneMask m = eff; m != 0; m &= m - 1) {
+                const u32 lane = lowestLane(m);
+                const u64 addr = static_cast<u64>(a[lane]) +
+                    static_cast<i64>(in.memOffset);
+                out.addrs[lane] = addr;
+                if (containFaults_ && !addrValid(in.op, addr, smem)) {
+                    // Fault injection drove this address out of range;
+                    // on hardware this raises a memory fault. Squash
+                    // the lane access and count it as unrecoverable.
+                    ++contained_;
+                    if (d != nullptr)
+                        d[lane] = 0;
+                    continue;
+                }
+                access(lane, addr);
             }
-            switch (in.op) {
-              case Opcode::Ldg:
-                warp.reg(in.dst)[lane] = gmem_.read32(addr);
-                break;
-              case Opcode::Stg:
-                gmem_.write32(addr, s1(lane));
-                break;
-              case Opcode::Lds:
-                warp.reg(in.dst)[lane] =
-                    smem->read32(static_cast<u32>(addr));
-                break;
-              case Opcode::Sts:
-                smem->write32(static_cast<u32>(addr), s1(lane));
-                break;
-              case Opcode::Ldc:
-                warp.reg(in.dst)[lane] =
-                    cmem_.read32(static_cast<u32>(addr));
-                break;
-              default:
-                WC_PANIC("unreachable");
-            }
+        };
+        switch (in.op) {
+          case Opcode::Ldg:
+            each([&](u32 lane, u64 addr) { d[lane] = gmem_.read32(addr); });
+            break;
+          case Opcode::Stg:
+            each([&](u32 lane, u64 addr) { gmem_.write32(addr, b[lane]); });
+            break;
+          case Opcode::Lds:
+            each([&](u32 lane, u64 addr) {
+                d[lane] = smem->read32(static_cast<u32>(addr));
+            });
+            break;
+          case Opcode::Sts:
+            each([&](u32 lane, u64 addr) {
+                smem->write32(static_cast<u32>(addr), b[lane]);
+            });
+            break;
+          default:
+            each([&](u32 lane, u64 addr) {
+                d[lane] = cmem_.read32(static_cast<u32>(addr));
+            });
+            break;
         }
-        out.wroteReg = in.isLoad() && eff != 0;
+        out.wroteReg = d != nullptr && eff != 0;
         break;
       }
       case Opcode::Bra: {

@@ -32,8 +32,13 @@ struct ExecOutcome
     bool diverged = false;      ///< branch split the warp
     bool warpFinished = false;  ///< all lanes exited
     bool isMem = false;         ///< needs the memory pipeline
-    /** Per-lane byte addresses for memory timing (valid when isMem). */
-    std::array<u64, kWarpSize> addrs{};
+    /**
+     * Per-lane byte addresses for memory timing: valid for the effMask
+     * lanes when isMem, and never initialized elsewhere (the coalescing
+     * and bank-conflict models read only effMask lanes), so an execute
+     * does not pay a 256-byte clear.
+     */
+    std::array<u64, kWarpSize> addrs;
 };
 
 /** Executes instructions against warp + memory functional state. */

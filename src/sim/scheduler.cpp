@@ -25,18 +25,4 @@ WarpScheduler::WarpScheduler(SchedPolicy policy, std::vector<u32> slots)
         ? ~u64{0} : (u64{1} << slots_.size()) - 1;
 }
 
-void
-WarpScheduler::noteIssued(u32 slot)
-{
-    // A slot this scheduler does not own would silently corrupt the
-    // rotation state; that is a caller bug, not a recoverable input.
-    WC_ASSERT(slot < rank_.size() && rank_[slot] >= 0,
-              "noteIssued for foreign warp slot " << slot);
-    lastIssued_ = static_cast<i32>(slot);
-    if (policy_ == SchedPolicy::Lrr) {
-        const u32 n = static_cast<u32>(slots_.size());
-        rrCursor_ = (static_cast<u32>(rank_[slot]) + 1) % n;
-    }
-}
-
 } // namespace warpcomp

@@ -12,6 +12,7 @@
 #include <bit>
 #include <vector>
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 #include "sim/params.hpp"
 
@@ -83,7 +84,19 @@ class WarpScheduler
 
     /** Inform the scheduler which slot actually issued; @p slot must
      *  be one this scheduler owns. */
-    void noteIssued(u32 slot);
+    void
+    noteIssued(u32 slot)
+    {
+        // A slot this scheduler does not own would silently corrupt the
+        // rotation state; that is a caller bug, not a recoverable input.
+        WC_ASSERT(slot < rank_.size() && rank_[slot] >= 0,
+                  "noteIssued for foreign warp slot " << slot);
+        lastIssued_ = static_cast<i32>(slot);
+        if (policy_ == SchedPolicy::Lrr) {
+            const u32 n = static_cast<u32>(slots_.size());
+            rrCursor_ = (static_cast<u32>(rank_[slot]) + 1) % n;
+        }
+    }
 
     /** Age stamps changed (a warp [re]launched): re-derive the GTO
      *  oldest-first order on the next pick. */

@@ -426,7 +426,7 @@ Sm::allocFlight()
         return &flightSlab_.emplace_back();
     InFlight *f = flightFree_.back();
     flightFree_.pop_back();
-    *f = InFlight{};
+    f->resetForIssue();
     return f;
 }
 
@@ -792,6 +792,7 @@ Sm::issueDummyMov(u32 slot, u8 dst, Cycle now)
     }
 
     const auto img = toBytes(w.reg(dst));
+    f.encoded.params = BdiParams{};
     f.encoded.compressed = false;
     f.encoded.bytes.assign(std::span<const u8>(img));
 
@@ -896,7 +897,7 @@ Sm::issueFrom(u32 slot, Cycle now)
     for (u32 i = 0; i < nsrc; ++i) {
         // A register-file-cache hit satisfies the operand without
         // touching any bank (comparator mode; disabled by default).
-        if (rfc_.lookup(slot, inst.regSource(i))) {
+        if (rfc_.enabled() && rfc_.lookup(slot, inst.regSource(i))) {
             meter_.addRfcAccesses(1);
             continue;           // acc stays zero-bank
         }
@@ -980,6 +981,7 @@ Sm::issueFrom(u32 slot, Cycle now)
         if (params_.compressionEnabled() && !f.divergentWrite) {
             f.encoded = std::move(enc);
         } else {
+            f.encoded.params = BdiParams{};
             f.encoded.compressed = false;
             f.encoded.bytes.assign(std::span<const u8>(img));
         }

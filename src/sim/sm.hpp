@@ -160,7 +160,8 @@ class Sm
         u32 inFlight = 0;
     };
 
-    /** Claim a zeroed slab entry / return one to the freelist. */
+    /** Claim a slab entry ready for issue (InFlight::resetForIssue) /
+     *  return one to the freelist. */
     InFlight *allocFlight();
     void freeFlight(InFlight *f);
 

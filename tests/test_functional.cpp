@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/bitops.hpp"
+#include "common/rng.hpp"
 #include "isa/builder.hpp"
 #include "sim/functional.hpp"
 
@@ -327,6 +331,403 @@ TEST_F(FexTest, PartialWarpLaunch)
     run(b.build(), 20);
     EXPECT_EQ(warp_.reg(1)[19], 5u);
     EXPECT_EQ(warp_.reg(1)[20], 0u);    // beyond the live lanes
+}
+
+TEST_F(FexTest, IAbsOfIntMinWraps)
+{
+    // Two's-complement IABS: |INT32_MIN| has no i32 value, so it wraps
+    // to INT32_MIN (an unsigned negate; a signed one would be UB).
+    KernelBuilder b("iabs_min");
+    Reg m = b.newReg(), n = b.newReg(), am = b.newReg(), an = b.newReg();
+    b.movImm(m, INT32_MIN);
+    b.movImm(n, -1);
+    b.iabs(am, m);
+    b.iabs(an, n);
+    run(b.build());
+    for (u32 lane = 0; lane < kWarpSize; ++lane) {
+        EXPECT_EQ(warp_.reg(2)[lane], static_cast<u32>(INT32_MIN));
+        EXPECT_EQ(warp_.reg(3)[lane], 1u);
+    }
+}
+
+TEST_F(FexTest, F2ISaturatesLikePtxCvtRzi)
+{
+    // cvt.rzi.s32.f32: truncate toward zero, NaN -> 0, values beyond
+    // the i32 range clamp to INT32_MIN / INT32_MAX.
+    const struct
+    {
+        float in;
+        i32 out;
+    } cases[] = {
+        {std::bit_cast<float>(0x7FC00000u), 0},             // quiet NaN
+        {std::bit_cast<float>(0xFF800001u), 0},             // -sNaN
+        {std::numeric_limits<float>::infinity(), INT32_MAX},
+        {-std::numeric_limits<float>::infinity(), INT32_MIN},
+        {3.0e9f, INT32_MAX},
+        {-3.0e9f, INT32_MIN},
+        {2147483648.0f, INT32_MAX},                          // 2^31
+        {-2147483648.0f, INT32_MIN},                         // -2^31 fits
+        {2147483520.0f, 2147483520},                         // max < 2^31
+        {-1.75f, -1},
+        {1.99f, 1},
+        {-0.0f, 0},
+    };
+    KernelBuilder b("f2i_sat");
+    std::vector<Reg> outs;
+    for (const auto &c : cases) {
+        Reg f = b.newReg(), i = b.newReg();
+        b.movFloat(f, c.in);
+        b.f2i(i, f);
+        outs.push_back(i);
+    }
+    run(b.build());
+    for (std::size_t k = 0; k < std::size(cases); ++k) {
+        for (u32 lane = 0; lane < kWarpSize; ++lane) {
+            EXPECT_EQ(static_cast<i32>(warp_.reg(outs[k].idx)[lane]),
+                      cases[k].out)
+                << "case " << k << " lane " << lane;
+        }
+    }
+}
+
+/**
+ * Scalar per-lane reference for the lane kernels: the semantics of
+ * every ALU, compare and select opcode written one lane at a time, the
+ * way FunctionalExecutor computed them before its lanes were batched.
+ * IAbs and F2I follow the defined wrap / saturation rules.
+ */
+u32
+refAlu(Opcode op, u32 a, u32 b, u32 c, bool sel)
+{
+    const auto f = [](u32 v) { return std::bit_cast<float>(v); };
+    const auto u = [](float v) { return std::bit_cast<u32>(v); };
+    const i32 sa = static_cast<i32>(a);
+    const i32 sb = static_cast<i32>(b);
+    switch (op) {
+      case Opcode::Mov:
+      case Opcode::MovImm: return a;
+      case Opcode::IAdd: return a + b;
+      case Opcode::ISub: return a - b;
+      case Opcode::IMul: return a * b;
+      case Opcode::IMad: return a * b + c;
+      case Opcode::IMin: return static_cast<u32>(sa < sb ? sa : sb);
+      case Opcode::IMax: return static_cast<u32>(sa > sb ? sa : sb);
+      case Opcode::IAbs:
+        return sa == INT32_MIN ? a : static_cast<u32>(sa < 0 ? -sa : sa);
+      case Opcode::And: return a & b;
+      case Opcode::Or: return a | b;
+      case Opcode::Xor: return a ^ b;
+      case Opcode::Not: return ~a;
+      case Opcode::Shl: return a << (b & 31);
+      case Opcode::Shr: return a >> (b & 31);
+      case Opcode::Sra: return static_cast<u32>(sa >> (b & 31));
+      case Opcode::IMulHi:
+        return static_cast<u32>(
+            static_cast<u64>(static_cast<i64>(sa) * sb) >> 32);
+      case Opcode::IMulHiU:
+        return static_cast<u32>((static_cast<u64>(a) * b) >> 32);
+      case Opcode::IDiv:
+        if (sb == 0)
+            return ~0u;
+        if (sa == INT32_MIN && sb == -1)
+            return a;
+        return static_cast<u32>(sa / sb);
+      case Opcode::IDivU: return b == 0 ? ~0u : a / b;
+      case Opcode::IRem:
+        if (sb == 0)
+            return a;
+        if (sa == INT32_MIN && sb == -1)
+            return 0;
+        return static_cast<u32>(sa % sb);
+      case Opcode::IRemU: return b == 0 ? a : a % b;
+      case Opcode::SelP: return sel ? a : b;
+      case Opcode::FAdd: return u(f(a) + f(b));
+      case Opcode::FMul: return u(f(a) * f(b));
+      case Opcode::FFma: return u(f(a) * f(b) + f(c));
+      case Opcode::FMin: return u(std::fmin(f(a), f(b)));
+      case Opcode::FMax: return u(std::fmax(f(a), f(b)));
+      case Opcode::I2F: return u(static_cast<float>(sa));
+      case Opcode::F2I: {
+        const float x = f(a);
+        if (std::isnan(x))
+            return 0;
+        if (x >= 2147483648.0f)
+            return static_cast<u32>(INT32_MAX);
+        if (x < -2147483648.0f)
+            return static_cast<u32>(INT32_MIN);
+        return static_cast<u32>(static_cast<i32>(x));
+      }
+      case Opcode::FRcp: return u(1.0f / f(a));
+      default: ADD_FAILURE() << "no reference for " << opcodeName(op);
+    }
+    return 0;
+}
+
+bool
+refCompare(Opcode op, CmpOp cmp, u32 a, u32 b)
+{
+    const auto rel = [cmp](auto x, auto y) {
+        switch (cmp) {
+          case CmpOp::Lt: return x < y;
+          case CmpOp::Le: return x <= y;
+          case CmpOp::Gt: return x > y;
+          case CmpOp::Ge: return x >= y;
+          case CmpOp::Eq: return x == y;
+          case CmpOp::Ne: return x != y;
+        }
+        return false;
+    };
+    if (op == Opcode::FSetP)
+        return rel(std::bit_cast<float>(a), std::bit_cast<float>(b));
+    return rel(static_cast<i32>(a), static_cast<i32>(b));
+}
+
+/** Results equal bit for bit; two NaNs count as equal (IEEE leaves the
+ *  payload of an operation on two NaNs to the implementation). */
+bool
+sameLane(Opcode op, u32 got, u32 want)
+{
+    if (got == want)
+        return true;
+    const bool fp_result = execClass(op) == ExecClass::Fpu &&
+        op != Opcode::F2I;
+    return fp_result && std::isnan(std::bit_cast<float>(got)) &&
+        std::isnan(std::bit_cast<float>(want));
+}
+
+/** Operand count each opcode under test reads. */
+u32
+arity(Opcode op)
+{
+    switch (op) {
+      case Opcode::Mov:
+      case Opcode::MovImm:
+      case Opcode::IAbs:
+      case Opcode::Not:
+      case Opcode::I2F:
+      case Opcode::F2I:
+      case Opcode::FRcp:
+        return 1;
+      case Opcode::IMad:
+      case Opcode::FFma:
+        return 3;
+      default:
+        return 2;
+    }
+}
+
+/** Lane values that stress the edges: sign boundaries, zero, and the
+ *  float specials. */
+constexpr u32 kEdgeValues[] = {
+    0x80000000u,  // INT32_MIN / -0.0f
+    0xFFFFFFFFu,  // -1 / NaN
+    0u,
+    1u,
+    0x7FFFFFFFu,  // INT32_MAX / NaN
+    0x7FC00000u,  // quiet NaN
+    0x7F800000u,  // +inf
+    0xFF800000u,  // -inf
+    0x4F000000u,  // 2^31 as a float
+    0xCF000001u,  // just below -2^31 as a float
+    0x3F800000u,  // 1.0f
+    31u,
+    32u,
+};
+
+u32
+drawLane(Rng &rng)
+{
+    // One lane in four takes an edge value, the rest are random bits.
+    if (rng.nextU32(4) == 0)
+        return kEdgeValues[rng.nextU32(std::size(kEdgeValues))];
+    return static_cast<u32>(rng.next());
+}
+
+TEST_F(FexTest, LaneKernelsMatchScalarReference)
+{
+    const Opcode alu_ops[] = {
+        Opcode::Mov, Opcode::MovImm, Opcode::IAdd, Opcode::ISub,
+        Opcode::IMul, Opcode::IMad, Opcode::IMin, Opcode::IMax,
+        Opcode::IAbs, Opcode::And, Opcode::Or, Opcode::Xor, Opcode::Not,
+        Opcode::Shl, Opcode::Shr, Opcode::Sra, Opcode::IMulHi,
+        Opcode::IMulHiU, Opcode::IDiv, Opcode::IDivU, Opcode::IRem,
+        Opcode::IRemU, Opcode::SelP, Opcode::FAdd, Opcode::FMul,
+        Opcode::FFma, Opcode::FMin, Opcode::FMax, Opcode::I2F,
+        Opcode::F2I, Opcode::FRcp, Opcode::ISetP, Opcode::FSetP,
+    };
+    const CmpOp cmps[] = {CmpOp::Lt, CmpOp::Le, CmpOp::Gt,
+                          CmpOp::Ge, CmpOp::Eq, CmpOp::Ne};
+    // Registers r0..r2 feed the sources, r3 is the separate
+    // destination; p0 guards, p1 selects (SelP) or receives (compares).
+    constexpr u32 kRegs = 4;
+    constexpr u8 kGuard = 0, kPred = 1;
+    Rng rng(20240517);
+    u32 checked = 0;
+
+    for (const Opcode op : alu_ops) {
+        const bool compare = op == Opcode::ISetP || op == Opcode::FSetP;
+        const u32 n = arity(op);
+        for (u32 cmp_i = 0; cmp_i < (compare ? 6u : 1u); ++cmp_i) {
+          // Bit i of imm_mix: source i is an immediate, not a register.
+          for (u32 imm_mix = 0; imm_mix < (1u << n); ++imm_mix) {
+            if (op == Opcode::MovImm && imm_mix != 1)
+                continue;
+            // dst: 3 (distinct), or aliasing the first register source.
+            for (u32 alias = 0; alias < 2; ++alias) {
+              if (alias == 1 && (compare || imm_mix == (1u << n) - 1))
+                  continue;
+              for (u32 lanes : {kWarpSize, 19u}) {
+                for (u32 mask_kind = 0; mask_kind < 4; ++mask_kind) {
+                  Instruction in;
+                  in.op = op;
+                  in.cmp = cmps[cmp_i];
+                  in.guardPred = kGuard;
+                  u32 imms[3] = {};
+                  for (u32 i = 0; i < n; ++i) {
+                      if ((imm_mix >> i) & 1) {
+                          imms[i] = drawLane(rng);
+                          in.src[i] = Operand::fromImm(
+                              static_cast<i32>(imms[i]));
+                      } else {
+                          in.src[i] = Operand::fromReg(static_cast<u8>(i));
+                      }
+                  }
+                  u8 first_reg = kNoReg;
+                  for (u32 i = 0; i < n && first_reg == kNoReg; ++i) {
+                      if (in.src[i].isReg())
+                          first_reg = in.src[i].reg;
+                  }
+                  if (compare) {
+                      in.dstPred = kPred;
+                  } else {
+                      in.dst = alias == 1 ? first_reg : u8{3};
+                  }
+                  if (op == Opcode::SelP)
+                      in.srcPred = kPred;
+
+                  Kernel k("lane_kernel", kRegs, 2);
+                  k.append(in);
+                  Instruction ex;
+                  ex.op = Opcode::Exit;
+                  k.append(ex);
+                  kernel_ = k;
+                  warp_.reset();
+                  warp_.launch(kernel_, 0, 0, 0, lanes, 0);
+
+                  for (u32 r = 0; r < kRegs; ++r) {
+                      for (u32 lane = 0; lane < kWarpSize; ++lane)
+                          warp_.reg(r)[lane] = drawLane(rng);
+                  }
+                  const LaneMask guard = mask_kind == 0 ? 0u
+                      : mask_kind == 1 ? kFullMask
+                                       : static_cast<LaneMask>(rng.next());
+                  warp_.setPred(kGuard, guard, kFullMask);
+                  warp_.setPred(kPred, static_cast<LaneMask>(rng.next()),
+                                kFullMask);
+
+                  std::vector<WarpRegValue> before;
+                  for (u32 r = 0; r < kRegs; ++r)
+                      before.push_back(warp_.reg(r));
+                  const LaneMask pred_before = warp_.pred(kPred);
+                  const LaneMask eff = guard & firstLanes(lanes);
+
+                  const ExecOutcome out =
+                      fex_.execute(warp_, 0, smem_.get(), dims_);
+                  EXPECT_EQ(out.effMask, eff);
+
+                  const auto src_lane = [&](u32 i, u32 lane) {
+                      if (i >= n)
+                          return 0u;
+                      return in.src[i].isReg()
+                          ? before[in.src[i].reg][lane] : imms[i];
+                  };
+                  SCOPED_TRACE(::testing::Message()
+                               << opcodeName(op) << " cmp " << cmp_i
+                               << " imm_mix " << imm_mix << " alias "
+                               << alias << " lanes " << lanes
+                               << " mask " << std::hex << guard);
+                  if (compare) {
+                      LaneMask want = pred_before & ~eff;
+                      for (u32 lane = 0; lane < kWarpSize; ++lane) {
+                          if (laneActive(eff, lane) &&
+                              refCompare(op, in.cmp, src_lane(0, lane),
+                                         src_lane(1, lane)))
+                              want |= 1u << lane;
+                      }
+                      EXPECT_EQ(warp_.pred(kPred), want);
+                  }
+                  for (u32 r = 0; r < kRegs; ++r) {
+                      for (u32 lane = 0; lane < kWarpSize; ++lane) {
+                          const u32 got = warp_.reg(r)[lane];
+                          if (compare || r != in.dst ||
+                              !laneActive(eff, lane)) {
+                              // Inactive lanes and every other register
+                              // keep their bits.
+                              ASSERT_EQ(got, before[r][lane])
+                                  << "r" << r << " lane " << lane;
+                              continue;
+                          }
+                          const u32 want = refAlu(
+                              op, src_lane(0, lane), src_lane(1, lane),
+                              src_lane(2, lane),
+                              laneActive(pred_before, lane));
+                          ASSERT_TRUE(sameLane(op, got, want))
+                              << "r" << r << " lane " << lane << " got "
+                              << got << " want " << want;
+                      }
+                  }
+                  EXPECT_EQ(out.wroteReg, !compare && eff != 0);
+                  ++checked;
+                }
+              }
+            }
+          }
+        }
+    }
+    EXPECT_GT(checked, 1000u);
+}
+
+TEST_F(FexTest, SpecialRegisterKernelsRespectMask)
+{
+    // S2R through the batched path: the guard picks the written lanes
+    // of a partial warp, and inactive lanes keep their old bits.
+    const SpecialReg regs[] = {SpecialReg::TidX, SpecialReg::CtaIdX,
+                               SpecialReg::NTidX, SpecialReg::NCtaIdX,
+                               SpecialReg::LaneId};
+    for (const SpecialReg sr : regs) {
+        Kernel k("s2r_mask", 1, 1);
+        Instruction in;
+        in.op = Opcode::S2R;
+        in.dst = 0;
+        in.sreg = sr;
+        in.guardPred = 0;
+        k.append(in);
+        Instruction ex;
+        ex.op = Opcode::Exit;
+        k.append(ex);
+        kernel_ = k;
+        warp_.reset();
+        warp_.launch(kernel_, 0, 7, 2, 19, 0);
+        warp_.reg(0).fill(0xDEADBEEFu);
+        const LaneMask guard = 0xA5A5A5A5u;
+        warp_.setPred(0, guard, kFullMask);
+        fex_.execute(warp_, 0, smem_.get(), dims_);
+        const LaneMask eff = guard & firstLanes(19);
+        for (u32 lane = 0; lane < kWarpSize; ++lane) {
+            u32 want = 0xDEADBEEFu;
+            if (laneActive(eff, lane)) {
+                switch (sr) {
+                  case SpecialReg::TidX: want = 2 * kWarpSize + lane; break;
+                  case SpecialReg::CtaIdX: want = 7; break;
+                  case SpecialReg::NTidX: want = dims_.blockDim; break;
+                  case SpecialReg::NCtaIdX: want = dims_.gridDim; break;
+                  case SpecialReg::LaneId: want = lane; break;
+                }
+            }
+            EXPECT_EQ(warp_.reg(0)[lane], want)
+                << sregName(sr) << " lane " << lane;
+        }
+    }
 }
 
 } // namespace

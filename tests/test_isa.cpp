@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "isa/builder.hpp"
 #include "isa/disasm.hpp"
+#include "workloads/registry.hpp"
 
 namespace warpcomp {
 namespace {
@@ -51,6 +56,7 @@ TEST(Instruction, RegSourceDedup)
     in.src[0] = Operand::fromReg(1);
     in.src[1] = Operand::fromReg(1);
     in.src[2] = Operand::fromReg(2);
+    in.finalizeIssueMasks();
     EXPECT_EQ(in.numRegSources(), 2u);
     EXPECT_EQ(in.regSource(0), 1u);
     EXPECT_EQ(in.regSource(1), 2u);
@@ -63,8 +69,108 @@ TEST(Instruction, ImmediatesNotSources)
     in.dst = 0;
     in.src[0] = Operand::fromReg(5);
     in.src[1] = Operand::fromImm(7);
+    in.finalizeIssueMasks();
     EXPECT_EQ(in.numRegSources(), 1u);
     EXPECT_EQ(in.regSource(0), 5u);
+}
+
+/**
+ * The source list the collector reads, derived the original way: walk
+ * the operands on every query, keep each register's first occurrence.
+ * The decoded fields must equal it.
+ */
+std::vector<u8>
+derivedSources(const Instruction &in)
+{
+    std::vector<u8> out;
+    for (const Operand &o : in.src) {
+        if (o.isReg() &&
+            std::find(out.begin(), out.end(), o.reg) == out.end())
+            out.push_back(o.reg);
+    }
+    return out;
+}
+
+void
+expectDecodedSources(const Instruction &in)
+{
+    ASSERT_TRUE(in.finalized);
+    const std::vector<u8> want = derivedSources(in);
+    ASSERT_EQ(in.numRegSources(), want.size()) << opcodeName(in.op);
+    for (u32 i = 0; i < want.size(); ++i)
+        EXPECT_EQ(in.regSource(i), want[i]) << opcodeName(in.op) << " #" << i;
+}
+
+TEST(Instruction, DecodedSourcesMatchDerivation)
+{
+    const auto make = [](Opcode op, u8 dst, Operand a, Operand b,
+                         Operand c) {
+        Instruction in;
+        in.op = op;
+        in.dst = dst;
+        in.src = {a, b, c};
+        in.finalizeIssueMasks();
+        return in;
+    };
+    const Operand r1 = Operand::fromReg(1), r2 = Operand::fromReg(2),
+                  r3 = Operand::fromReg(3), none = Operand::none(),
+                  i7 = Operand::fromImm(7), i0 = Operand::fromImm(0);
+
+    // IADD r1, r1, r1 reads r1 once.
+    const Instruction triple = make(Opcode::IAdd, 1, r1, r1, none);
+    expectDecodedSources(triple);
+    EXPECT_EQ(triple.numRegSources(), 1u);
+
+    // Immediate mixes: immediates are never sources, wherever they sit.
+    expectDecodedSources(make(Opcode::IAdd, 1, r2, i7, none));
+    expectDecodedSources(make(Opcode::IAdd, 1, i7, r2, none));
+    expectDecodedSources(make(Opcode::IMad, 1, i7, r3, r3));
+    expectDecodedSources(make(Opcode::IMad, 1, r3, i0, r1));
+    expectDecodedSources(make(Opcode::FFma, 2, r3, r1, r3));
+    expectDecodedSources(make(Opcode::FFma, 2, r1, r2, r3));
+    expectDecodedSources(make(Opcode::MovImm, 2, i7, none, none));
+    EXPECT_EQ(make(Opcode::MovImm, 2, i7, none, none).numRegSources(), 0u);
+    expectDecodedSources(make(Opcode::Stg, kNoReg, r2, r3, none));
+
+    // The decompress-MOV the SM injects: MOV r, r reads r once.
+    Instruction mov;
+    mov.op = Opcode::Mov;
+    mov.dst = 3;
+    mov.src[0] = Operand::fromReg(3);
+    mov.finalizeIssueMasks();
+    expectDecodedSources(mov);
+    EXPECT_EQ(mov.regSource(0), 3u);
+
+    // Re-finalizing after an operand edit re-decodes.
+    Instruction edited = make(Opcode::IAdd, 1, r1, r2, none);
+    edited.src[1] = i7;
+    edited.finalizeIssueMasks();
+    expectDecodedSources(edited);
+    EXPECT_EQ(edited.numRegSources(), 1u);
+}
+
+TEST(Instruction, UnfinalizedSourceDecodePanics)
+{
+    Instruction in;
+    in.op = Opcode::IAdd;
+    in.dst = 0;
+    in.src[0] = Operand::fromReg(1);
+    EXPECT_DEATH(in.numRegSources(), "unfinalized");
+}
+
+TEST(Kernel, AppendStoresFinalizedInstructions)
+{
+    // Every static instruction of every workload reaches the issue path
+    // through Kernel::append, so each must carry its decoded sources.
+    u32 checked = 0;
+    for (const std::string &name : workloadNames()) {
+        const WorkloadInstance w = makeWorkload(name);
+        for (const Instruction &in : w.kernel.code()) {
+            expectDecodedSources(in);
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 0u);
 }
 
 TEST(Instruction, Predicates)
