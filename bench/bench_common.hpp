@@ -1,14 +1,13 @@
 /**
  * @file
  * Shared scaffolding for the bench binaries: the one suite runner
- * (workload filtering, perf/stats/trace recording) and the figure
+ * (workload filtering, stats/trace recording) and the figure
  * banner.
  */
 
 #ifndef WARPCOMP_BENCH_BENCH_COMMON_HPP
 #define WARPCOMP_BENCH_BENCH_COMMON_HPP
 
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -17,8 +16,6 @@
 #include "common/log.hpp"
 #include "frontend/frontend.hpp"
 #include "harness/experiment.hpp"
-#include "harness/perf_json.hpp"
-#include "harness/thread_pool.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/stats_json.hpp"
 #include "power/report.hpp"
@@ -40,11 +37,8 @@ selectedWorkloads(const HarnessOptions &opt)
 /**
  * Run the selected workloads under one config on the parallel runner
  * (--threads=N; 0 = hardware concurrency). Output is bit-identical to
- * the old serial loop — see runWorkloadsParallel.
- *
- * Every call is wall-clock timed; with --json=FILE the run is appended
- * to the process perf record flushed at exit (see PerfRecorder). @p
- * label names the suite in that record ("suite N" when omitted).
+ * the old serial loop — see runWorkloadsParallel. @p label names the
+ * suite in the stats document and trace ("suite N" when omitted).
  *
  * Observability: --stats-json=FILE arms the StatsRecorder (every suite
  * is recorded, flushed at exit); --trace=FILE writes a Chrome trace of
@@ -59,17 +53,7 @@ inline std::vector<ExperimentResult>
 runSelected(const HarnessOptions &opt, ExperimentConfig cfg,
             std::string label = "")
 {
-    cfg.scale = opt.scale;
-    cfg.numSms = opt.numSms;
-    cfg.skipIdle = !opt.noSkip;
-    if (opt.faults.enabled())
-        cfg.faults = opt.faults;
-    if (opt.seu.enabled())
-        cfg.seu = opt.seu;
-    if (opt.hangBudget > 0)
-        cfg.faults.hangCycles = opt.hangBudget;
-    if (!opt.jsonPath.empty())
-        perfRecorder().setOutput(opt.benchName, opt.jsonPath);
+    applyHarnessOptions(opt, cfg);
     if (!opt.statsJsonPath.empty())
         statsRecorder().setOutput(opt.benchName, opt.statsJsonPath);
 
@@ -100,11 +84,8 @@ runSelected(const HarnessOptions &opt, ExperimentConfig cfg,
         cfg.obs.streamLabel = suite_label;
     }
 
-    const auto t0 = std::chrono::steady_clock::now();
     auto results =
         runWorkloadsParallel(selectedWorkloads(opt), cfg, opt.threads);
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - t0;
 
     if (trace_this && !results.empty() &&
         results.front().run.obs != nullptr) {
@@ -147,26 +128,6 @@ runSelected(const HarnessOptions &opt, ExperimentConfig cfg,
         statsRecorder().addSuite(std::move(rec));
     }
 
-    if (perfRecorder().enabled()) {
-        PerfSuiteRecord rec;
-        rec.label = suite_label;
-        rec.threads = opt.threads;
-        rec.resolvedThreads = resolveThreadCount(opt.threads);
-        rec.seedSalt = cfg.seedSalt;
-        rec.faultBer = cfg.faults.ber;
-        rec.faultPolicy = faultPolicyName(cfg.faults.policy);
-        rec.faultSeed = cfg.faults.seed;
-        rec.seuRate = cfg.seu.flipsPerCycle;
-        rec.seuScheme = seuSchemeName(cfg.seu.scheme);
-        rec.seuScrubInterval = cfg.seu.scrubInterval;
-        rec.wallSeconds = wall.count();
-        for (const ExperimentResult &r : results) {
-            rec.totalCycles += r.run.cycles;
-            rec.rows.push_back({r.workload, r.run.cycles, r.wallSeconds,
-                                r.frontend, r.imageSha});
-        }
-        perfRecorder().addSuite(std::move(rec));
-    }
     return results;
 }
 

@@ -380,8 +380,7 @@ main(int argc, char **argv)
     // point runs in a child process, so there is nothing to act on.
     for (int i = 1; i < argc; ++i)
         for (std::string_view flag : {"--trace=", "--trace-out=",
-                                      "--trace-window=", "--stats-json=",
-                                      "--json="})
+                                      "--trace-window=", "--stats-json="})
             if (std::string_view(argv[i]).starts_with(flag))
                 WC_FATAL("bench_sweep does not take "
                          << flag.substr(0, flag.size() - 1)
@@ -397,13 +396,8 @@ main(int argc, char **argv)
     const GridEntry &entry = findGrid(sopt.grid);
     GridRun run;
     run.name = entry.name;
-    run.base.scale = opt.scale;
-    run.base.numSms = opt.numSms;
-    run.base.skipIdle = !opt.noSkip;
-    run.base.faults = opt.faults;
-    run.base.seu = opt.seu;
-    run.base.faults.hangCycles =
-        opt.hangBudget > 0 ? opt.hangBudget : entry.hangBudget;
+    run.base.faults.hangCycles = entry.hangBudget;
+    applyHarnessOptions(opt, run.base);
     run.configs = entry.configs(run.base);
     const bool narrowed = !opt.kernelPath.empty() || !opt.only.empty();
     run.workloads = narrowed || entry.workloads.empty()

@@ -2,7 +2,8 @@
  * @file
  * Self-contained SHA-256 (FIPS 180-4). Used to fingerprint binary
  * kernel images so sweep results carry the exact bytes they ran
- * (--stats-json / perf_json `image_sha256` provenance fields).
+ * (the `image_sha256` provenance field of --stats-json documents,
+ * sweep reports and trace dumps).
  */
 
 #ifndef WARPCOMP_COMMON_SHA256_HPP

@@ -14,8 +14,8 @@
  *     `--kernel=FILE[,entry=SYM]` flag is sugar for this spec.
  *
  * Binary kernels run in the canonical environment (env.hpp) and carry
- * provenance (frontend = "rv32", image SHA-256) into perf_json and
- * --stats-json records.
+ * provenance (frontend = "rv32", image SHA-256) into --stats-json
+ * documents, sweep reports and trace dumps.
  */
 
 #ifndef WARPCOMP_FRONTEND_FRONTEND_HPP

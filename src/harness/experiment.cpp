@@ -1,7 +1,6 @@
 #include "harness/experiment.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -45,7 +44,6 @@ makeGpuParams(const ExperimentConfig &cfg)
 ExperimentResult
 runWorkload(const std::string &name, const ExperimentConfig &cfg)
 {
-    const auto t0 = std::chrono::steady_clock::now();
     WorkloadInstance wl = makeWorkload(name, cfg.scale, cfg.seedSalt);
     GpuParams gp = makeGpuParams(cfg);
     // The streaming sink is armed here, not in the simulator: this is
@@ -74,9 +72,7 @@ runWorkload(const std::string &name, const ExperimentConfig &cfg)
     RunResult run = gpu.run(wl.kernel, wl.dims, cfg.collectBdiBreakdown);
     if (sink != nullptr && run.obs != nullptr)
         sink->finalize(run.cycles, run.obs->windows());
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - t0;
-    return ExperimentResult{wl.name, std::move(run), wall.count(),
+    return ExperimentResult{wl.name, std::move(run),
                             std::move(wl.frontend),
                             std::move(wl.imageSha)};
 }
@@ -232,10 +228,6 @@ parseHarnessArgs(int argc, char **argv, std::vector<char *> *rest)
             }
             if (opt.kernelPath.empty())
                 WC_FATAL("--kernel needs a file path");
-        } else if (std::strncmp(arg, "--json=", 7) == 0) {
-            opt.jsonPath = arg + 7;
-            if (opt.jsonPath.empty())
-                WC_FATAL("--json needs a file path");
         } else if (std::strncmp(arg, "--faults=", 9) == 0) {
             const char *spec = arg + 9;
             const char *comma = std::strchr(spec, ',');
@@ -333,6 +325,19 @@ parseHarnessArgs(int argc, char **argv, std::vector<char *> *rest)
         }
     }
     return opt;
+}
+
+void
+applyHarnessOptions(const HarnessOptions &opt, ExperimentConfig &cfg)
+{
+    cfg.scale = opt.scale;
+    cfg.numSms = opt.numSms;
+    cfg.skipIdle = !opt.noSkip;
+    const Cycle hang =
+        opt.hangBudget > 0 ? opt.hangBudget : cfg.faults.hangCycles;
+    cfg.faults = opt.faults;
+    cfg.faults.hangCycles = hang;
+    cfg.seu = opt.seu;
 }
 
 double

@@ -2,7 +2,7 @@
  * @file
  * Experiment harness: runs a workload under a named configuration and
  * returns the merged results. Every bench binary (the `wc_bench`
- * figure driver, the perf and sweep drivers) and example builds on
+ * figure driver, the sweep driver, `run_kernel`) and example builds on
  * this.
  */
 
@@ -68,8 +68,6 @@ struct ExperimentResult
 {
     std::string workload;
     RunResult run;
-    /** Host wall-clock seconds this simulation took (perf baseline). */
-    double wallSeconds = 0.0;
     /** Frontend provenance: "dsl" or "rv32" (see WorkloadInstance). */
     std::string frontend = "dsl";
     /** SHA-256 of the binary image for "rv32" kernels; empty for DSL. */
@@ -124,9 +122,7 @@ struct HarnessOptions
     std::string kernelPath;
     /** Entry symbol inside the image ("" = first word). */
     std::string kernelEntry;
-    /** Write a machine-readable perf record here (empty = disabled). */
-    std::string jsonPath;
-    /** Basename of argv[0]; names the bench in the perf record. */
+    /** Basename of argv[0]; names the bench in the stats document. */
     std::string benchName;
     /** Fault injection requested via --faults=BER,POLICY. */
     FaultParams faults{};
@@ -159,7 +155,7 @@ struct HarnessOptions
 };
 
 /**
- * Parse --scale=N --sms=N --threads=N --only=name --json=FILE
+ * Parse --scale=N --sms=N --threads=N --only=name
  * --kernel=FILE[,entry=SYM] --faults=BER,POLICY --fault-seed=N
  * --seu=RATE,SCHEME --seu-seed=N
  * --seu-scrub=CYCLES --trace=FILE[,START,END] --trace-out=FILE
@@ -176,6 +172,14 @@ struct HarnessOptions
  */
 HarnessOptions parseHarnessArgs(int argc, char **argv,
                                 std::vector<char *> *rest = nullptr);
+
+/**
+ * Overlay the run-shaping flags of @p opt onto @p cfg: scale, SMs,
+ * --no-skip, and the fault and SEU parameters (copied whole, so a
+ * --fault-seed or --seu-seed alone still reaches the config).
+ * faults.hangCycles keeps @p cfg's value unless --hang-budget is set.
+ */
+void applyHarnessOptions(const HarnessOptions &opt, ExperimentConfig &cfg);
 
 /**
  * Whole-value integer flag parse, the rule every integer flag follows:

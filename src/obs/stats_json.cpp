@@ -1,10 +1,11 @@
 #include "obs/stats_json.hpp"
 
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
 #include <ostream>
 
 #include "analysis/similarity.hpp"
+#include "common/log.hpp"
 #include "obs/obs.hpp"
 
 // The build stamps this file with the checkout's short SHA (see
@@ -265,7 +266,12 @@ void
 StatsRecorder::setOutput(std::string bench_name, std::string json_path)
 {
     benchName_ = std::move(bench_name);
-    jsonPath_ = std::move(json_path);
+    if (json_path == outPath_)
+        return;
+    out_ = std::ofstream(json_path);
+    if (!out_)
+        WC_FATAL("cannot write stats json to '" << json_path << "'");
+    outPath_ = std::move(json_path);
 }
 
 void
@@ -311,16 +317,19 @@ StatsRecorder::writeJson(std::ostream &os) const
 void
 StatsRecorder::flush()
 {
-    if (flushed_ || jsonPath_.empty())
+    if (flushed_ || outPath_.empty())
         return;
     flushed_ = true;
-    std::ofstream os(jsonPath_);
-    if (!os) {
-        std::cerr << "warpcomp: cannot write stats json to " << jsonPath_
-                  << "\n";
-        return;
+    writeJson(out_);
+    out_.flush();
+    if (!out_) {
+        // Runs from a static destructor, where exit() would re-enter
+        // static destruction: flush stdout by hand and leave at once.
+        std::cout.flush();
+        std::cerr << "fatal: cannot write stats json to '" << outPath_
+                  << "'\n";
+        std::_Exit(1);
     }
-    writeJson(os);
 }
 
 StatsRecorder &

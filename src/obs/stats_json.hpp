@@ -15,6 +15,7 @@
 #ifndef WARPCOMP_OBS_STATS_JSON_HPP
 #define WARPCOMP_OBS_STATS_JSON_HPP
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -65,31 +66,39 @@ struct StatsSuiteRecord
 
 /**
  * Collects suites for one bench process and writes them as one JSON
- * document. Mirrors PerfRecorder, but the output is fully deterministic
- * (no wall clock, no hardware concurrency) so CI can diff it byte for
- * byte across reruns and thread counts.
+ * document at exit. The output is fully deterministic (no wall clock,
+ * no hardware concurrency) so CI can diff it byte for byte across
+ * reruns and thread counts.
  */
 class StatsRecorder
 {
   public:
     ~StatsRecorder();
 
-    /** Arm the recorder: the document goes to @p json_path at exit. */
+    /**
+     * Arm the recorder: the document goes to @p json_path at exit. The
+     * file is created now, so an unwritable path is a fatal error
+     * before anything is simulated.
+     */
     void setOutput(std::string bench_name, std::string json_path);
 
     void addSuite(StatsSuiteRecord record);
 
-    bool enabled() const { return !jsonPath_.empty(); }
+    bool enabled() const { return !outPath_.empty(); }
 
     /** Serialize the current log; exposed for tests. */
     void writeJson(std::ostream &os) const;
 
-    /** Flush to the configured path now (destructor calls this too). */
+    /**
+     * Write the document to the armed file now (the destructor calls
+     * this too). A failed write ends the process with exit 1.
+     */
     void flush();
 
   private:
     std::string benchName_;
-    std::string jsonPath_;
+    std::string outPath_;
+    std::ofstream out_;
     std::vector<StatsSuiteRecord> suites_;
     bool flushed_ = false;
 };

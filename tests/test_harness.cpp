@@ -6,10 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "harness/experiment.hpp"
-#include "harness/perf_json.hpp"
 
 namespace warpcomp {
 namespace {
@@ -67,6 +64,8 @@ TEST(HarnessDeathTest, UnknownArgumentExitsNonzero)
                 "unknown argument '--onyl=nw'");
     EXPECT_EXIT(parseOne("fig03"), ::testing::ExitedWithCode(1),
                 "unknown argument 'fig03'");
+    EXPECT_EXIT(parseOne("--json=p.json"), ::testing::ExitedWithCode(1),
+                "unknown argument '--json=p.json'");
 }
 
 TEST(Harness, UnclaimedArgumentsGoToRest)
@@ -160,6 +159,30 @@ TEST(Harness, HangBudgetParses)
     const char *argv[] = {"bench"};
     EXPECT_EQ(parseHarnessArgs(1, const_cast<char **>(argv)).hangBudget,
               0u);
+}
+
+TEST(Harness, OptionsOverlayCopiesFaultsAndSeuWhole)
+{
+    // A seed alone (rate and BER still 0) must reach the config, and
+    // the config keeps its own hang budget unless --hang-budget is set.
+    const char *argv[] = {"bench", "--sms=3", "--scale=2", "--no-skip",
+                          "--fault-seed=7", "--seu-seed=9"};
+    const HarnessOptions opt =
+        parseHarnessArgs(6, const_cast<char **>(argv));
+    ExperimentConfig cfg;
+    cfg.faults.hangCycles = 1234;
+    applyHarnessOptions(opt, cfg);
+    EXPECT_EQ(cfg.numSms, 3u);
+    EXPECT_EQ(cfg.scale, 2u);
+    EXPECT_FALSE(cfg.skipIdle);
+    EXPECT_EQ(cfg.faults.seed, 7u);
+    EXPECT_EQ(cfg.seu.seed, 9u);
+    EXPECT_EQ(cfg.faults.hangCycles, 1234u);
+
+    applyHarnessOptions(parseOne("--hang-budget=99"), cfg);
+    EXPECT_EQ(cfg.faults.hangCycles, 99u);
+    EXPECT_EQ(cfg.faults.seed, FaultParams{}.seed);
+    EXPECT_EQ(cfg.numSms, 15u);
 }
 
 TEST(HarnessDeathTest, MalformedHangBudgetExitsNonzero)
@@ -262,54 +285,6 @@ TEST(HarnessDeathTest, MalformedSeuSpecsExitNonzero)
                 ::testing::ExitedWithCode(1), "cycle count >= 1");
     EXPECT_EXIT(parseOne("--seu-scrub=12abc"),
                 ::testing::ExitedWithCode(1), "cycle count >= 1");
-}
-
-TEST(Harness, PerfJsonRecordsFaultAndSeuConfig)
-{
-    // Sweep artifacts must be self-describing: the active fault/SEU
-    // configuration rides along in every suite record.
-    PerfRecorder rec;
-    rec.setOutput("bench_test", "/dev/null");
-    PerfSuiteRecord suite;
-    suite.label = "seu point";
-    suite.faultBer = 1e-3;
-    suite.faultPolicy = "CompressRemap";
-    suite.faultSeed = 11;
-    suite.seuRate = 2.5e-4;
-    suite.seuScheme = "EccScrub";
-    suite.seuScrubInterval = 128;
-    rec.addSuite(std::move(suite));
-    std::ostringstream os;
-    rec.writeJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"fault_ber\": 0.001"), std::string::npos);
-    EXPECT_NE(json.find("\"fault_policy\": \"CompressRemap\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"fault_seed\": 11"), std::string::npos);
-    EXPECT_NE(json.find("\"seu_rate\": 0.00025"), std::string::npos);
-    EXPECT_NE(json.find("\"seu_scheme\": \"EccScrub\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"seu_scrub_interval\": 128"),
-              std::string::npos);
-}
-
-TEST(Harness, PerfJsonRecordsBuildMetadata)
-{
-    // The CI perf gate matches these fields before comparing wall
-    // clocks; a record missing them would silently compare an -O2
-    // build against an -O3 one.
-    PerfRecorder rec;
-    rec.setOutput("bench_test", "/dev/null");
-    rec.addSuite(PerfSuiteRecord{});
-    std::ostringstream os;
-    rec.writeJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"compiler\": "), std::string::npos);
-    EXPECT_NE(json.find("\"cxx_flags\": "), std::string::npos);
-    EXPECT_NE(json.find("\"simd_isa\": "), std::string::npos);
-    // CMake stamps real values; only a non-CMake build may say unknown.
-    EXPECT_EQ(json.find("\"compiler\": \"unknown\""), std::string::npos);
-    EXPECT_EQ(json.find("\"cxx_flags\": \"unknown\""), std::string::npos);
 }
 
 TEST(Harness, Means)

@@ -345,13 +345,12 @@ TEST(SweepProcess, HarnessConfigFlagsReachTheBaseConfig)
 
 TEST(SweepProcess, InProcessOnlyFlagsAreRejected)
 {
-    // Trace, stats and perf-record flags act on in-process suite runs;
-    // the driver must refuse them in one line rather than exit 0
-    // without the file.
+    // Trace and stats flags act on in-process suite runs; the driver
+    // must refuse them in one line rather than exit 0 without the file.
     const std::string err = tempPath("rejected.err");
     for (const char *flag :
          {"--trace=t.json", "--trace-out=t.wctrace", "--trace-window=500",
-          "--stats-json=s.json", "--json=p.json"}) {
+          "--stats-json=s.json"}) {
         EXPECT_EQ(runSweep(std::string("--grid=fault ") + flag, err), 1)
             << flag;
         const std::string text = slurp(err);

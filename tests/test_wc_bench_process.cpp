@@ -7,7 +7,9 @@
  *   - a figure's stdout is byte-identical across --threads 1 vs 4;
  *   - an unknown figure name, no figure name at all, and a typo'd
  *     flag each exit 1 with a one-line diagnostic instead of running
- *     something else.
+ *     something else;
+ *   - a --stats-json document that cannot be written exits 1 with a
+ *     one-line diagnostic, never 0 without the file.
  *
  * Kept out of warpcomp_tests so the in-process suite never forks.
  */
@@ -130,6 +132,54 @@ TEST(WcBenchProcess, TypoedFlagExitsOne)
     EXPECT_NE(slurp(err).find("--sms must be an integer"),
               std::string::npos);
     EXPECT_TRUE(slurp(out).empty());
+}
+
+/** Number of '\n'-terminated lines in @p text. */
+std::size_t
+lineCount(const std::string &text)
+{
+    std::size_t n = 0;
+    for (char c : text)
+        n += c == '\n';
+    return n;
+}
+
+TEST(WcBenchProcess, UnwritableStatsJsonExitsOneBeforeRunning)
+{
+    const std::string out = tempPath("nodir.out");
+    const std::string err = tempPath("nodir.err");
+    const std::string target = tempPath("no_such_dir") + "/s.json";
+    EXPECT_EQ(runBench("fig11 --only=nw --sms=2 --threads=1 "
+                       "--stats-json=" + target,
+                       out, err),
+              1);
+    const std::string msg = slurp(err);
+    EXPECT_NE(msg.find("cannot write stats json to '" + target + "'"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(lineCount(msg), 1u) << msg;
+    EXPECT_EQ(slurp(out).find("nw "), std::string::npos);
+}
+
+TEST(WcBenchProcess, FailedStatsJsonWriteExitsOne)
+{
+    // /dev/full opens fine and fails every write, so the error surfaces
+    // only when the document is written at exit.
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no /dev/full on this host";
+    const std::string out = tempPath("full.out");
+    const std::string err = tempPath("full.err");
+    EXPECT_EQ(runBench("fig03 --only=nw --sms=2 --threads=1 "
+                       "--stats-json=/dev/full",
+                       out, err),
+              1);
+    const std::string msg = slurp(err);
+    EXPECT_NE(msg.find("cannot write stats json to '/dev/full'"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(lineCount(msg), 1u) << msg;
+    // The figure itself was printed before the failed write.
+    EXPECT_NE(slurp(out).find("\nnw "), std::string::npos);
 }
 
 } // namespace
