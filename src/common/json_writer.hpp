@@ -81,9 +81,14 @@ class JsonWriter
 
     /**
      * Splice @p raw — one complete, already-serialized JSON value —
-     * into the current value slot verbatim. Used to re-emit numeric
-     * literals byte-for-byte when copying a parsed document (going
-     * through double would round u64 counters above 2^53).
+     * into the current value slot verbatim. The writer adds the comma
+     * and the slot's newline+indent as for any value; everything inside
+     * @p raw is the caller's, so a multi-line value must already be
+     * laid out exactly as this style would write it at that depth.
+     * Used to re-emit numeric literals byte-for-byte when copying a
+     * parsed document (going through double would round u64 counters
+     * above 2^53), and by the Chrome trace exporter to splice each
+     * per-event object from a fixed per-kind layout.
      */
     void rawValue(std::string_view raw);
 

@@ -1,7 +1,11 @@
 #include "obs/chrome_trace.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstring>
 #include <optional>
+#include <string_view>
 
 #include "common/json_writer.hpp"
 
@@ -87,20 +91,6 @@ metadataEvent(JsonWriter &w, const char *name, u32 pid, u32 tid,
 }
 
 void
-completeEvent(JsonWriter &w, const char *name, u32 pid, u32 tid,
-              Cycle start, Cycle end)
-{
-    w.beginObject();
-    w.field("name", name);
-    w.field("ph", "X");
-    w.field("ts", static_cast<u64>(start));
-    w.field("dur", static_cast<u64>(end > start ? end - start : 0));
-    w.field("pid", pid);
-    w.field("tid", tid);
-    w.endObject();
-}
-
-void
 counterEvent(JsonWriter &w, const char *name, Cycle ts,
              const char *value_key, double value)
 {
@@ -117,50 +107,211 @@ counterEvent(JsonWriter &w, const char *name, Cycle ts,
     w.endObject();
 }
 
-/** Per-kind args object for instant pipeline/bank events. */
-void
-eventArgs(JsonWriter &w, const TraceEvent &ev)
+/*
+ * Per-event objects (one per instant event, two per gate interval) are
+ * the bulk of the document, so each is formatted from a fixed layout
+ * into a stack buffer and spliced in with JsonWriter::rawValue, which
+ * still owns the separating comma and the element's newline+indent.
+ * The literals below are exactly what the Pretty style writes for an
+ * object at depth 2 (an element of "traceEvents"); the golden tests pin
+ * those bytes.
+ */
+
+/** `{` through `"ts": ` of an instant event named @p name. */
+#define WC_INSTANT_HEAD(name)                                           \
+    "{\n      \"name\": \"" name "\",\n      \"ph\": \"i\",\n"          \
+    "      \"s\": \"t\",\n      \"ts\": "
+/** `{` through `"ts": ` of a complete event named @p name. */
+#define WC_COMPLETE_HEAD(name)                                          \
+    "{\n      \"name\": \"" name "\",\n      \"ph\": \"X\",\n"          \
+    "      \"ts\": "
+/** One member of an instant event's args object, up to its value. */
+#define WC_ARG_KEY(key) "\n        \"" key "\": "
+
+constexpr std::string_view kDurKey = ",\n      \"dur\": ";
+constexpr std::string_view kPidKey = ",\n      \"pid\": ";
+constexpr std::string_view kTidKey = ",\n      \"tid\": ";
+constexpr std::string_view kArgsOpen = ",\n      \"args\": {";
+constexpr std::string_view kArgsClose = "\n      }\n    }";
+constexpr std::string_view kNoArgsTail = ",\n      \"args\": {}\n    }";
+constexpr std::string_view kCompleteTail = "\n    }";
+
+/** Decimal digits of the largest u64; also covers "false". */
+constexpr std::size_t kMaxValueChars = 20;
+
+/** Where an args member's value comes from. */
+enum class ArgValue : u8 { A, B, C, BIsSet };
+
+struct ArgLayout
 {
-    w.key("args");
-    w.beginObject();
-    switch (ev.kind) {
-      case TraceEventKind::WarpIssue:
-        w.field("pc", ev.a);
-        w.field("lanes", ev.b);
-        break;
-      case TraceEventKind::DummyMov:
-        w.field("dst", ev.a);
-        break;
-      case TraceEventKind::CompressDecision:
-        w.field("achieved_bytes", ev.a);
-        w.field("stored_bytes", ev.b);
-        w.field("reg", ev.c);
-        break;
-      case TraceEventKind::OperandCollect:
-        w.field("ops", ev.a);
-        w.field("compressed_srcs", ev.b);
-        break;
-      case TraceEventKind::Writeback:
-        w.field("banks", ev.a);
-        w.field("compressed", ev.b != 0);
-        break;
-      case TraceEventKind::SeuCorruption:
-        w.field("lanes", ev.a);
-        w.field("amplified", ev.b != 0);
-        break;
-      case TraceEventKind::ScrubVisit:
-        w.field("banks", ev.a);
-        break;
-      case TraceEventKind::GateWake:
-        w.field("wakeup_latency", ev.a);
-        break;
-      case TraceEventKind::BankConflict:
-        w.field("warp", ev.a);
-        break;
-      default:
-        break;
+    std::string_view key;   ///< WC_ARG_KEY literal; empty ends the list
+    ArgValue value = ArgValue::A;
+};
+
+struct InstantLayout
+{
+    TraceEventKind kind;
+    std::string_view head;
+    std::array<ArgLayout, 3> args{};
+};
+
+/** Instant-event layout of every kind, indexed by TraceEventKind. The
+ *  names are traceEventName()'s. GateOff/GateWake never reach it (they
+ *  fold into intervals); their rows only keep the table dense. */
+constexpr std::array<InstantLayout, kNumTraceEventKinds> kInstantLayouts{{
+    {TraceEventKind::WarpIssue, WC_INSTANT_HEAD("issue"),
+     {{{WC_ARG_KEY("pc"), ArgValue::A},
+       {WC_ARG_KEY("lanes"), ArgValue::B}}}},
+    {TraceEventKind::DummyMov, WC_INSTANT_HEAD("dummy_mov"),
+     {{{WC_ARG_KEY("dst"), ArgValue::A}}}},
+    {TraceEventKind::CompressDecision, WC_INSTANT_HEAD("compress"),
+     {{{WC_ARG_KEY("achieved_bytes"), ArgValue::A},
+       {WC_ARG_KEY("stored_bytes"), ArgValue::B},
+       {WC_ARG_KEY("reg"), ArgValue::C}}}},
+    {TraceEventKind::Decompress, WC_INSTANT_HEAD("decompress"), {}},
+    {TraceEventKind::OperandCollect, WC_INSTANT_HEAD("collect"),
+     {{{WC_ARG_KEY("ops"), ArgValue::A},
+       {WC_ARG_KEY("compressed_srcs"), ArgValue::B}}}},
+    {TraceEventKind::Writeback, WC_INSTANT_HEAD("writeback"),
+     {{{WC_ARG_KEY("banks"), ArgValue::A},
+       {WC_ARG_KEY("compressed"), ArgValue::BIsSet}}}},
+    {TraceEventKind::GateOff, WC_INSTANT_HEAD("gate_off"), {}},
+    {TraceEventKind::GateWake, WC_INSTANT_HEAD("gate_wake"), {}},
+    {TraceEventKind::SeuCorruption, WC_INSTANT_HEAD("seu_corruption"),
+     {{{WC_ARG_KEY("lanes"), ArgValue::A},
+       {WC_ARG_KEY("amplified"), ArgValue::BIsSet}}}},
+    {TraceEventKind::ScrubVisit, WC_INSTANT_HEAD("scrub"),
+     {{{WC_ARG_KEY("banks"), ArgValue::A}}}},
+    {TraceEventKind::FaultCorruptedWrite,
+     WC_INSTANT_HEAD("fault_corrupted_write"), {}},
+    {TraceEventKind::BankConflict, WC_INSTANT_HEAD("bank_conflict"),
+     {{{WC_ARG_KEY("warp"), ArgValue::A}}}},
+}};
+
+constexpr std::string_view kGatedHead = WC_COMPLETE_HEAD("gated");
+constexpr std::string_view kWakingHead = WC_COMPLETE_HEAD("waking");
+
+#undef WC_INSTANT_HEAD
+#undef WC_COMPLETE_HEAD
+#undef WC_ARG_KEY
+
+constexpr bool
+layoutsIndexedByKind()
+{
+    for (std::size_t i = 0; i < kInstantLayouts.size(); ++i)
+        if (static_cast<std::size_t>(kInstantLayouts[i].kind) != i)
+            return false;
+    return true;
+}
+static_assert(layoutsIndexedByKind(),
+              "kInstantLayouts must list the kinds in enum order");
+
+constexpr std::size_t
+instantBytes(const InstantLayout &l)
+{
+    std::size_t n = l.head.size() + kPidKey.size() + kTidKey.size() +
+                    3 * kMaxValueChars;
+    if (l.args[0].key.empty())
+        return n + kNoArgsTail.size();
+    n += kArgsOpen.size() + kArgsClose.size();
+    for (const ArgLayout &arg : l.args)
+        if (!arg.key.empty())
+            n += 1 + arg.key.size() + kMaxValueChars; // 1: the comma
+    return n;
+}
+
+/** Bytes of the largest per-event object any layout can produce. */
+constexpr std::size_t
+maxEventBytes()
+{
+    std::size_t n = std::max(kGatedHead.size(), kWakingHead.size()) +
+                    kDurKey.size() + kPidKey.size() + kTidKey.size() +
+                    kCompleteTail.size() + 4 * kMaxValueChars;
+    for (const InstantLayout &l : kInstantLayouts)
+        n = std::max(n, instantBytes(l));
+    return n;
+}
+
+/** One per-event object, formatted on the stack. */
+class EventBytes
+{
+  public:
+    void
+    lit(std::string_view s)
+    {
+        std::memcpy(end_, s.data(), s.size());
+        end_ += s.size();
     }
-    w.endObject();
+
+    void
+    num(u64 v)
+    {
+        end_ = std::to_chars(end_, buf_ + sizeof buf_, v).ptr;
+    }
+
+    void put(char c) { *end_++ = c; }
+
+    std::string_view
+    view() const
+    {
+        return {buf_, static_cast<std::size_t>(end_ - buf_)};
+    }
+
+  private:
+    char buf_[maxEventBytes()];
+    char *end_ = buf_;
+};
+
+void
+instantEvent(JsonWriter &w, const TraceEvent &ev)
+{
+    const InstantLayout &l = kInstantLayouts[static_cast<u32>(ev.kind)];
+    EventBytes out;
+    out.lit(l.head);
+    out.num(static_cast<u64>(ev.cycle));
+    out.lit(kPidKey);
+    out.num(pidOfSm(ev.sm));
+    out.lit(kTidKey);
+    out.num(tidOf(ev));
+    if (l.args[0].key.empty()) {
+        out.lit(kNoArgsTail);
+    } else {
+        out.lit(kArgsOpen);
+        for (std::size_t i = 0; i < l.args.size() && !l.args[i].key.empty();
+             ++i) {
+            if (i > 0)
+                out.put(',');
+            out.lit(l.args[i].key);
+            switch (l.args[i].value) {
+              case ArgValue::A: out.num(ev.a); break;
+              case ArgValue::B: out.num(ev.b); break;
+              case ArgValue::C: out.num(ev.c); break;
+              case ArgValue::BIsSet:
+                out.lit(ev.b != 0 ? "true" : "false");
+                break;
+            }
+        }
+        out.lit(kArgsClose);
+    }
+    w.rawValue(out.view());
+}
+
+/** A "gated"/"waking" interval; @p head is kGatedHead or kWakingHead. */
+void
+completeEvent(JsonWriter &w, std::string_view head, u32 pid, u32 tid,
+              Cycle start, Cycle end)
+{
+    EventBytes out;
+    out.lit(head);
+    out.num(static_cast<u64>(start));
+    out.lit(kDurKey);
+    out.num(static_cast<u64>(end > start ? end - start : 0));
+    out.lit(kPidKey);
+    out.num(pid);
+    out.lit(kTidKey);
+    out.num(tid);
+    out.lit(kCompleteTail);
+    w.rawValue(out.view());
 }
 
 } // namespace
@@ -246,7 +397,6 @@ writeChromeTrace(std::ostream &os, const ChromeTraceView &view,
     // open_off[i] is the pending gate-off of bank_lanes[i].
     std::vector<std::optional<Cycle>> open_off(bank_lanes.size());
     for (const TraceEvent &ev : events) {
-        const u32 pid = pidOfSm(ev.sm);
         if (ev.kind == TraceEventKind::GateOff) {
             open_off[indexOf(bank_lanes, laneKey(ev.sm, ev.lane))] =
                 ev.cycle;
@@ -257,27 +407,19 @@ writeChromeTrace(std::ostream &os, const ChromeTraceView &view,
                 open_off[indexOf(bank_lanes, laneKey(ev.sm, ev.lane))];
             const Cycle off_at = off.value_or(window_start);
             off.reset();
-            completeEvent(w, "gated", pid, kBankLaneBase + ev.lane,
+            const u32 pid = pidOfSm(ev.sm);
+            completeEvent(w, kGatedHead, pid, kBankLaneBase + ev.lane,
                           off_at, ev.cycle);
-            completeEvent(w, "waking", pid, kBankLaneBase + ev.lane,
+            completeEvent(w, kWakingHead, pid, kBankLaneBase + ev.lane,
                           ev.cycle, ev.cycle + ev.a);
             continue;
         }
-
-        w.beginObject();
-        w.field("name", traceEventName(ev.kind));
-        w.field("ph", "i");
-        w.field("s", "t");
-        w.field("ts", static_cast<u64>(ev.cycle));
-        w.field("pid", pid);
-        w.field("tid", tidOf(ev));
-        eventArgs(w, ev);
-        w.endObject();
+        instantEvent(w, ev);
     }
     // Banks still gated when the run (or the traced window) ended.
     for (std::size_t i = 0; i < bank_lanes.size(); ++i) {
         if (open_off[i].has_value())
-            completeEvent(w, "gated", pidOfSm(smOfKey(bank_lanes[i])),
+            completeEvent(w, kGatedHead, pidOfSm(smOfKey(bank_lanes[i])),
                           kBankLaneBase + laneOfKey(bank_lanes[i]),
                           *open_off[i], window_end);
     }

@@ -53,15 +53,35 @@ stallFields(JsonWriter &w, const StallBuckets &b)
     w.endObject();
 }
 
-/** Count of values in @p cycles strictly inside (lo, hi); the vectors
- *  are chronological so a window walk suffices. */
-u64
-countInGap(const std::vector<Cycle> &cycles, Cycle lo, Cycle hi)
+/** Forward cursor over one chronological cycle stream. The gaps it is
+ *  asked about arrive in order, so each stream is walked once. */
+class StreamCursor
 {
-    auto first = std::upper_bound(cycles.begin(), cycles.end(), lo);
-    auto last = std::lower_bound(first, cycles.end(), hi);
-    return static_cast<u64>(last - first);
-}
+  public:
+    explicit StreamCursor(const std::vector<Cycle> &cycles)
+        : it_(cycles.begin()), end_(cycles.end())
+    {
+    }
+
+    /** Count the values in (@p lo, @p hi) and move past them; the last
+     *  one goes to @p last when there is any. @p lo never decreases
+     *  from one call to the next. */
+    u64
+    take(Cycle lo, Cycle hi, Cycle *last = nullptr)
+    {
+        while (it_ != end_ && *it_ <= lo)
+            ++it_;
+        u64 n = 0;
+        for (; it_ != end_ && *it_ < hi; ++it_, ++n)
+            if (last != nullptr)
+                *last = *it_;
+        return n;
+    }
+
+  private:
+    std::vector<Cycle>::const_iterator it_;
+    std::vector<Cycle>::const_iterator end_;
+};
 
 } // namespace
 
@@ -242,6 +262,12 @@ writeStallReport(std::ostream &os, const TraceDump &dump)
             continue; // conflicts recorded against a warp that never
                       // issued in-window: nothing to attribute
         StallBuckets b;
+        // Gaps are visited in order, so one forward cursor per stream
+        // counts conflicts in (t0, t1), decompressions in (t0, t1] and
+        // finds the last writeback in (t0, t1).
+        StreamCursor conflicts(ws.conflicts);
+        StreamCursor decompress(ws.decompress);
+        StreamCursor writebacks(ws.writebacks);
         for (std::size_t i = 1; i < ws.issues.size(); ++i) {
             const Cycle t0 = ws.issues[i - 1];
             const Cycle t1 = ws.issues[i];
@@ -249,27 +275,20 @@ writeStallReport(std::ostream &os, const TraceDump &dump)
                 continue;
             u64 gap = t1 - t0 - 1;
 
-            const u64 retries = countInGap(ws.conflicts, t0, t1);
-            const u64 retry_c = std::min(gap, retries);
+            const u64 retry_c = std::min(gap, conflicts.take(t0, t1));
             b.collectorRetry += retry_c;
             gap -= retry_c;
 
-            const u64 dec = countInGap(ws.decompress, t0, t1 + 1);
+            const u64 dec = decompress.take(t0, t1 + 1);
             const u64 dec_c = std::min(gap, dec * dlat);
             b.decompressPenalty += dec_c;
             gap -= dec_c;
 
-            if (gap > 0) {
-                auto first = std::upper_bound(ws.writebacks.begin(),
-                                              ws.writebacks.end(), t0);
-                auto last = std::lower_bound(first, ws.writebacks.end(),
-                                             t1);
-                if (first != last) {
-                    const Cycle wl = *(last - 1);
-                    const u64 sb = std::min(gap, wl - t0);
-                    b.scoreboard += sb;
-                    gap -= sb;
-                }
+            Cycle wl = 0;
+            if (writebacks.take(t0, t1, &wl) > 0) {
+                const u64 sb = std::min(gap, wl - t0);
+                b.scoreboard += sb;
+                gap -= sb;
             }
             b.issueBlocked += gap;
         }

@@ -472,6 +472,20 @@ loadTraceDump(const std::string &path, TraceDumpError *err)
                             std::to_string(dump.events.size()) +
                             " windows=" +
                             std::to_string(dump.windows.size()));
+    // Analyzers size per-bucket tables from the run length, so it must
+    // agree with the window rows: one per interval the run started.
+    const u32 interval = dump.meta.windowInterval;
+    const u64 expect_windows =
+        interval > 0 ? dump.cycles / interval +
+                           (dump.cycles % interval != 0 ? 1 : 0)
+                     : 0;
+    if (dump.windows.size() != expect_windows)
+        return failLoad(err, "footer_mismatch",
+                        "footer cycles=" + std::to_string(dump.cycles) +
+                            " implies " + std::to_string(expect_windows) +
+                            " windows of " + std::to_string(interval) +
+                            " cycles but the file holds " +
+                            std::to_string(dump.windows.size()));
     return dump;
 }
 

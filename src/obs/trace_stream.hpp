@@ -142,8 +142,9 @@ struct TraceDump
 /**
  * Load and verify @p path. Returns nullopt with @p err filled on any
  * defect — unreadable file, wrong magic/version, torn tail (missing
- * or short footer), counts that disagree with the footer, or bytes
- * after it. Never crashes on hostile input.
+ * or short footer), counts that disagree with the footer, a footer
+ * run length that disagrees with the window rows, or bytes after it.
+ * Never crashes on hostile input.
  */
 std::optional<TraceDump> loadTraceDump(const std::string &path,
                                        TraceDumpError *err);

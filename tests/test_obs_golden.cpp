@@ -8,6 +8,10 @@
  * the exact bytes. The dump header's git SHA is replaced before the
  * reports are written so the digests do not move with every commit.
  *
+ * That run never emits every event kind, so a second test pins the
+ * Chrome bytes of a synthetic view that holds each kind and the edge
+ * cases of the gate-interval fold.
+ *
  * A digest change here means an output format changed: if that is
  * intended, say so where the change is recorded and re-pin.
  */
@@ -15,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -103,6 +108,70 @@ TEST(ObsGolden, TracedRunArtifactsMatchPinnedDigests)
               "a140559e29debe506c841fcc7f393d6a"
               "c43561ef3849f7eb49a2d188ccd2ec20")
         << "decision report";
+}
+
+TEST(ObsGolden, ChromeEveryEventKind)
+{
+    constexpr u32 kMaxU32 = std::numeric_limits<u32>::max();
+    constexpr u16 kMaxU16 = std::numeric_limits<u16>::max();
+    using K = TraceEventKind;
+    // Chronological, every kind at least once. Bank 3 of SM 0 wakes
+    // with no gate-off on record (gated since traceStart); bank 5 of
+    // SM 1 is still gated at the end and closes at traceEnd, which is
+    // before the run's last cycle. The last event's cycle has 20
+    // digits, the widest value a layout must hold.
+    const std::vector<TraceEvent> events = {
+        {10, 0x40, 32, 0, 0, K::WarpIssue, 0},
+        {11, 2, 0, 0, 3, K::GateWake, 0},
+        {12, 7, 0, 0, 0, K::DummyMov, 0},
+        {13, 64, 72, 0, 0, K::CompressDecision, 17},
+        {14, 0, 0, 0, 0, K::Decompress, 0},
+        {15, 3, 2, 0, 0, K::OperandCollect, 0},
+        {16, 2, 0, 0, 0, K::Writeback, 0},
+        {17, 4, 1, 0, 1, K::Writeback, 0},
+        {18, 0, 0, 0, 3, K::GateOff, 0},
+        {20, 1, 0, 1, 5, K::GateOff, 0},
+        {25, 9, 0, 0, 3, K::GateWake, 0},
+        {30, 5, 0, 1, 2, K::SeuCorruption, 0},
+        {31, 6, 1, 1, 2, K::SeuCorruption, 0},
+        {32, 8, 0, 1, 0, K::ScrubVisit, 0},
+        {33, 0, 0, 1, 4, K::FaultCorruptedWrite, 0},
+        {34, 2, 0, 1, 7, K::BankConflict, 0},
+        {40, kMaxU32, kMaxU32, kMaxU16, kMaxU16, K::WarpIssue, 0},
+        {41, kMaxU32, kMaxU32, kMaxU16, kMaxU16, K::CompressDecision,
+         kMaxU16},
+        {42, kMaxU32, kMaxU32, kMaxU16, kMaxU16, K::OperandCollect, 0},
+        {43, kMaxU32, kMaxU32, kMaxU16, kMaxU16, K::Writeback, 0},
+        {44, kMaxU32, kMaxU32, kMaxU16, kMaxU16, K::SeuCorruption, 0},
+        {45, kMaxU32, 0, kMaxU16, kMaxU16, K::ScrubVisit, 0},
+        {46, kMaxU32, 0, kMaxU16, kMaxU16, K::GateWake, 0},
+        {47, kMaxU32, 0, kMaxU16, kMaxU16, K::BankConflict, 0},
+        {10'000'000'000'000'000'000ull, kMaxU32, 0, kMaxU16, kMaxU16,
+         K::DummyMov, 0},
+    };
+    std::vector<WindowRow> windows(3);
+    windows[0] = {40, 2, 8, 512, 1024, 6, 64, 20};
+    windows[1] = {0, 0, 0, 0, 0, 0, 0, 0};     // no SM cycles, no writes
+    windows[2] = {5, 0, 1, 0, 128, 3, 16, 4};  // cycles, nothing stored
+    const ChromeTraceView view{events,
+                               windows,
+                               1000,
+                               10,
+                               18'000'000'000'000'000'000ull,
+                               7};
+    ChromeTraceMeta meta;
+    meta.workload = "every-kind";
+    meta.config = "golden";
+    meta.numSms = 2;
+    meta.numBanks = 8;
+    meta.cycles = std::numeric_limits<Cycle>::max();
+    std::ostringstream chrome;
+    writeChromeTrace(chrome, view, meta);
+
+    EXPECT_EQ(digest(chrome.str()),
+              "8d05649b0abe8e74678ee1395fe5ae13"
+              "fc37919433e75f7d71a0ce33983d01f8")
+        << "chrome trace";
 }
 
 } // namespace

@@ -10,7 +10,8 @@
  *   - `wc_trace export --chrome` re-emits the same bytes the live
  *     --trace path wrote during the run (one source of truth);
  *   - every subcommand exits 0 on a good dump and emits valid JSON;
- *   - a truncated dump makes the analyzer exit 1 with a structured
+ *   - a truncated dump, or one whose footer claims a hostile cycle
+ *     count, makes the analyzer exit 1 with a structured
  *     machine-readable diagnostic, never a crash;
  *   - usage errors exit 2.
  *
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -188,6 +190,33 @@ TEST(TraceProcess, TruncatedDumpExitsOneWithStructuredDiagnostic)
         EXPECT_EQ(*code->asString(), "truncated_dump") << sub;
         EXPECT_NE(parsed.value->find("detail"), nullptr) << sub;
     }
+}
+
+TEST(TraceProcess, HostileFooterCyclesExitsOneWithStructuredDiagnostic)
+{
+    // A footer claiming 2^50 cycles used to size the heatmap's buckets
+    // from it and die of std::bad_alloc; the loader now rejects it.
+    std::string bytes = slurp(referenceDump());
+    ASSERT_GT(bytes.size(), 64u);
+    const u64 cycles = u64{1} << 50;
+    for (std::size_t i = 0; i < 8; ++i)
+        bytes[bytes.size() - 16 + i] =
+            static_cast<char>((cycles >> (8 * i)) & 0xFF);
+    const std::string hostile = tempPath("hostile.wctrace");
+    spit(hostile, bytes);
+
+    const std::string out = tempPath("hostile.out");
+    const std::string err = tempPath("hostile.err");
+    EXPECT_EQ(runAnalyzer("heatmap " + hostile, out, err), 1);
+    const std::string diag = slurp(err);
+    EXPECT_EQ(std::count(diag.begin(), diag.end(), '\n'), 1) << diag;
+    const JsonParseOutcome parsed = parseJson(diag);
+    ASSERT_TRUE(parsed.ok()) << "diagnostic is not JSON: " << diag;
+    const JsonValue *code = parsed.value->find("error");
+    ASSERT_NE(code, nullptr);
+    ASSERT_NE(code->asString(), nullptr);
+    EXPECT_EQ(*code->asString(), "footer_mismatch");
+    EXPECT_NE(parsed.value->find("detail"), nullptr);
 }
 
 TEST(TraceProcess, MissingFileAndUsageErrors)

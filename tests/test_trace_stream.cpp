@@ -391,6 +391,47 @@ TEST(TraceStream, TruncationAndCorruptionAreStructuredErrors)
     std::remove(path.c_str());
 }
 
+TEST(TraceStream, FooterCyclesMustMatchWindowRows)
+{
+    const std::string good = slurp(streamedRun().dumpPath);
+    ASSERT_GT(good.size(), 64u);
+    const std::string path = tempPath("hostile_footer.wctrace");
+    TraceDumpError err;
+
+    // The footer's cycle count sits 16 bytes before the end. 2^50
+    // cycles would size every per-bucket table an analyzer builds past
+    // any memory; the window rows present say how long the run was.
+    {
+        std::string bytes = good;
+        const u64 cycles = u64{1} << 50;
+        for (std::size_t i = 0; i < 8; ++i)
+            bytes[bytes.size() - 16 + i] =
+                static_cast<char>((cycles >> (8 * i)) & 0xFF);
+        spit(path, bytes);
+        EXPECT_FALSE(loadTraceDump(path, &err).has_value());
+        EXPECT_EQ(err.code, "footer_mismatch");
+    }
+
+    // Window rows in a dump whose header says windows were off.
+    {
+        TraceStreamMeta meta;
+        meta.gitSha = traceStreamGitSha();
+        meta.workload = "none";
+        meta.config = "no-windows";
+        meta.numSms = 1;
+        meta.numBanks = 4;
+        ObsWindows windows(500);
+        windows.onCycle(0, 0, 4);
+        {
+            TraceStreamSink sink(path, meta);
+            sink.finalize(1, windows);
+        }
+        EXPECT_FALSE(loadTraceDump(path, &err).has_value());
+        EXPECT_EQ(err.code, "footer_mismatch");
+    }
+    std::remove(path.c_str());
+}
+
 TEST(TraceStream, StatsGroupCountsStreamedEvents)
 {
     const StreamedRun &run = streamedRun();
