@@ -267,4 +267,27 @@ JsonWriter::rawValue(std::string_view raw)
     afterValue();
 }
 
+void
+JsonWriter::rawElements(std::string_view elems, std::size_t count)
+{
+    WC_ASSERT(!stack_.empty() && stack_.back() == Ctx::Array,
+              "raw elements outside an array");
+    WC_ASSERT((count == 0) == elems.empty(),
+              "raw elements: " << count << " elements in " << elems.size()
+                               << " bytes");
+    if (count == 0)
+        return;
+    const std::size_t indent = 2 * stack_.size();
+    const bool separated = style_ == Style::Compact
+        ? elems.front() == ','
+        : elems.size() > 2 + indent && elems.substr(0, 2) == ",\n" &&
+              elems.find_first_not_of(' ', 2) == 2 + indent;
+    WC_ASSERT(separated,
+              "raw elements must start with this depth's separator");
+    if (counts_.back() == 0)
+        elems.remove_prefix(1);
+    put(elems);
+    counts_.back() += static_cast<u32>(count);
+}
+
 } // namespace warpcomp

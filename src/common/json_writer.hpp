@@ -87,10 +87,21 @@ class JsonWriter
      * laid out exactly as this style would write it at that depth.
      * Used to re-emit numeric literals byte-for-byte when copying a
      * parsed document (going through double would round u64 counters
-     * above 2^53), and by the Chrome trace exporter to splice each
-     * per-event object from a fixed per-kind layout.
+     * above 2^53).
      */
     void rawValue(std::string_view raw);
+
+    /**
+     * Splice @p count already-serialized elements into the open array.
+     * Unlike rawValue, every element in @p elems carries its own
+     * separator: a comma, then (Pretty style) the newline+indent of an
+     * element at this depth. So a block of elements can be formatted
+     * without knowing whether the array already holds one; the writer
+     * drops the leading comma when it does not, and counts the
+     * elements. An empty @p elems with @p count 0 writes nothing. The
+     * Chrome trace exporter splices each formatted block through this.
+     */
+    void rawElements(std::string_view elems, std::size_t count);
 
     /** key + value in one call. */
     template <typename T>

@@ -40,6 +40,11 @@ struct ChromeTraceMeta
 /** Thread-id base for bank lanes (warp lanes use the slot id). */
 inline constexpr u32 kBankLaneBase = 1000;
 
+/** Events per formatting block of the exporter. Blocks are formatted
+ *  independently, on worker threads when more than one CPU is
+ *  available, and spliced in order; the bytes do not depend on how. */
+inline constexpr std::size_t kChromeBlockEvents = 1024;
+
 /** Source-agnostic input to the serializer: chronological events plus
  *  the window table, however they were obtained. Non-owning. */
 struct ChromeTraceView

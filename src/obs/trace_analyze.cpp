@@ -1,11 +1,10 @@
 #include "obs/trace_analyze.hpp"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
 #include <vector>
 
 #include "common/json_writer.hpp"
+#include "common/key_index.hpp"
 #include "obs/chrome_trace.hpp"
 
 namespace warpcomp {
@@ -52,6 +51,44 @@ stallFields(JsonWriter &w, const StallBuckets &b)
     w.field("issue_blocked", b.issueBlocked);
     w.endObject();
 }
+
+/** (sm, lane) packed so that ascending keys order by SM, then lane. */
+u64
+smLaneKey(u16 sm, u16 lane)
+{
+    return u64{sm} << 16 | lane;
+}
+
+/**
+ * Per-key aggregates in a flat table: one KeyIndex lookup per event,
+ * and the keys are sorted once, when the report is written.
+ */
+template <typename Agg>
+class Grouped
+{
+  public:
+    Agg &
+    operator[](u64 key)
+    {
+        const u32 i = index_.intern(key);
+        if (i == aggs_.size())
+            aggs_.emplace_back();
+        return aggs_[i];
+    }
+
+    /** Call @p fn(key, agg) for every key, in ascending key order. */
+    template <typename Fn>
+    void
+    forEachSorted(Fn fn)
+    {
+        for (const u32 i : index_.sortedIndices())
+            fn(index_.keys()[i], aggs_[i]);
+    }
+
+  private:
+    KeyIndex index_;
+    std::vector<Agg> aggs_;
+};
 
 /** Forward cursor over one chronological cycle stream. The gaps it is
  *  asked about arrive in order, so each stream is walked once. */
@@ -155,26 +192,19 @@ writeBankHeatmap(std::ostream &os, const TraceDump &dump)
         dump.cycles > 0 ? (static_cast<u64>(dump.cycles) - 1) / bucket + 1
                         : 0;
 
-    // Dense (sm, bank) → per-bucket conflict counts. Every bank of
-    // every SM gets a row, so the matrix shape is run-independent.
-    std::map<std::pair<u16, u16>, std::vector<u64>> rows;
-    for (u32 sm = 0; sm < dump.meta.numSms; ++sm)
-        for (u32 bank = 0; bank < dump.meta.numBanks; ++bank)
-            rows[{static_cast<u16>(sm), static_cast<u16>(bank)}]
-                .assign(static_cast<std::size_t>(buckets), 0);
+    // Per-bucket conflict counts of the (sm, bank) rows that saw a
+    // conflict.
+    Grouped<std::vector<u64>> rows;
     for (const TraceEvent &ev : dump.events) {
         if (ev.kind != TraceEventKind::BankConflict)
             continue;
-        auto it = rows.find({ev.sm, ev.lane});
-        if (it == rows.end())
-            it = rows.emplace(std::make_pair(ev.sm, ev.lane),
-                              std::vector<u64>(
-                                  static_cast<std::size_t>(buckets), 0))
-                     .first;
+        std::vector<u64> &counts = rows[smLaneKey(ev.sm, ev.lane)];
+        if (counts.empty())
+            counts.assign(static_cast<std::size_t>(buckets), 0);
         const std::size_t b =
             static_cast<std::size_t>(ev.cycle / bucket);
-        if (b < it->second.size())
-            it->second[b] += 1;
+        if (b < counts.size())
+            counts[b] += 1;
     }
 
     JsonWriter w(os);
@@ -186,22 +216,42 @@ writeBankHeatmap(std::ostream &os, const TraceDump &dump)
     w.key("rows");
     w.beginArray();
     u64 grand_total = 0;
-    for (const auto &[key, counts] : rows) {
+    auto row = [&](u64 key, const std::vector<u64> *counts) {
         u64 total = 0;
-        for (u64 c : counts)
-            total += c;
+        if (counts != nullptr)
+            for (u64 c : *counts)
+                total += c;
         grand_total += total;
         w.beginObject();
-        w.field("sm", key.first);
-        w.field("bank", key.second);
+        w.field("sm", static_cast<u16>(key >> 16));
+        w.field("bank", static_cast<u16>(key & 0xFFFF));
         w.field("conflicts", total);
         w.key("per_bucket");
         w.beginArray();
-        for (u64 c : counts)
-            w.value(c);
+        for (u64 b = 0; b < buckets; ++b)
+            w.value(counts != nullptr ? (*counts)[b] : u64{0});
         w.endArray();
         w.endObject();
-    }
+    };
+    // Every bank of every SM in the header gets a row, so the matrix
+    // shape is run-independent. Grid cells without a conflict are
+    // written as zero rows on the fly, merged in (sm, bank) order with
+    // the stored rows.
+    const u32 banks = dump.meta.numBanks;
+    const u64 grid = u64{dump.meta.numSms} * banks;
+    auto grid_key = [&](u64 cell) {
+        return smLaneKey(static_cast<u16>(cell / banks),
+                         static_cast<u16>(cell % banks));
+    };
+    u64 cell = 0;
+    rows.forEachSorted([&](u64 key, const std::vector<u64> &counts) {
+        for (; cell < grid && grid_key(cell) <= key; ++cell)
+            if (grid_key(cell) != key)
+                row(grid_key(cell), nullptr);
+        row(key, &counts);
+    });
+    for (; cell < grid; ++cell)
+        row(grid_key(cell), nullptr);
     w.endArray();
     w.field("total_conflicts", grand_total);
     w.endObject();
@@ -219,22 +269,24 @@ writeStallReport(std::ostream &os, const TraceDump &dump)
         std::vector<Cycle> decompress;  // Decompress
         std::vector<Cycle> writebacks;  // Writeback
     };
-    std::map<std::pair<u16, u16>, WarpStreams> warps;
+    Grouped<WarpStreams> warps;
     for (const TraceEvent &ev : dump.events) {
         switch (ev.kind) {
           case TraceEventKind::WarpIssue:
           case TraceEventKind::DummyMov:
-            warps[{ev.sm, ev.lane}].issues.push_back(ev.cycle);
+            warps[smLaneKey(ev.sm, ev.lane)].issues.push_back(ev.cycle);
             break;
           case TraceEventKind::BankConflict:
-            warps[{ev.sm, static_cast<u16>(ev.a)}].conflicts.push_back(
-                ev.cycle);
+            warps[smLaneKey(ev.sm, static_cast<u16>(ev.a))]
+                .conflicts.push_back(ev.cycle);
             break;
           case TraceEventKind::Decompress:
-            warps[{ev.sm, ev.lane}].decompress.push_back(ev.cycle);
+            warps[smLaneKey(ev.sm, ev.lane)].decompress.push_back(
+                ev.cycle);
             break;
           case TraceEventKind::Writeback:
-            warps[{ev.sm, ev.lane}].writebacks.push_back(ev.cycle);
+            warps[smLaneKey(ev.sm, ev.lane)].writebacks.push_back(
+                ev.cycle);
             break;
           default:
             break;
@@ -257,10 +309,10 @@ writeStallReport(std::ostream &os, const TraceDump &dump)
             "gap (scoreboard), remainder issue-blocked");
     w.key("warps");
     w.beginArray();
-    for (const auto &[key, ws] : warps) {
+    warps.forEachSorted([&](u64 key, const WarpStreams &ws) {
         if (ws.issues.empty())
-            continue; // conflicts recorded against a warp that never
-                      // issued in-window: nothing to attribute
+            return; // conflicts recorded against a warp that never
+                    // issued in-window: nothing to attribute
         StallBuckets b;
         // Gaps are visited in order, so one forward cursor per stream
         // counts conflicts in (t0, t1), decompressions in (t0, t1] and
@@ -299,8 +351,8 @@ writeStallReport(std::ostream &os, const TraceDump &dump)
         grand_issues += ws.issues.size();
 
         w.beginObject();
-        w.field("sm", key.first);
-        w.field("warp", key.second);
+        w.field("sm", static_cast<u16>(key >> 16));
+        w.field("warp", static_cast<u16>(key & 0xFFFF));
         w.field("issues", static_cast<u64>(ws.issues.size()));
         w.field("first_issue", static_cast<u64>(ws.issues.front()));
         w.field("last_issue", static_cast<u64>(ws.issues.back()));
@@ -310,7 +362,7 @@ writeStallReport(std::ostream &os, const TraceDump &dump)
                 static_cast<u64>(ws.decompress.size()));
         stallFields(w, b);
         w.endObject();
-    }
+    });
     w.endArray();
     w.key("totals");
     w.beginObject();
@@ -337,7 +389,7 @@ writeDecisionReport(std::ostream &os, const TraceDump &dump)
         Cycle last = 0;
         u32 lastStored = ~0u;
     };
-    std::map<std::tuple<u16, u16, u16>, RegAgg> regs;
+    Grouped<RegAgg> regs; // key: (sm, warp, reg), 16 bits each
 
     // Dummy-MOV bursts per warp: maximal runs with inter-event gap
     // ≤ kDummyMovBurstGap cycles.
@@ -349,11 +401,11 @@ writeDecisionReport(std::ostream &os, const TraceDump &dump)
         u64 current = 0;
         Cycle lastCycle = 0;
     };
-    std::map<std::pair<u16, u16>, BurstAgg> bursts;
+    Grouped<BurstAgg> bursts;
 
     for (const TraceEvent &ev : dump.events) {
         if (ev.kind == TraceEventKind::CompressDecision) {
-            RegAgg &r = regs[{ev.sm, ev.lane, ev.c}];
+            RegAgg &r = regs[(smLaneKey(ev.sm, ev.lane) << 16) | ev.c];
             if (r.decisions == 0)
                 r.first = ev.cycle;
             else if (ev.b != r.lastStored)
@@ -366,7 +418,7 @@ writeDecisionReport(std::ostream &os, const TraceDump &dump)
             r.last = ev.cycle;
             r.lastStored = ev.b;
         } else if (ev.kind == TraceEventKind::DummyMov) {
-            BurstAgg &bu = bursts[{ev.sm, ev.lane}];
+            BurstAgg &bu = bursts[smLaneKey(ev.sm, ev.lane)];
             if (bu.total == 0 ||
                 ev.cycle > bu.lastCycle + kDummyMovBurstGap) {
                 ++bu.bursts;
@@ -388,13 +440,13 @@ writeDecisionReport(std::ostream &os, const TraceDump &dump)
     w.field("burst_gap_cycles", kDummyMovBurstGap);
     w.key("registers");
     w.beginArray();
-    for (const auto &[key, r] : regs) {
+    regs.forEachSorted([&](u64 key, const RegAgg &r) {
         total_decisions += r.decisions;
         total_transitions += r.transitions;
         w.beginObject();
-        w.field("sm", std::get<0>(key));
-        w.field("warp", std::get<1>(key));
-        w.field("reg", std::get<2>(key));
+        w.field("sm", static_cast<u16>(key >> 32));
+        w.field("warp", static_cast<u16>((key >> 16) & 0xFFFF));
+        w.field("reg", static_cast<u16>(key & 0xFFFF));
         w.field("decisions", r.decisions);
         w.field("transitions", r.transitions);
         w.field("compressed_decisions", r.compressed);
@@ -403,21 +455,21 @@ writeDecisionReport(std::ostream &os, const TraceDump &dump)
         w.field("first_cycle", static_cast<u64>(r.first));
         w.field("last_cycle", static_cast<u64>(r.last));
         w.endObject();
-    }
+    });
     w.endArray();
     w.key("dummy_mov_bursts");
     w.beginArray();
-    for (auto &[key, bu] : bursts) {
+    bursts.forEachSorted([&](u64 key, BurstAgg &bu) {
         bu.longest = std::max(bu.longest, bu.current);
         total_movs += bu.total;
         w.beginObject();
-        w.field("sm", key.first);
-        w.field("warp", key.second);
+        w.field("sm", static_cast<u16>(key >> 16));
+        w.field("warp", static_cast<u16>(key & 0xFFFF));
         w.field("bursts", bu.bursts);
         w.field("longest", bu.longest);
         w.field("total_movs", bu.total);
         w.endObject();
-    }
+    });
     w.endArray();
     w.key("totals");
     w.beginObject();

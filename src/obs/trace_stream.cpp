@@ -12,6 +12,7 @@
 #include "common/json_parse.hpp"
 #include "common/json_writer.hpp"
 #include "common/log.hpp"
+#include "sim/arbiter.hpp"
 
 #ifndef WC_GIT_SHA
 #define WC_GIT_SHA "unknown"
@@ -144,7 +145,10 @@ metaFromJson(const std::string &json)
         !num("compress_latency", &clat) ||
         !num("decompress_latency", &dlat))
         return std::nullopt;
-    if (sms > 0xFFFF || banks > 0xFFFF || interval > 0xFFFFFFFFull ||
+    // A bank count the simulator cannot run would only size the
+    // analyzers' per-bank tables.
+    if (sms > 0xFFFF || banks < 1 || banks > kMaxArbiterBanks ||
+        interval > 0xFFFFFFFFull ||
         clat > 0xFFFFFFFFull || dlat > 0xFFFFFFFFull)
         return std::nullopt;
     meta.numSms = static_cast<u32>(sms);
@@ -367,7 +371,8 @@ loadTraceDump(const std::string &path, TraceDumpError *err)
     const auto meta = metaFromJson(json);
     if (!meta.has_value())
         return failLoad(err, "bad_header",
-                        "header JSON is missing required fields");
+                        "header JSON is missing required fields or "
+                        "holds an out-of-range value");
 
     TraceDump dump;
     dump.meta = *meta;

@@ -6,8 +6,9 @@ namespace warpcomp {
 
 BankArbiter::BankArbiter(u32 num_banks) : numBanks_(num_banks)
 {
-    WC_ASSERT(num_banks >= 1 && num_banks <= 64,
-              "arbiter supports 1..64 banks, got " << num_banks);
+    WC_ASSERT(num_banks >= 1 && num_banks <= kMaxArbiterBanks,
+              "arbiter supports 1.." << kMaxArbiterBanks << " banks, got "
+                                     << num_banks);
 }
 
 } // namespace warpcomp

@@ -13,6 +13,9 @@
 
 namespace warpcomp {
 
+/** Most banks the arbiter can track: one bit each in a u64 mask. */
+inline constexpr u32 kMaxArbiterBanks = 64;
+
 /** Per-cycle read/write port allocation over up to 64 banks. */
 class BankArbiter
 {

@@ -1,14 +1,18 @@
 /**
  * @file
  * Tests for the common substrate: bit helpers, RNG determinism, the
- * stats containers, and the report table formatter.
+ * flat key table, the stats containers, and the report table
+ * formatter.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "common/bitops.hpp"
+#include "common/key_index.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "power/report.hpp"
@@ -110,6 +114,62 @@ TEST(Rng, DoubleInUnitInterval)
         EXPECT_GE(d, 0.0);
         EXPECT_LT(d, 1.0);
     }
+}
+
+TEST(KeyIndex, IndicesFollowFirstSeenOrder)
+{
+    KeyIndex index;
+    EXPECT_EQ(index.size(), 0u);
+    EXPECT_TRUE(index.sortedIndices().empty());
+    EXPECT_EQ(index.intern(42), 0u);
+    EXPECT_EQ(index.intern(~u64{0}), 1u);
+    EXPECT_EQ(index.intern(0), 2u);
+    EXPECT_EQ(index.intern(42), 0u);
+    EXPECT_EQ(index.intern(0), 2u);
+    EXPECT_EQ(index.size(), 3u);
+    EXPECT_EQ(index.keys(), (std::vector<u64>{42, ~u64{0}, 0}));
+    EXPECT_EQ(index.sortedIndices(), (std::vector<u32>{2, 0, 1}));
+}
+
+TEST(KeyIndex, GrowsAndKeepsEveryIndex)
+{
+    // Far past the initial slots, in a scrambled order, with every key
+    // looked up again after all the growth.
+    constexpr u64 kKeys = 20 * KeyIndex::kInitialSlots + 3;
+    KeyIndex index;
+    auto key_of = [](u64 i) { return (i * 0x9E3779B97F4A7C15ull) >> 7; };
+    for (u64 i = 0; i < kKeys; ++i)
+        ASSERT_EQ(index.intern(key_of(i)), i);
+    for (u64 i = 0; i < kKeys; ++i)
+        ASSERT_EQ(index.intern(key_of(i)), i);
+    ASSERT_EQ(index.size(), kKeys);
+
+    const std::vector<u32> order = index.sortedIndices();
+    ASSERT_EQ(order.size(), kKeys);
+    for (std::size_t i = 1; i < order.size(); ++i)
+        ASSERT_LT(index.keys()[order[i - 1]], index.keys()[order[i]]);
+}
+
+TEST(KeyIndex, CollidingKeysStayDistinct)
+{
+    // Keys whose hash picks the same slot of a new table, found by
+    // search, so every insert after the first probes past the others.
+    const u64 mask = KeyIndex::kInitialSlots - 1;
+    const u64 slot = KeyIndex::hash(7) & mask;
+    std::vector<u64> keys;
+    for (u64 k = 0; keys.size() < 24; ++k)
+        if ((KeyIndex::hash(k) & mask) == slot)
+            keys.push_back(k);
+    KeyIndex index;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(index.intern(keys[i]), i);
+    for (std::size_t i = keys.size(); i-- > 0;)
+        EXPECT_EQ(index.intern(keys[i]), i);
+    EXPECT_EQ(index.size(), keys.size());
+    std::vector<u64> sorted;
+    for (const u32 i : index.sortedIndices())
+        sorted.push_back(index.keys()[i]);
+    EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
 }
 
 TEST(Stats, CounterBasics)

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/json_writer.hpp"
 
@@ -293,6 +294,92 @@ TEST(JsonWriter, TokenLargerThanTheBufferPassesThrough)
     w.value(u64{2});
     w.endArray();
     EXPECT_EQ(os.str(), "[1," + big + ",2]");
+}
+
+TEST(JsonWriter, RawElementsOwnTheFirstCommaAndCountElements)
+{
+    // Pre-separated elements of an array at depth 2, as the Chrome
+    // exporter formats them.
+    const std::string a = ",\n    1";
+    const std::string b = ",\n    {}";
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.key("x");
+    w.beginArray();
+    w.rawElements(a + b, 2); // first in the array: its comma is dropped
+    w.rawElements("", 0);    // an empty block writes nothing
+    w.value(u64{3});         // counted: this one needs a comma
+    w.rawElements(a, 1);     // not first: its comma stays
+    w.endArray();
+    w.key("y");
+    w.beginArray();
+    w.rawElements("", 0);    // the array is still empty
+    w.endArray();
+    w.endObject();
+    EXPECT_EQ(os.str(),
+              "{\n  \"x\": [\n    1,\n    {},\n    3,\n    1\n  ],\n"
+              "  \"y\": []\n}\n");
+
+    std::ostringstream compact;
+    JsonWriter c(compact, JsonWriter::Style::Compact);
+    c.beginArray();
+    c.rawElements(",1,2", 2);
+    c.rawElements(",3", 1);
+    c.endArray();
+    EXPECT_EQ(compact.str(), "[1,2,3]");
+}
+
+TEST(JsonWriter, RawElementsMatchRawValuesAcrossAFlush)
+{
+    // Elements spliced in blocks, the first of which overflows the
+    // buffer the writer has already half filled, give the bytes that
+    // one rawValue per element gives.
+    std::vector<std::string> elems;
+    for (u64 i = 0; i < 4000; ++i)
+        elems.push_back("{\"i\": " + std::to_string(i * 7919) +
+                        ", \"pad\": \"" + std::string(40, 'p') + "\"}");
+    std::ostringstream ref;
+    {
+        JsonWriter w(ref);
+        w.beginArray();
+        for (const std::string &e : elems)
+            w.rawValue(e);
+        w.endArray();
+    }
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginArray();
+    std::size_t i = 0;
+    std::string pad;
+    while (pad.size() < JsonWriter::kBufferBytes / 2)
+        pad += ",\n  " + elems[i++];
+    w.rawElements(pad, i);
+    EXPECT_TRUE(os.str().empty()) << "the first block fits the buffer";
+    for (const std::size_t block : {std::size_t{2500}, std::size_t{1}}) {
+        std::string bytes;
+        const std::size_t start = i;
+        for (; i < std::min(elems.size(), start + block); ++i)
+            bytes += ",\n  " + elems[i];
+        w.rawElements(bytes, i - start);
+    }
+    EXPECT_GT(os.str().size(), 2 * JsonWriter::kBufferBytes)
+        << "a block larger than the buffer reaches the stream mid-array";
+    ASSERT_LT(i, elems.size());
+    for (; i < elems.size(); ++i)
+        w.rawElements(",\n  " + elems[i], 1);
+    w.endArray();
+    EXPECT_EQ(os.str(), ref.str());
+}
+
+TEST(JsonWriter, RawElementsRejectAMissingSeparator)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginArray();
+    EXPECT_DEATH(w.rawElements("1", 1), "separator");
+    EXPECT_DEATH(w.rawElements(",\n    1", 1), "separator"); // wrong depth
+    EXPECT_DEATH(w.rawElements(",\n  1", 0), "elements");
 }
 
 } // namespace

@@ -10,7 +10,9 @@
  *
  * That run never emits every event kind, so a second test pins the
  * Chrome bytes of a synthetic view that holds each kind and the edge
- * cases of the gate-interval fold.
+ * cases of the gate-interval fold. Further synthetic inputs pin the
+ * exporter's block edges (with its worker threads and without) and the
+ * analyzers' grouping at the extremes of the key space.
  *
  * A digest change here means an output format changed: if that is
  * intended, say so where the change is recorded and re-pin.
@@ -19,11 +21,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include <sched.h>
 #include <unistd.h>
 
 #include "common/json_writer.hpp"
@@ -172,6 +177,221 @@ TEST(ObsGolden, ChromeEveryEventKind)
               "8d05649b0abe8e74678ee1395fe5ae13"
               "fc37919433e75f7d71a0ce33983d01f8")
         << "chrome trace";
+}
+
+/** Deterministic filler: every non-gate kind on SMs 0-2, warp slots
+ *  0-15 and bank lanes 0-3, one event per cycle from @p first. */
+std::vector<TraceEvent>
+fillerEvents(std::size_t n, Cycle first)
+{
+    using K = TraceEventKind;
+    static constexpr K kKinds[] = {
+        K::WarpIssue,     K::DummyMov,   K::CompressDecision,
+        K::Decompress,    K::OperandCollect, K::Writeback,
+        K::SeuCorruption, K::ScrubVisit, K::FaultCorruptedWrite,
+        K::BankConflict,
+    };
+    std::vector<TraceEvent> events(n);
+    u64 x = 0x9E3779B97F4A7C15ull;
+    for (std::size_t i = 0; i < n; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        TraceEvent &ev = events[i];
+        ev.cycle = first + i;
+        ev.kind = kKinds[(x >> 33) % std::size(kKinds)];
+        ev.sm = static_cast<u16>((x >> 40) % 3);
+        const bool bank =
+            ev.kind == K::ScrubVisit || ev.kind == K::BankConflict;
+        ev.lane = static_cast<u16>((x >> 45) % (bank ? 4 : 16));
+        ev.a = static_cast<u32>(x >> 20);
+        ev.b = static_cast<u32>((x >> 8) % 200);
+        ev.c = static_cast<u16>(x >> 48);
+    }
+    return events;
+}
+
+std::string
+chromeDigest(const std::vector<TraceEvent> &events,
+             const std::vector<WindowRow> &windows, Cycle trace_end)
+{
+    const ChromeTraceView view{events, windows, 2000, 5, trace_end, 0};
+    ChromeTraceMeta meta;
+    meta.workload = "multi-block";
+    meta.config = "golden";
+    meta.numSms = 4;
+    meta.numBanks = 32;
+    meta.cycles = 20'000;
+    std::ostringstream chrome;
+    writeChromeTrace(chrome, view, meta);
+    return digest(chrome.str());
+}
+
+/** Five blocks and a tail that put the gate-interval fold across block
+ *  edges (see ChromeMultiBlock). */
+std::vector<TraceEvent>
+multiBlockEvents()
+{
+    constexpr std::size_t kBlock = kChromeBlockEvents;
+    using K = TraceEventKind;
+    std::vector<TraceEvent> events = fillerEvents(5 * kBlock + 300, 10);
+    auto gate = [&](std::size_t i, K kind, u16 sm, u16 bank, u32 wake) {
+        TraceEvent &ev = events[i];
+        ev.kind = kind;
+        ev.sm = sm;
+        ev.lane = bank;
+        ev.a = wake;
+        ev.b = 0;
+        ev.c = 0;
+    };
+    // Wake with no gate-off on record, in the first block.
+    gate(5, K::GateWake, 0, 12, 10);
+    // Gate-off in block 1 whose wake lands three blocks later.
+    gate(kBlock + 476, K::GateOff, 1, 7, 0);
+    gate(4 * kBlock + 404, K::GateWake, 1, 7, 10);
+    // A wake on each side of the block 0/1 edge.
+    gate(kBlock - 3, K::GateOff, 2, 13, 0);
+    gate(kBlock - 1, K::GateWake, 2, 13, 3);
+    gate(kBlock, K::GateWake, 2, 13, 4);
+    // Block 2 holds only gate-offs, so it formats no object at all;
+    // half of them wake in block 3, the rest stay open.
+    for (std::size_t i = 0; i < kBlock; ++i)
+        gate(2 * kBlock + i, K::GateOff, 3, static_cast<u16>(16 + i % 8),
+             0);
+    for (u16 bank = 16; bank < 20; ++bank)
+        gate(3 * kBlock + 100 + bank, K::GateWake, 3, bank, 10);
+    // Still gated when the traced window closes.
+    gate(5 * kBlock + 10, K::GateOff, 2, 9, 0);
+    return events;
+}
+
+std::vector<WindowRow>
+multiBlockWindows()
+{
+    std::vector<WindowRow> windows(3);
+    windows[0] = {900, 30, 700, 20'000, 89'600, 5'000, 64'000, 8'000};
+    windows[2] = {12, 0, 3, 384, 384, 100, 3'200, 400};
+    return windows;
+}
+
+constexpr const char *kMultiBlockDigest =
+    "55e12b60a4c4e74d60fbec604871985a"
+    "31d8975d82151126c7d2af93af2880a8";
+
+/**
+ * The exporter formats events in blocks of kChromeBlockEvents, on
+ * worker threads when more than one CPU is available. These views put
+ * the gate-interval fold and the array separators across block edges;
+ * the digests were computed by the single-threaded serializer that
+ * came before the blocks.
+ */
+TEST(ObsGolden, ChromeMultiBlock)
+{
+    constexpr std::size_t kBlock = kChromeBlockEvents;
+    EXPECT_EQ(chromeDigest(multiBlockEvents(), multiBlockWindows(), 6'000),
+              kMultiBlockDigest)
+        << "five blocks and a tail";
+
+    const std::vector<TraceEvent> one_block = fillerEvents(kBlock, 0);
+    EXPECT_EQ(chromeDigest(one_block, {}, 20'000),
+              "ac31c1b985b677461f52f20b5996fc0d"
+              "874c0af368ad9850e3085c99cfb1ebac")
+        << "exactly one block";
+
+    const std::vector<TraceEvent> block_and_one =
+        fillerEvents(kBlock + 1, 0);
+    EXPECT_EQ(chromeDigest(block_and_one, {}, 20'000),
+              "927e0702b7b13314a5dec0fc1ac2c21c"
+              "3b7530b9a07070598bae4e87f26d943c")
+        << "one block and one event";
+
+    EXPECT_EQ(chromeDigest({}, {}, 20'000),
+              "fcee524712e6c63ae4ccad5c8caf20a8"
+              "49de9019e30be7375eb3475b0e5be823")
+        << "no events";
+}
+
+/** With the calling thread held to one CPU the exporter formats every
+ *  block inline; the bytes are the same as with its workers. */
+TEST(ObsGolden, ChromeMultiBlockOnOneCpu)
+{
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+    const std::string inline_digest =
+        chromeDigest(multiBlockEvents(), multiBlockWindows(), 6'000);
+    ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+    EXPECT_EQ(inline_digest, kMultiBlockDigest);
+}
+
+/**
+ * The analyzers group events by (sm, warp), (sm, warp, reg) and
+ * (sm, bank). Every key field here takes its largest value, a
+ * BankConflict names warp 0xFFFF through a wider `a` (the analyzers
+ * keep its low 16 bits), and some conflicts fall outside the header's
+ * SM/bank grid, so the reports' row order and the heatmap's grid merge
+ * are pinned at the edges of the key space. The digests were computed
+ * by the std::map-based analyzers.
+ */
+TEST(ObsGolden, ReportsOverExtremeKeys)
+{
+    constexpr u16 kMax = 0xFFFF;
+    using K = TraceEventKind;
+    TraceDump dump;
+    dump.meta.gitSha = "golden";
+    dump.meta.workload = "extreme-keys";
+    dump.meta.config = "golden";
+    dump.meta.numSms = 2;
+    dump.meta.numBanks = 4;
+    dump.meta.windowInterval = 100;
+    dump.meta.decompressLatency = 2;
+    dump.cycles = 1'000;
+    dump.windows.resize(10);
+    dump.events = {
+        {1, 0x10, 32, kMax, kMax, K::WarpIssue, 0},
+        {2, 0, 0, 0, 3, K::WarpIssue, 0},
+        {3, 64, 72, kMax, kMax, K::CompressDecision, kMax},
+        {4, 64, 128, 0, 3, K::CompressDecision, kMax},
+        {5, 0x1FFFF, 0, kMax, 2, K::BankConflict, 0},
+        {6, kMax, 0, kMax, kMax, K::BankConflict, 0},
+        {7, 0, 0, kMax, kMax, K::Decompress, 0},
+        {8, 7, 0, kMax, kMax, K::DummyMov, 0},
+        {9, 7, 0, kMax, kMax, K::DummyMov, 0},
+        {9, 3, 0, 1, 0, K::BankConflict, 0},
+        {11, 4, 0, 0, 3, K::Writeback, 0},
+        {12, 64, 40, kMax, kMax, K::CompressDecision, kMax},
+        {12, 64, 72, kMax, kMax, K::CompressDecision, 0},
+        {14, 2, 0, kMax, kMax, K::Writeback, 0},
+        {20, 0x10, 32, kMax, kMax, K::WarpIssue, 0},
+        {25, 0, 0, 0, 3, K::WarpIssue, 0},
+        {30, 7, 0, 0, 3, K::DummyMov, 0},
+        {150, 1, 0, 1, 3, K::BankConflict, 0},
+        {420, kMax, 0, 0, kMax, K::BankConflict, 0},
+        {999, 9, 0, 1, 3, K::BankConflict, 0},
+        {5'000, 9, 0, 0, 0, K::BankConflict, 0},
+        {5'001, 0x10, 32, kMax, kMax, K::WarpIssue, 0},
+    };
+
+    std::ostringstream heatmap, stalls, decisions;
+    writeBankHeatmap(heatmap, dump);
+    writeStallReport(stalls, dump);
+    writeDecisionReport(decisions, dump);
+    EXPECT_EQ(digest(heatmap.str()),
+              "e3c9f221a78f1ea76af60691e1c0df62"
+              "5034889dbc7bf77e94c91d2d4e32b207")
+        << "heatmap report";
+    EXPECT_EQ(digest(stalls.str()),
+              "ba165e0e897ba1dc0f1dbdb3e273aee6"
+              "0047698b1e7dd1982a241a53ce1b066e")
+        << "stall report";
+    EXPECT_EQ(digest(decisions.str()),
+              "ee60d1ea75c12c2c352ef2c8e10daae5"
+              "1ec6ab60a8046644ee1b741602756981")
+        << "decision report";
 }
 
 } // namespace

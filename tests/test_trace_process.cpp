@@ -11,8 +11,9 @@
  *     --trace path wrote during the run (one source of truth);
  *   - every subcommand exits 0 on a good dump and emits valid JSON;
  *   - a truncated dump, or one whose footer claims a hostile cycle
- *     count, makes the analyzer exit 1 with a structured
- *     machine-readable diagnostic, never a crash;
+ *     count or whose header claims a hostile bank count, makes the
+ *     analyzer exit 1 with a structured machine-readable diagnostic,
+ *     never a crash;
  *   - usage errors exit 2.
  *
  * Kept out of warpcomp_tests so the in-process suite never forks.
@@ -216,6 +217,46 @@ TEST(TraceProcess, HostileFooterCyclesExitsOneWithStructuredDiagnostic)
     ASSERT_NE(code, nullptr);
     ASSERT_NE(code->asString(), nullptr);
     EXPECT_EQ(*code->asString(), "footer_mismatch");
+    EXPECT_NE(parsed.value->find("detail"), nullptr);
+}
+
+TEST(TraceProcess, HostileHeaderShapeExitsOneWithStructuredDiagnostic)
+{
+    // 65535 SMs x 65535 banks used to have the heatmap pre-seed 4.3 G
+    // rows and die of std::bad_alloc (or of the OOM killer); the loader
+    // now rejects a bank count outside the arbiter's 1..64.
+    const std::string good = slurp(referenceDump());
+    ASSERT_GT(good.size(), 64u);
+    u32 json_len = 0;
+    for (int i = 0; i < 4; ++i)
+        json_len |= u32{static_cast<u8>(good[12 + i])} << (8 * i);
+    std::string json = good.substr(16, json_len);
+    for (const std::string key : {"\"sms\":", "\"banks\":"}) {
+        const std::size_t from = json.find(key);
+        ASSERT_NE(from, std::string::npos) << key;
+        const std::size_t digits = from + key.size();
+        json.replace(digits,
+                     json.find_first_not_of("0123456789", digits) - digits,
+                     "65535");
+    }
+    std::string bytes = good.substr(0, 12);
+    for (int i = 0; i < 4; ++i)
+        bytes += static_cast<char>((json.size() >> (8 * i)) & 0xFF);
+    bytes += json + good.substr(16 + json_len);
+    const std::string hostile = tempPath("hostile_header.wctrace");
+    spit(hostile, bytes);
+
+    const std::string out = tempPath("hostile_header.out");
+    const std::string err = tempPath("hostile_header.err");
+    EXPECT_EQ(runAnalyzer("heatmap " + hostile, out, err), 1);
+    const std::string diag = slurp(err);
+    EXPECT_EQ(std::count(diag.begin(), diag.end(), '\n'), 1) << diag;
+    const JsonParseOutcome parsed = parseJson(diag);
+    ASSERT_TRUE(parsed.ok()) << "diagnostic is not JSON: " << diag;
+    const JsonValue *code = parsed.value->find("error");
+    ASSERT_NE(code, nullptr);
+    ASSERT_NE(code->asString(), nullptr);
+    EXPECT_EQ(*code->asString(), "bad_header");
     EXPECT_NE(parsed.value->find("detail"), nullptr);
 }
 

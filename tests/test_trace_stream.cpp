@@ -23,6 +23,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/trace_analyze.hpp"
 #include "obs/trace_stream.hpp"
+#include "sim/arbiter.hpp"
 
 namespace warpcomp {
 namespace {
@@ -53,6 +54,30 @@ spit(const std::string &path, const std::string &bytes)
     ASSERT_TRUE(os.good()) << path;
     os.write(bytes.data(),
              static_cast<std::streamsize>(bytes.size()));
+}
+
+/** @p dump with the integer member @p key of its header JSON set to
+ *  @p value, and the header length field to match. */
+std::string
+withHeaderField(const std::string &dump, const std::string &key,
+                u64 value)
+{
+    u32 json_len = 0;
+    for (int i = 0; i < 4; ++i)
+        json_len |= u32{static_cast<u8>(dump[12 + i])} << (8 * i);
+    std::string json = dump.substr(16, json_len);
+    const std::string member = "\"" + key + "\":";
+    const std::size_t at = json.find(member);
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos)
+        return dump;
+    const std::size_t from = at + member.size();
+    const std::size_t to = json.find_first_not_of("0123456789", from);
+    json.replace(from, to - from, std::to_string(value));
+    std::string out = dump.substr(0, 12);
+    for (int i = 0; i < 4; ++i)
+        out += static_cast<char>((json.size() >> (8 * i)) & 0xFF);
+    return out + json + dump.substr(16 + json_len);
 }
 
 ExperimentConfig
@@ -376,6 +401,25 @@ TEST(TraceStream, TruncationAndCorruptionAreStructuredErrors)
         spit(path, bytes);
         EXPECT_FALSE(loadTraceDump(path, &err).has_value());
         EXPECT_EQ(err.code, "bad_record");
+    }
+
+    // A header whose shape the simulator cannot run: 65535 banks per SM
+    // would have the heatmap pre-seed 4.3 G rows. The arbiter's 1..64
+    // banks bound the header.
+    {
+        const std::string hostile = withHeaderField(
+            withHeaderField(good, "sms", 65535), "banks", 65535);
+        spit(path, hostile);
+        EXPECT_FALSE(loadTraceDump(path, &err).has_value());
+        EXPECT_EQ(err.code, "bad_header");
+        for (const u64 banks : {u64{0}, u64{kMaxArbiterBanks + 1}}) {
+            spit(path, withHeaderField(good, "banks", banks));
+            EXPECT_FALSE(loadTraceDump(path, &err).has_value()) << banks;
+            EXPECT_EQ(err.code, "bad_header") << banks;
+        }
+        spit(path, withHeaderField(good, "banks", kMaxArbiterBanks));
+        EXPECT_TRUE(loadTraceDump(path, &err).has_value())
+            << err.code << ": " << err.detail;
     }
 
     // Missing file.
