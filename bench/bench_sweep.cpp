@@ -29,7 +29,6 @@
 #include <array>
 #include <fstream>
 #include <span>
-#include <string_view>
 
 #include "bench_common.hpp"
 #include "common/json_writer.hpp"
@@ -378,13 +377,10 @@ main(int argc, char **argv)
 {
     // These flags record or trace in-process suite runs; every sweep
     // point runs in a child process, so there is nothing to act on.
-    for (int i = 1; i < argc; ++i)
-        for (std::string_view flag : {"--trace=", "--trace-out=",
-                                      "--trace-window=", "--stats-json="})
-            if (std::string_view(argv[i]).starts_with(flag))
-                WC_FATAL("bench_sweep does not take "
-                         << flag.substr(0, flag.size() - 1)
-                         << ": sweep points run in child processes");
+    rejectHarnessFlags(argc, argv,
+                       {"--trace=", "--trace-out=", "--trace-window=",
+                        "--stats-json="},
+                       "sweep points run in child processes");
 
     std::vector<char *> rest;
     const HarnessOptions opt = parseHarnessArgs(argc, argv, &rest);

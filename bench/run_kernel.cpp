@@ -39,7 +39,7 @@ main(int argc, char **argv)
 
     if (disasmOnly) {
         if (opt.kernelPath.empty()) {
-            WorkloadInstance wl = makeWorkload(opt.only, opt.scale, 0);
+            WorkloadInstance wl = makeWorkload(opt.only, opt.run.scale, 0);
             std::cout << disassemble(wl.kernel);
             return 0;
         }

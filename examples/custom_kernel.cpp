@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "workloads/inputs.hpp"
 #include "workloads/workload.hpp"
@@ -88,8 +89,11 @@ buildReduction(u64 in_base, u64 out_base)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1)
+        WC_FATAL("unknown argument '" << argv[1] << "' (custom_kernel "
+                 "takes no arguments)");
     std::printf("custom kernel: block-wide tree reduction\n");
     std::printf("========================================\n\n");
 

@@ -5,7 +5,9 @@
  * energy-constant scaling, all against the same baseline. Demonstrates
  * driving ExperimentConfig, fanning a config sweep onto the parallel
  * runner with runGrid (--threads=N), and re-pricing meters without
- * re-simulating.
+ * re-simulating. The run-shaping flags (--sms, --scale, --faults, --seu,
+ * --no-skip, ...) apply to every config the tour runs, the baseline
+ * included.
  */
 
 #include <iostream>
@@ -18,13 +20,20 @@ using namespace warpcomp;
 int
 main(int argc, char **argv)
 {
+    rejectHarnessFlags(argc, argv,
+                       {"--kernel=", "--trace=", "--trace-out=",
+                        "--trace-window=", "--stats-json="},
+                       "the tour runs built-in workloads and records "
+                       "nothing");
     const HarnessOptions opt = parseHarnessArgs(argc, argv);
     const std::string name = opt.only.empty() ? "hotspot" : opt.only;
+    ExperimentConfig flags_cfg;
+    applyHarnessOptions(opt, flags_cfg);
 
     std::cout << "design-space tour on '" << name << "'\n"
               << "====================================\n\n";
 
-    ExperimentConfig base_cfg;
+    ExperimentConfig base_cfg = flags_cfg;
     base_cfg.scheme = CompressionScheme::None;
     const ExperimentResult base = runWorkload(name, base_cfg);
     const double base_total = base.run.meter.breakdown().totalPj();
@@ -40,7 +49,7 @@ main(int argc, char **argv)
         CompressionScheme::FullBdi};
     std::vector<ExperimentConfig> scheme_cfgs;
     for (CompressionScheme s : schemes) {
-        ExperimentConfig cfg;
+        ExperimentConfig cfg = flags_cfg;
         cfg.scheme = s;
         scheme_cfgs.push_back(cfg);
     }
@@ -63,7 +72,7 @@ main(int argc, char **argv)
     std::vector<ExperimentConfig> lat_cfgs;
     for (u32 cl : {2u, 4u, 8u}) {
         for (u32 dl : {1u, 4u, 8u}) {
-            ExperimentConfig cfg;
+            ExperimentConfig cfg = flags_cfg;
             cfg.compressLatency = cl;
             cfg.decompressLatency = dl;
             lat_cfgs.push_back(cfg);
@@ -82,8 +91,7 @@ main(int argc, char **argv)
     // 3. Energy-constant scaling, re-priced from one simulation
     //    (Fig 17/18/19 axis).
     std::cout << "\n3) energy-constant scaling (no re-simulation)\n";
-    ExperimentConfig wc_cfg;
-    const ExperimentResult wc = runWorkload(name, wc_cfg);
+    const ExperimentResult wc = runWorkload(name, flags_cfg);
     TextTable t3({"knob", "value", "wc energy vs baseline"});
     for (double s : {1.0, 1.5, 2.0, 2.5}) {
         EnergyParams p;

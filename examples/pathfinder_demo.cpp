@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "isa/disasm.hpp"
 #include "power/report.hpp"
@@ -17,8 +18,11 @@
 using namespace warpcomp;
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1)
+        WC_FATAL("unknown argument '" << argv[1] << "' (pathfinder_demo "
+                 "takes no arguments)");
     std::printf("pathfinder under warped-compression\n");
     std::printf("===================================\n\n");
 

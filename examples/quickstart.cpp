@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "isa/disasm.hpp"
 #include "power/report.hpp"
@@ -81,8 +82,11 @@ report(const char *label, const RunResult &run, double baseline_total)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1)
+        WC_FATAL("unknown argument '" << argv[1] << "' (quickstart takes no "
+                 "arguments)");
     std::printf("warped-compression quickstart: SAXPY on the simulated "
                 "GPU\n\n");
 

@@ -40,39 +40,4 @@ schemeName(CompressionScheme scheme)
     }
 }
 
-namespace {
-
-constexpr struct
-{
-    CompressionScheme scheme;
-    const char *id;
-} kSchemeIds[] = {
-    {CompressionScheme::None, "None"},
-    {CompressionScheme::Warped, "Warped"},
-    {CompressionScheme::Fixed40, "Fixed40"},
-    {CompressionScheme::Fixed41, "Fixed41"},
-    {CompressionScheme::Fixed42, "Fixed42"},
-    {CompressionScheme::FullBdi, "FullBdi"},
-};
-
-} // namespace
-
-std::string
-schemeId(CompressionScheme scheme)
-{
-    for (const auto &entry : kSchemeIds)
-        if (entry.scheme == scheme)
-            return entry.id;
-    WC_PANIC("unknown compression scheme");
-}
-
-std::optional<CompressionScheme>
-schemeFromId(const std::string &id)
-{
-    for (const auto &entry : kSchemeIds)
-        if (id == entry.id)
-            return entry.scheme;
-    return std::nullopt;
-}
-
 } // namespace warpcomp

@@ -8,7 +8,6 @@
 #ifndef WARPCOMP_COMPRESS_SCHEMES_HPP
 #define WARPCOMP_COMPRESS_SCHEMES_HPP
 
-#include <optional>
 #include <span>
 #include <string>
 
@@ -33,12 +32,10 @@ std::span<const BdiParams> schemeCandidates(CompressionScheme scheme);
 /** Human-readable scheme name. */
 std::string schemeName(CompressionScheme scheme);
 
-/** Stable identifier for serialization ("None", "Warped", "Fixed40",
- *  ...); unlike schemeName these round-trip through schemeFromId. */
-std::string schemeId(CompressionScheme scheme);
-
-/** Inverse of schemeId; nullopt on unknown identifiers. */
-std::optional<CompressionScheme> schemeFromId(const std::string &id);
+/** Stable identifiers for serialization (the config spec's `scheme`
+ *  tokens), in enum order; unlike schemeName these round-trip. */
+inline constexpr const char *kSchemeIds[] = {
+    "None", "Warped", "Fixed40", "Fixed41", "Fixed42", "FullBdi"};
 
 /**
  * The 2-bit compression-range indicator the bank arbiter stores per warp

@@ -7,25 +7,9 @@ namespace warpcomp {
 std::string
 faultPolicyName(FaultPolicy policy)
 {
-    switch (policy) {
-      case FaultPolicy::None: return "None";
-      case FaultPolicy::DisableEntry: return "DisableEntry";
-      case FaultPolicy::CompressRemap: return "CompressRemap";
-    }
-    WC_PANIC("unknown fault policy "
-             << static_cast<int>(policy));
-}
-
-std::optional<FaultPolicy>
-faultPolicyFromName(const std::string &name)
-{
-    if (name == "None")
-        return FaultPolicy::None;
-    if (name == "DisableEntry")
-        return FaultPolicy::DisableEntry;
-    if (name == "CompressRemap")
-        return FaultPolicy::CompressRemap;
-    return std::nullopt;
+    const auto i = static_cast<std::size_t>(policy);
+    WC_ASSERT(i < std::size(kFaultPolicyNames), "unknown fault policy");
+    return kFaultPolicyNames[i];
 }
 
 void

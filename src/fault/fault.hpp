@@ -15,7 +15,6 @@
 #ifndef WARPCOMP_FAULT_FAULT_HPP
 #define WARPCOMP_FAULT_FAULT_HPP
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,11 +42,12 @@ enum class FaultPolicy : u8 {
     CompressRemap
 };
 
-/** Human-readable policy name. */
-std::string faultPolicyName(FaultPolicy policy);
+/** Policy names (the config spec's `fpolicy` tokens), in enum order. */
+inline constexpr const char *kFaultPolicyNames[] = {
+    "None", "DisableEntry", "CompressRemap"};
 
-/** Inverse of faultPolicyName; nullopt on unknown names. */
-std::optional<FaultPolicy> faultPolicyFromName(const std::string &name);
+/** kFaultPolicyNames entry of @p policy. */
+std::string faultPolicyName(FaultPolicy policy);
 
 /** Fault-injection configuration, wired through SmParams/GpuParams. */
 struct FaultParams

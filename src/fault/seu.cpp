@@ -35,27 +35,9 @@ unitDouble(u64 h)
 std::string
 seuSchemeName(SeuScheme scheme)
 {
-    switch (scheme) {
-      case SeuScheme::Unprotected: return "Unprotected";
-      case SeuScheme::Ecc: return "Ecc";
-      case SeuScheme::Scrub: return "Scrub";
-      case SeuScheme::EccScrub: return "EccScrub";
-    }
-    WC_PANIC("unknown SEU scheme " << static_cast<int>(scheme));
-}
-
-std::optional<SeuScheme>
-seuSchemeFromName(const std::string &name)
-{
-    if (name == "Unprotected")
-        return SeuScheme::Unprotected;
-    if (name == "Ecc")
-        return SeuScheme::Ecc;
-    if (name == "Scrub")
-        return SeuScheme::Scrub;
-    if (name == "EccScrub")
-        return SeuScheme::EccScrub;
-    return std::nullopt;
+    const auto i = static_cast<std::size_t>(scheme);
+    WC_ASSERT(i < std::size(kSeuSchemeNames), "unknown SEU scheme");
+    return kSeuSchemeNames[i];
 }
 
 void

@@ -16,7 +16,6 @@
 #define WARPCOMP_FAULT_SEU_HPP
 
 #include <array>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,11 +46,13 @@ enum class SeuScheme : u8 {
     EccScrub
 };
 
-/** Human-readable scheme name. */
-std::string seuSchemeName(SeuScheme scheme);
+/** Scheme names (the config spec's `seuscheme` tokens), in enum
+ *  order. */
+inline constexpr const char *kSeuSchemeNames[] = {
+    "Unprotected", "Ecc", "Scrub", "EccScrub"};
 
-/** Inverse of seuSchemeName; nullopt on unknown names. */
-std::optional<SeuScheme> seuSchemeFromName(const std::string &name);
+/** kSeuSchemeNames entry of @p scheme. */
+std::string seuSchemeName(SeuScheme scheme);
 
 /** SEU configuration, wired through SmParams/ExperimentConfig. */
 struct SeuParams

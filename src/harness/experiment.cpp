@@ -1,14 +1,13 @@
 #include "harness/experiment.hpp"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <utility>
 
 #include "common/log.hpp"
+#include "harness/config_spec.hpp"
 #include "harness/thread_pool.hpp"
 #include "obs/trace_stream.hpp"
 
@@ -135,43 +134,68 @@ runGrid(const std::vector<ExperimentConfig> &configs,
 namespace {
 
 /**
- * Strict double parse over [spec, end): the whole span must be
- * numeric and the value finite. atof-style parsing silently maps
- * garbage to 0.0 and lets NaN through range checks (every comparison
- * with NaN is false), so rates go through this instead.
+ * The run-shaping flags, each a spelling of one or two config spec
+ * keys: a two-key flag takes both values as one comma-separated
+ * token, and a bare flag stands for a fixed value.
  */
-std::optional<double>
-parseRate(const char *spec, const char *end)
+struct RunFlag
 {
-    if (spec == end)
-        return std::nullopt;
-    char *parsed = nullptr;
-    const double v = std::strtod(spec, &parsed);
-    if (parsed != end || !std::isfinite(v))
-        return std::nullopt;
-    return v;
-}
+    std::string_view flag;      ///< with its '=' when it takes a value
+    std::string_view keys[2];
+    /** Two-key flags: what each part of the token is, and an example
+     *  token. */
+    std::string_view parts[2] = {};
+    std::string_view example = {};
+    /** Bare flags: the value the flag stands for. */
+    std::string_view value = {};
+};
 
-/**
- * Strict unsigned parse over [spec, end): base-10 digits only, no
- * overflow. strtoull alone silently wraps negative input ("-5" becomes
- * 2^64-5) and atoi stops at the first non-digit ("2x" is 2), so every
- * integer flag rejects any non-digit up front.
- */
-std::optional<u64>
-parseCycles(const char *spec, const char *end)
+constexpr RunFlag kRunFlags[] = {
+    {"--scale=", {"scale"}},
+    {"--sms=", {"sms"}},
+    {"--faults=", {"fber", "fpolicy"}, {"BER", "POLICY"},
+     "1e-4,CompressRemap"},
+    {"--fault-seed=", {"fseed"}},
+    {"--seu=", {"seurate", "seuscheme"}, {"RATE", "SCHEME"},
+     "1e-4,EccScrub"},
+    {"--seu-seed=", {"seuseed"}},
+    {"--seu-scrub=", {"scrub"}},
+    {"--no-skip", {"skip"}, {}, {}, "0"},
+    {"--hang-budget=", {"hang"}},
+};
+
+/** Parse @p arg into @p run when it is a run-shaping flag; false when
+ *  it is not one. A malformed value is fatal. */
+bool
+parseRunFlag(std::string_view arg, ExperimentConfig &run)
 {
-    if (spec == end)
-        return std::nullopt;
-    for (const char *p = spec; p != end; ++p)
-        if (*p < '0' || *p > '9')
-            return std::nullopt;
-    char *parsed = nullptr;
-    errno = 0;
-    const u64 v = std::strtoull(spec, &parsed, 10);
-    if (parsed != end || errno == ERANGE)
-        return std::nullopt;
-    return v;
+    for (const RunFlag &f : kRunFlags) {
+        const bool bare = !f.value.empty();
+        if (bare ? arg != f.flag : !arg.starts_with(f.flag))
+            continue;
+        const std::string name(f.flag.substr(0, f.flag.find('=')));
+        std::string_view values[2] = {
+            bare ? f.value : arg.substr(f.flag.size()), {}};
+        if (!f.keys[1].empty()) {
+            const size_t comma = values[0].find(',');
+            if (comma == std::string_view::npos)
+                WC_FATAL(name << " wants " << f.parts[0] << ","
+                              << f.parts[1] << " (e.g. " << f.flag
+                              << f.example << ")");
+            values[1] = values[0].substr(comma + 1);
+            values[0] = values[0].substr(0, comma);
+        }
+        for (int i = 0; i < 2 && !f.keys[i].empty(); ++i) {
+            std::string label = name;
+            if (!f.parts[i].empty())
+                label.append(" ").append(f.parts[i]);
+            std::string err;
+            if (!setConfigKey(f.keys[i], values[i], label, run, &err))
+                WC_FATAL(err);
+        }
+        return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -180,7 +204,7 @@ u64
 parseCount(const char *flag, const char *spec, const char *what, u64 min,
            u64 max)
 {
-    const auto v = parseCycles(spec, spec + std::strlen(spec));
+    const auto v = parseDecimal(spec);
     if (!v.has_value() || *v < min || *v > max)
         WC_FATAL(flag << " must be " << what << ", got '" << spec << "'");
     return *v;
@@ -199,12 +223,8 @@ parseHarnessArgs(int argc, char **argv, std::vector<char *> *rest)
     }
     for (int i = 1; i < argc; ++i) {
         char *arg = argv[i];
-        if (std::strncmp(arg, "--scale=", 8) == 0) {
-            opt.scale = static_cast<u32>(parseCount(
-                "--scale", arg + 8, "an integer >= 1", 1, kU32Max));
-        } else if (std::strncmp(arg, "--sms=", 6) == 0) {
-            opt.numSms = static_cast<u32>(parseCount(
-                "--sms", arg + 6, "an integer >= 1", 1, kU32Max));
+        if (parseRunFlag(arg, opt.run)) {
+            continue;
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
             opt.threads = static_cast<u32>(parseCount(
                 "--threads", arg + 10,
@@ -228,51 +248,6 @@ parseHarnessArgs(int argc, char **argv, std::vector<char *> *rest)
             }
             if (opt.kernelPath.empty())
                 WC_FATAL("--kernel needs a file path");
-        } else if (std::strncmp(arg, "--faults=", 9) == 0) {
-            const char *spec = arg + 9;
-            const char *comma = std::strchr(spec, ',');
-            if (comma == nullptr)
-                WC_FATAL("--faults wants BER,POLICY (e.g. "
-                         "--faults=1e-4,CompressRemap)");
-            const auto ber = parseRate(spec, comma);
-            if (!ber.has_value() || *ber < 0.0 || *ber >= 1.0)
-                WC_FATAL("--faults BER must be a finite value in "
-                         "[0, 1), got '"
-                         << std::string(spec, comma) << "'");
-            const auto policy = faultPolicyFromName(comma + 1);
-            if (!policy.has_value())
-                WC_FATAL("unknown fault policy '"
-                         << (comma + 1)
-                         << "' (None | DisableEntry | CompressRemap)");
-            opt.faults.ber = *ber;
-            opt.faults.policy = *policy;
-        } else if (std::strncmp(arg, "--fault-seed=", 13) == 0) {
-            opt.faults.seed = parseCount("--fault-seed", arg + 13,
-                                         "a decimal integer");
-        } else if (std::strncmp(arg, "--seu=", 6) == 0) {
-            const char *spec = arg + 6;
-            const char *comma = std::strchr(spec, ',');
-            if (comma == nullptr)
-                WC_FATAL("--seu wants RATE,SCHEME (e.g. "
-                         "--seu=1e-4,EccScrub)");
-            const auto rate = parseRate(spec, comma);
-            if (!rate.has_value() || *rate < 0.0)
-                WC_FATAL("--seu rate must be a finite flips-per-cycle "
-                         "value >= 0, got '"
-                         << std::string(spec, comma) << "'");
-            const auto scheme = seuSchemeFromName(comma + 1);
-            if (!scheme.has_value())
-                WC_FATAL("unknown SEU scheme '"
-                         << (comma + 1)
-                         << "' (Unprotected | Ecc | Scrub | EccScrub)");
-            opt.seu.flipsPerCycle = *rate;
-            opt.seu.scheme = *scheme;
-        } else if (std::strncmp(arg, "--seu-seed=", 11) == 0) {
-            opt.seu.seed = parseCount("--seu-seed", arg + 11,
-                                      "a decimal integer");
-        } else if (std::strncmp(arg, "--seu-scrub=", 12) == 0) {
-            opt.seu.scrubInterval = parseCount(
-                "--seu-scrub", arg + 12, "a cycle count >= 1", 1);
         } else if (std::strncmp(arg, "--trace=", 8) == 0) {
             const char *spec = arg + 8;
             const char *comma = std::strchr(spec, ',');
@@ -285,15 +260,15 @@ parseHarnessArgs(int argc, char **argv, std::vector<char *> *rest)
                 if (comma2 == nullptr)
                     WC_FATAL("--trace wants FILE or FILE,START,END "
                              "(e.g. --trace=t.json,1000,5000)");
-                const auto start = parseCycles(start_spec, comma2);
+                const auto start = parseDecimal(
+                    std::string_view(start_spec, comma2 - start_spec));
                 if (!start.has_value())
                     WC_FATAL("--trace START must be a cycle count, "
                              "got '" << std::string(start_spec, comma2)
                              << "'");
                 opt.traceStart = *start;
                 const char *end_spec = comma2 + 1;
-                const auto end = parseCycles(
-                    end_spec, end_spec + std::strlen(end_spec));
+                const auto end = parseDecimal(end_spec);
                 if (!end.has_value() || *end <= opt.traceStart)
                     WC_FATAL("--trace END must be a cycle count > "
                              "START, got '" << end_spec << "'");
@@ -313,11 +288,6 @@ parseHarnessArgs(int argc, char **argv, std::vector<char *> *rest)
             opt.statsJsonPath = arg + 13;
             if (opt.statsJsonPath.empty())
                 WC_FATAL("--stats-json needs a file path");
-        } else if (std::strncmp(arg, "--hang-budget=", 14) == 0) {
-            opt.hangBudget = parseCount("--hang-budget", arg + 14,
-                                        "a cycle count >= 1", 1);
-        } else if (std::strcmp(arg, "--no-skip") == 0) {
-            opt.noSkip = true;
         } else if (rest != nullptr) {
             rest->push_back(arg);
         } else {
@@ -330,14 +300,29 @@ parseHarnessArgs(int argc, char **argv, std::vector<char *> *rest)
 void
 applyHarnessOptions(const HarnessOptions &opt, ExperimentConfig &cfg)
 {
-    cfg.scale = opt.scale;
-    cfg.numSms = opt.numSms;
-    cfg.skipIdle = !opt.noSkip;
-    const Cycle hang =
-        opt.hangBudget > 0 ? opt.hangBudget : cfg.faults.hangCycles;
-    cfg.faults = opt.faults;
-    cfg.faults.hangCycles = hang;
-    cfg.seu = opt.seu;
+    for (const RunFlag &f : kRunFlags)
+        for (std::string_view key : f.keys)
+            if (!key.empty() && key != "hang")
+                copyConfigKey(key, opt.run, cfg);
+    // A budget of 0 cycles is no budget, so 0 means --hang-budget was
+    // not given.
+    if (opt.run.faults.hangCycles != 0)
+        copyConfigKey("hang", opt.run, cfg);
+}
+
+void
+rejectHarnessFlags(int argc, char **argv,
+                   std::initializer_list<std::string_view> flags,
+                   const char *why)
+{
+    const char *slash = argc > 0 ? std::strrchr(argv[0], '/') : nullptr;
+    const char *self = slash != nullptr ? slash + 1 : argv[0];
+    for (int i = 1; i < argc; ++i)
+        for (std::string_view flag : flags)
+            if (std::string_view(argv[i]).starts_with(flag))
+                WC_FATAL(self << " does not take "
+                              << flag.substr(0, flag.size() - 1) << ": "
+                              << why);
 }
 
 double

@@ -9,8 +9,10 @@
 #ifndef WARPCOMP_HARNESS_EXPERIMENT_HPP
 #define WARPCOMP_HARNESS_EXPERIMENT_HPP
 
+#include <initializer_list>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/gpu.hpp"
@@ -111,8 +113,17 @@ runGrid(const std::vector<ExperimentConfig> &configs,
 /** Command-line options shared by the bench binaries. */
 struct HarnessOptions
 {
-    u32 scale = 1;
-    u32 numSms = 15;
+    /**
+     * The run-shaping flags, parsed into the config spec keys they
+     * spell (--sms is `sms`, --faults=B,P is `fber` and `fpolicy`, ...;
+     * see parseHarnessArgs); applyHarnessOptions copies them onto a
+     * config. faults.hangCycles is 0 unless --hang-budget set it.
+     */
+    ExperimentConfig run = [] {
+        ExperimentConfig cfg;
+        cfg.faults.hangCycles = 0;
+        return cfg;
+    }();
     /** Worker threads for suite runs; 0 = hardware concurrency. */
     u32 threads = 0;
     /** Restrict to a single workload (empty = all). */
@@ -124,10 +135,6 @@ struct HarnessOptions
     std::string kernelEntry;
     /** Basename of argv[0]; names the bench in the stats document. */
     std::string benchName;
-    /** Fault injection requested via --faults=BER,POLICY. */
-    FaultParams faults{};
-    /** SEU injection requested via --seu=RATE,SCHEME. */
-    SeuParams seu{};
     /** Chrome trace output via --trace=FILE[,START,END] (empty =
      *  disabled). Requires --only; the first suite run is traced. */
     std::string tracePath;
@@ -141,26 +148,20 @@ struct HarnessOptions
     u32 traceWindow = 1000;
     /** Structured stats dump via --stats-json=FILE (empty = disabled). */
     std::string statsJsonPath;
-    /** Disable event-driven idle-cycle skipping via --no-skip (for
-     *  differential checks against per-cycle stepping). */
-    bool noSkip = false;
-    /**
-     * In-sim hang budget override via --hang-budget=N: the cycle count
-     * at which a run under uncontained corruption stops and reports
-     * RunResult::hung (FaultParams::hangCycles). 0 = keep the
-     * configured default. Independent of the sweep runner's wall-clock
-     * watchdog, so both layers are tunable separately.
-     */
-    Cycle hangBudget = 0;
 };
 
 /**
- * Parse --scale=N --sms=N --threads=N --only=name
- * --kernel=FILE[,entry=SYM] --faults=BER,POLICY --fault-seed=N
- * --seu=RATE,SCHEME --seu-seed=N
- * --seu-scrub=CYCLES --trace=FILE[,START,END] --trace-out=FILE
- * --trace-window=N
- * --stats-json=FILE --no-skip --hang-budget=N. Malformed values
+ * Parse --threads=N --only=name --kernel=FILE[,entry=SYM]
+ * --trace=FILE[,START,END] --trace-out=FILE --trace-window=N
+ * --stats-json=FILE and the run-shaping flags, each a spelling of
+ * config spec keys (harness/config_spec.hpp) parsed by the keys' own
+ * parsers: --scale=N (`scale`), --sms=N (`sms`), --faults=BER,POLICY
+ * (`fber`, `fpolicy`), --fault-seed=N (`fseed`), --seu=RATE,SCHEME
+ * (`seurate`, `seuscheme`), --seu-seed=N (`seuseed`),
+ * --seu-scrub=CYCLES (`scrub`), --no-skip (`skip=0`) and
+ * --hang-budget=N (`hang`: the in-sim cycle budget at which a run
+ * under uncontained corruption reports RunResult::hung, tunable apart
+ * from the sweep runner's wall-clock watchdog). Malformed values
  * (integers with any non-digit, NaN, negative rates, unknown
  * policy/scheme names) are a one-line fatal error with exit 1, never
  * a silent default.
@@ -174,18 +175,27 @@ HarnessOptions parseHarnessArgs(int argc, char **argv,
                                 std::vector<char *> *rest = nullptr);
 
 /**
- * Overlay the run-shaping flags of @p opt onto @p cfg: scale, SMs,
- * --no-skip, and the fault and SEU parameters (copied whole, so a
- * --fault-seed or --seu-seed alone still reaches the config).
+ * Overlay the run-shaping flags of @p opt onto @p cfg, key by key:
+ * scale, SMs, skip, and the fault and SEU parameters (copied whole, so
+ * a --fault-seed or --seu-seed alone still reaches the config).
  * faults.hangCycles keeps @p cfg's value unless --hang-budget is set.
  */
 void applyHarnessOptions(const HarnessOptions &opt, ExperimentConfig &cfg);
 
 /**
- * Whole-value integer flag parse, the rule every integer flag follows:
- * @p spec must be base-10 digits only (no sign, space, or `0x`; a
- * leading zero is still decimal) with a value in [@p min, @p max],
- * else a one-line fatal error saying @p flag must be @p what.
+ * Exit 1 when an argument starts with one of @p flags (each spelled
+ * with its '='): harness flags this binary parses but cannot act on.
+ * The one-line diagnostic names the binary, the flag and @p why.
+ */
+void rejectHarnessFlags(int argc, char **argv,
+                        std::initializer_list<std::string_view> flags,
+                        const char *why);
+
+/**
+ * Whole-value integer flag parse under the one integer rule
+ * (parseDecimal: base-10 digits only, a leading zero still decimal)
+ * with a value in [@p min, @p max], else a one-line fatal error saying
+ * @p flag must be @p what.
  */
 u64 parseCount(const char *flag, const char *spec, const char *what,
                u64 min = 0, u64 max = std::numeric_limits<u64>::max());

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <ostream>
+#include <span>
 
 #include "analysis/similarity.hpp"
 #include "common/log.hpp"
@@ -99,42 +100,6 @@ writeEnergyEventsJson(JsonWriter &w, const EnergyMeter &m)
 }
 
 void
-writeFaultJson(JsonWriter &w, const FaultStats &f)
-{
-    w.beginObject();
-    w.field("total_regs", f.totalRegs);
-    w.field("usable_regs", f.usableRegs);
-    w.field("disabled_regs", f.disabledRegs);
-    w.field("faulty_cells", f.faultyCells);
-    w.field("tolerated_writes", f.toleratedWrites);
-    w.field("remap_writes", f.remapWrites);
-    w.field("remap_reads", f.remapReads);
-    w.field("corrupted_writes", f.corruptedWrites);
-    w.field("unrecoverable_accesses", f.unrecoverableAccesses);
-    w.endObject();
-}
-
-void
-writeSeuJson(JsonWriter &w, const SeuStats &s)
-{
-    w.beginObject();
-    w.field("flips", s.flips);
-    w.field("live_hits", s.liveHits);
-    w.field("masked_flips", s.maskedFlips);
-    w.field("hits_compressed", s.hitsCompressed);
-    w.field("corrupted_reads", s.corruptedReads);
-    w.field("corrupted_lanes", s.corruptedLanes);
-    w.field("amplified_reads", s.amplifiedReads);
-    w.field("ecc_corrected_reads", s.eccCorrectedReads);
-    w.field("detected_uncorrectable", s.detectedUncorrectable);
-    w.field("scrub_visits", s.scrubVisits);
-    w.field("scrub_writes", s.scrubWrites);
-    w.field("scrub_corrected", s.scrubCorrected);
-    w.field("ecc_check_bit_bytes", s.eccCheckBitBytes);
-    w.endObject();
-}
-
-void
 writeTimelinesJson(JsonWriter &w, const ObsWindows &win, u32 num_sms)
 {
     w.beginObject();
@@ -174,7 +139,30 @@ writeTimelinesJson(JsonWriter &w, const ObsWindows &win, u32 num_sms)
     w.endObject();
 }
 
+template <typename Stats>
+void
+writeCensus(JsonWriter &w, const Stats &stats,
+            std::span<const CensusField<Stats>> fields)
+{
+    w.beginObject();
+    for (const CensusField<Stats> &f : fields)
+        w.field(f.key, stats.*f.field);
+    w.endObject();
+}
+
 } // namespace
+
+void
+writeJson(JsonWriter &w, const FaultStats &f)
+{
+    writeCensus<FaultStats>(w, f, kFaultCensus);
+}
+
+void
+writeJson(JsonWriter &w, const SeuStats &s)
+{
+    writeCensus<SeuStats>(w, s, kSeuCensus);
+}
 
 void
 writeJson(JsonWriter &w, const StatGroup &group)
@@ -243,9 +231,9 @@ writeRunStatsJson(JsonWriter &w, const RunResult &run, u32 num_sms)
     w.field("misses", run.rfcMisses);
     w.endObject();
     w.key("fault");
-    writeFaultJson(w, run.fault);
+    writeJson(w, run.fault);
     w.key("seu");
-    writeSeuJson(w, run.seu);
+    writeJson(w, run.seu);
     if (run.obs) {
         w.key("obs");
         writeJson(w, run.obs->statGroup());

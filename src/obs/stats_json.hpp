@@ -35,6 +35,51 @@ void writeJson(JsonWriter &w, const Histogram &hist);
 /** Serialize an EnergyBreakdown with its derived totals. */
 void writeJson(JsonWriter &w, const EnergyBreakdown &e);
 
+/** One counter of a census and its JSON key. */
+template <typename Stats>
+struct CensusField
+{
+    const char *key;
+    u64 Stats::*field;
+};
+
+/** The fault census's keys, in document order. The sweep's PointStats
+ *  record reads back what writeJson(FaultStats) writes through it. */
+inline constexpr CensusField<FaultStats> kFaultCensus[] = {
+    {"total_regs", &FaultStats::totalRegs},
+    {"usable_regs", &FaultStats::usableRegs},
+    {"disabled_regs", &FaultStats::disabledRegs},
+    {"faulty_cells", &FaultStats::faultyCells},
+    {"tolerated_writes", &FaultStats::toleratedWrites},
+    {"remap_writes", &FaultStats::remapWrites},
+    {"remap_reads", &FaultStats::remapReads},
+    {"corrupted_writes", &FaultStats::corruptedWrites},
+    {"unrecoverable_accesses", &FaultStats::unrecoverableAccesses},
+};
+
+/** The SEU census's keys, in document order (see kFaultCensus). */
+inline constexpr CensusField<SeuStats> kSeuCensus[] = {
+    {"flips", &SeuStats::flips},
+    {"live_hits", &SeuStats::liveHits},
+    {"masked_flips", &SeuStats::maskedFlips},
+    {"hits_compressed", &SeuStats::hitsCompressed},
+    {"corrupted_reads", &SeuStats::corruptedReads},
+    {"corrupted_lanes", &SeuStats::corruptedLanes},
+    {"amplified_reads", &SeuStats::amplifiedReads},
+    {"ecc_corrected_reads", &SeuStats::eccCorrectedReads},
+    {"detected_uncorrectable", &SeuStats::detectedUncorrectable},
+    {"scrub_visits", &SeuStats::scrubVisits},
+    {"scrub_writes", &SeuStats::scrubWrites},
+    {"scrub_corrected", &SeuStats::scrubCorrected},
+    {"ecc_check_bit_bytes", &SeuStats::eccCheckBitBytes},
+};
+
+/** Serialize the fault census as an object of its kFaultCensus keys. */
+void writeJson(JsonWriter &w, const FaultStats &f);
+
+/** Serialize the SEU census as an object of its kSeuCensus keys. */
+void writeJson(JsonWriter &w, const SeuStats &s);
+
 /**
  * Serialize one run's full statistics hierarchy. @p num_sms converts
  * SM-cycle window samples into GPU-cycle denominators for the derived

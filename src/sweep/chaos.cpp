@@ -1,13 +1,12 @@
 #include "sweep/chaos.hpp"
 
 #include <chrono>
-#include <cmath>
-#include <cstdlib>
 #include <thread>
 
 #include <unistd.h>
 
 #include "common/json_writer.hpp"
+#include "harness/config_spec.hpp"
 
 namespace warpcomp {
 
@@ -68,17 +67,18 @@ chaosFromSpec(const std::string &spec, std::string *error)
                     "` (crash | hang | slow | mix)");
 
     const std::string rate = spec.substr(c1 + 1, c2 - c1 - 1);
-    char *end = nullptr;
-    out.rate = std::strtod(rate.c_str(), &end);
-    if (rate.empty() || end != rate.c_str() + rate.size() ||
-        !std::isfinite(out.rate) || out.rate < 0.0 || out.rate > 1.0)
+    const auto rate_v = parseNumber(rate);
+    if (!rate_v.has_value() || *rate_v < 0.0 || *rate_v > 1.0)
         return fail("chaos RATE must be a finite value in [0, 1], got `" +
                     rate + "`");
+    out.rate = *rate_v;
 
     const std::string seed = spec.substr(c2 + 1);
-    out.seed = std::strtoull(seed.c_str(), &end, 0);
-    if (seed.empty() || end != seed.c_str() + seed.size())
-        return fail("chaos SEED must be an integer, got `" + seed + "`");
+    const auto seed_v = parseDecimal(seed);
+    if (!seed_v.has_value())
+        return fail("chaos SEED must be a decimal integer, got `" + seed +
+                    "`");
+    out.seed = *seed_v;
     return out;
 }
 

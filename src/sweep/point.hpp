@@ -5,9 +5,10 @@
  * pair with
  *
  *   - a canonical textual config spec (`configToSpec` /
- *     `configFromSpec`) that round-trips exactly, so a supervisor can
- *     hand the point to a child process via `--point=` and the child
- *     reconstructs the identical simulation;
+ *     `configFromSpec`, harness/config_spec.hpp) that round-trips
+ *     exactly, so a supervisor can hand the point to a child process
+ *     via `--point=` and the child reconstructs the identical
+ *     simulation;
  *   - a stable cache key (`pointKey`): the first 16 hex digits of
  *     SHA-256 over (config spec, workload name). Together with the git
  *     SHA it keys the journal/result cache, so repeated sweep points
@@ -26,7 +27,7 @@
 
 #include "common/json_parse.hpp"
 #include "common/json_writer.hpp"
-#include "harness/experiment.hpp"
+#include "harness/config_spec.hpp"
 
 namespace warpcomp {
 
@@ -36,24 +37,6 @@ struct SweepPoint
     std::string workload;
     ExperimentConfig cfg;
 };
-
-/**
- * Canonical config spec: `key=value` pairs joined by ';' in a fixed
- * field order, covering every ExperimentConfig field that affects
- * simulation results (observability is per-process, not per-point, and
- * EnergyParams are compile-time constants). Doubles use the JsonWriter
- * float format, so encode(parse(encode(c))) == encode(c).
- */
-std::string configToSpec(const ExperimentConfig &cfg);
-
-/**
- * Strict inverse of configToSpec: every pair must parse, unknown keys
- * and malformed values are errors (never silent defaults), matching
- * the harness's argument handling. On failure returns nullopt and sets
- * @p error to a one-line diagnostic naming the offending pair.
- */
-std::optional<ExperimentConfig> configFromSpec(const std::string &spec,
-                                               std::string *error);
 
 /**
  * Parse a full `--point=WORKLOAD|CONFIGSPEC` operand. The workload
@@ -92,7 +75,8 @@ struct PointStats
 PointStats makePointStats(const ExperimentResult &result,
                           const EnergyParams &energy);
 
-/** Serialize as one JSON object (caller positions the writer). */
+/** Serialize as one JSON object (caller positions the writer); the
+ *  `fault` and `seu` objects are the --stats-json census writers'. */
 void writeJson(JsonWriter &w, const PointStats &stats);
 
 /** Parse the object written by writeJson; nullopt + @p error when a

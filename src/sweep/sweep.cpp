@@ -1,7 +1,5 @@
 #include "sweep/sweep.hpp"
 
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -77,14 +75,11 @@ parseSweepArgs(int argc, char **argv)
             if (opt.sweepStatsPath.empty())
                 WC_FATAL("--sweep-stats needs a file path");
         } else if (std::strncmp(arg, "--timeout=", 10) == 0) {
-            const char *spec = arg + 10;
-            char *end = nullptr;
-            opt.timeoutSeconds = std::strtod(spec, &end);
-            if (end == spec || *end != '\0' ||
-                !std::isfinite(opt.timeoutSeconds) ||
-                opt.timeoutSeconds <= 0.0)
+            const auto seconds = parseNumber(arg + 10);
+            if (!seconds.has_value() || *seconds <= 0.0)
                 WC_FATAL("--timeout must be a positive number of "
-                         "seconds, got '" << spec << "'");
+                         "seconds, got '" << (arg + 10) << "'");
+            opt.timeoutSeconds = *seconds;
         } else if (std::strncmp(arg, "--attempts=", 11) == 0) {
             opt.maxAttempts = static_cast<u32>(parseCount(
                 "--attempts", arg + 11, "an integer in 1..100", 1, 100));

@@ -13,7 +13,7 @@
 #include <array>
 
 #include "fault/fault.hpp"
-#include "harness/experiment.hpp"
+#include "harness/config_spec.hpp"
 #include "regfile/regfile.hpp"
 #include "sim/gpu.hpp"
 #include "workloads/registry.hpp"
@@ -331,13 +331,15 @@ TEST(FaultAllocation, DisableEntryOnlyHandsOutHealthyStripes)
 
 TEST(FaultPolicies, PolicyNamesRoundTrip)
 {
+    // The config spec's `fpolicy` key reads back every printed name.
     for (FaultPolicy p : {FaultPolicy::None, FaultPolicy::DisableEntry,
                           FaultPolicy::CompressRemap}) {
-        const auto parsed = faultPolicyFromName(faultPolicyName(p));
+        const auto parsed =
+            configFromSpec("fpolicy=" + faultPolicyName(p), nullptr);
         ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, p);
+        EXPECT_EQ(parsed->faults.policy, p);
     }
-    EXPECT_FALSE(faultPolicyFromName("Bogus").has_value());
+    EXPECT_FALSE(configFromSpec("fpolicy=Bogus", nullptr).has_value());
 }
 
 TEST(FaultDeterminism, RepeatedRunsAreBitIdentical)

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/experiment.hpp"
+#include "harness/config_spec.hpp"
 
 namespace warpcomp {
 namespace {
@@ -17,6 +17,15 @@ parseOne(const char *flag)
 {
     const char *argv[] = {"bench", flag};
     return parseHarnessArgs(2, const_cast<char **>(argv));
+}
+
+/** A default config with the run-shaping flags of @p opt applied. */
+ExperimentConfig
+applied(const HarnessOptions &opt)
+{
+    ExperimentConfig cfg;
+    applyHarnessOptions(opt, cfg);
+    return cfg;
 }
 
 TEST(Harness, SchemeAppliesRegFilePolicy)
@@ -49,8 +58,8 @@ TEST(Harness, ArgParsing)
                           "--only=lib", "--threads=6"};
     const HarnessOptions opt = parseHarnessArgs(
         5, const_cast<char **>(argv));
-    EXPECT_EQ(opt.scale, 3u);
-    EXPECT_EQ(opt.numSms, 4u);
+    EXPECT_EQ(applied(opt).scale, 3u);
+    EXPECT_EQ(applied(opt).numSms, 4u);
     EXPECT_EQ(opt.threads, 6u);
     EXPECT_EQ(opt.only, "lib");
 }
@@ -75,7 +84,7 @@ TEST(Harness, UnclaimedArgumentsGoToRest)
     std::vector<char *> rest;
     const HarnessOptions opt =
         parseHarnessArgs(5, const_cast<char **>(argv), &rest);
-    EXPECT_EQ(opt.numSms, 2u);
+    EXPECT_EQ(applied(opt).numSms, 2u);
     ASSERT_EQ(rest.size(), 4u);
     EXPECT_STREQ(rest[0], "bench");
     EXPECT_STREQ(rest[1], "fig03");
@@ -118,8 +127,8 @@ TEST(HarnessDeathTest, MalformedIntegerFlagsExitNonzero)
 
 TEST(Harness, SeedsAreBaseTen)
 {
-    EXPECT_EQ(parseOne("--fault-seed=010").faults.seed, 10u);
-    EXPECT_EQ(parseOne("--seu-seed=18446744073709551615").seu.seed,
+    EXPECT_EQ(applied(parseOne("--fault-seed=010")).faults.seed, 10u);
+    EXPECT_EQ(applied(parseOne("--seu-seed=18446744073709551615")).seu.seed,
               18446744073709551615ull);
     EXPECT_EQ(parseOne("--threads=0").threads, 0u);
 }
@@ -129,8 +138,8 @@ TEST(Harness, ArgDefaults)
     const char *argv[] = {"bench"};
     const HarnessOptions opt = parseHarnessArgs(
         1, const_cast<char **>(argv));
-    EXPECT_EQ(opt.scale, 1u);
-    EXPECT_EQ(opt.numSms, 15u);
+    EXPECT_EQ(applied(opt).scale, 1u);
+    EXPECT_EQ(applied(opt).numSms, 15u);
     EXPECT_EQ(opt.threads, 0u);     // 0 = auto (hardware concurrency)
     EXPECT_TRUE(opt.only.empty());
 }
@@ -140,25 +149,27 @@ TEST(Harness, FaultAndSeuArgsParse)
     const char *argv[] = {"bench", "--faults=1e-3,CompressRemap",
                           "--fault-seed=11", "--seu=2.5e-4,EccScrub",
                           "--seu-seed=7", "--seu-scrub=128"};
-    const HarnessOptions opt =
-        parseHarnessArgs(6, const_cast<char **>(argv));
-    EXPECT_DOUBLE_EQ(opt.faults.ber, 1e-3);
-    EXPECT_EQ(opt.faults.policy, FaultPolicy::CompressRemap);
-    EXPECT_EQ(opt.faults.seed, 11u);
-    EXPECT_DOUBLE_EQ(opt.seu.flipsPerCycle, 2.5e-4);
-    EXPECT_EQ(opt.seu.scheme, SeuScheme::EccScrub);
-    EXPECT_EQ(opt.seu.seed, 7u);
-    EXPECT_EQ(opt.seu.scrubInterval, 128u);
+    const ExperimentConfig cfg =
+        applied(parseHarnessArgs(6, const_cast<char **>(argv)));
+    EXPECT_DOUBLE_EQ(cfg.faults.ber, 1e-3);
+    EXPECT_EQ(cfg.faults.policy, FaultPolicy::CompressRemap);
+    EXPECT_EQ(cfg.faults.seed, 11u);
+    EXPECT_DOUBLE_EQ(cfg.seu.flipsPerCycle, 2.5e-4);
+    EXPECT_EQ(cfg.seu.scheme, SeuScheme::EccScrub);
+    EXPECT_EQ(cfg.seu.seed, 7u);
+    EXPECT_EQ(cfg.seu.scrubInterval, 128u);
 }
 
 TEST(Harness, HangBudgetParses)
 {
-    EXPECT_EQ(parseOne("--hang-budget=1").hangBudget, 1u);
-    EXPECT_EQ(parseOne("--hang-budget=5000000").hangBudget, 5'000'000u);
+    EXPECT_EQ(applied(parseOne("--hang-budget=1")).faults.hangCycles, 1u);
+    EXPECT_EQ(applied(parseOne("--hang-budget=5000000")).faults.hangCycles,
+              5'000'000u);
     // Default: 0 = keep the configured FaultParams::hangCycles.
     const char *argv[] = {"bench"};
-    EXPECT_EQ(parseHarnessArgs(1, const_cast<char **>(argv)).hangBudget,
-              0u);
+    EXPECT_EQ(
+        parseHarnessArgs(1, const_cast<char **>(argv)).run.faults.hangCycles,
+        0u);
 }
 
 TEST(Harness, OptionsOverlayCopiesFaultsAndSeuWhole)
@@ -183,6 +194,90 @@ TEST(Harness, OptionsOverlayCopiesFaultsAndSeuWhole)
     EXPECT_EQ(cfg.faults.hangCycles, 99u);
     EXPECT_EQ(cfg.faults.seed, FaultParams{}.seed);
     EXPECT_EQ(cfg.numSms, 15u);
+}
+
+/** A run-shaping flag and the spec pair(s) it spells, same values. */
+struct FlagAndSpec
+{
+    const char *flag;
+    const char *spec;
+};
+
+TEST(Harness, RunFlagsAgreeWithTheirSpecKeys)
+{
+    // Each flag is parsed by its key's parser, so a flag and a sweep
+    // point with the same value build the same config.
+    const FlagAndSpec cases[] = {
+        {"--scale=3", "scale=3"},
+        {"--scale=010", "scale=010"},
+        {"--sms=2", "sms=2"},
+        {"--sms=010", "sms=010"},
+        {"--sms=4294967295", "sms=4294967295"},
+        {"--faults=1e-3,CompressRemap", "fber=1e-3;fpolicy=CompressRemap"},
+        {"--faults=0.1234567890123456,None",
+         "fber=0.1234567890123456;fpolicy=None"},
+        {"--faults=0,DisableEntry", "fber=0;fpolicy=DisableEntry"},
+        {"--fault-seed=010", "fseed=010"},
+        {"--fault-seed=18446744073709551615", "fseed=18446744073709551615"},
+        {"--seu=2.5e-4,EccScrub", "seurate=2.5e-4;seuscheme=EccScrub"},
+        {"--seu=.5,Ecc", "seurate=.5;seuscheme=Ecc"},
+        {"--seu-seed=9", "seuseed=9"},
+        {"--seu-scrub=128", "scrub=128"},
+        {"--seu-scrub=1", "scrub=1"},
+        {"--no-skip", "skip=0"},
+        {"--hang-budget=99", "hang=99"},
+        {"--hang-budget=1", "hang=1"},
+    };
+    for (const FlagAndSpec &c : cases) {
+        const ExperimentConfig by_flag = applied(parseOne(c.flag));
+        std::string err;
+        const auto by_spec = configFromSpec(c.spec, &err);
+        ASSERT_TRUE(by_spec.has_value()) << c.spec << ": " << err;
+        EXPECT_EQ(configToSpec(by_flag), configToSpec(*by_spec)) << c.flag;
+        // The spec prints 12 digits; the doubles must match exactly.
+        EXPECT_EQ(by_flag.faults.ber, by_spec->faults.ber) << c.flag;
+        EXPECT_EQ(by_flag.seu.flipsPerCycle, by_spec->seu.flipsPerCycle)
+            << c.flag;
+    }
+    // -0 reads as 0, so it cannot mint a second journal key for the
+    // same run.
+    EXPECT_EQ(configToSpec(applied(parseOne("--seu=-0,Ecc"))),
+              configToSpec(applied(parseOne("--seu=0,Ecc"))));
+}
+
+TEST(HarnessDeathTest, RunFlagsAndSpecKeysRejectTheSameTokens)
+{
+    // '%' marks where the token goes: both spellings must refuse it.
+    const FlagAndSpec forms[] = {
+        {"--scale=%", "scale=%"},
+        {"--sms=%", "sms=%"},
+        {"--faults=%,None", "fber=%"},
+        {"--faults=1e-4,%", "fpolicy=%"},
+        {"--fault-seed=%", "fseed=%"},
+        {"--seu=%,Ecc", "seurate=%"},
+        {"--seu=1e-4,%", "seuscheme=%"},
+        {"--seu-seed=%", "seuseed=%"},
+        {"--seu-scrub=%", "scrub=%"},
+        {"--hang-budget=%", "hang=%"},
+    };
+    auto fill = [](std::string form, const char *token) {
+        return form.replace(form.find('%'), 1, token);
+    };
+    for (const FlagAndSpec &f : forms) {
+        for (const char *token :
+             {"3q", " 5", "0x10", "nan", "-1", "1e-4 ", "0x1p-10"}) {
+            const std::string flag = fill(f.flag, token);
+            const std::string spec = fill(f.spec, token);
+            std::string err;
+            EXPECT_FALSE(configFromSpec(spec, &err).has_value()) << spec;
+            EXPECT_EXIT(parseOne(flag.c_str()), ::testing::ExitedWithCode(1),
+                        "")
+                << flag;
+        }
+    }
+    EXPECT_FALSE(configFromSpec("skip=2", nullptr).has_value());
+    EXPECT_EXIT(parseOne("--no-skip=0"), ::testing::ExitedWithCode(1),
+                "unknown argument");
 }
 
 TEST(HarnessDeathTest, MalformedHangBudgetExitsNonzero)

@@ -15,7 +15,7 @@
 
 #include "compress/bdi.hpp"
 #include "fault/seu.hpp"
-#include "harness/experiment.hpp"
+#include "harness/config_spec.hpp"
 #include "regfile/regfile.hpp"
 #include "sim/gpu.hpp"
 #include "workloads/registry.hpp"
@@ -27,13 +27,15 @@ constexpr u64 kSeed = 0x5EEDull;
 
 TEST(SeuParams, SchemeNamesRoundTrip)
 {
+    // The config spec's `seuscheme` key reads back every printed name.
     for (SeuScheme s : {SeuScheme::Unprotected, SeuScheme::Ecc,
                         SeuScheme::Scrub, SeuScheme::EccScrub}) {
-        const auto parsed = seuSchemeFromName(seuSchemeName(s));
+        const auto parsed =
+            configFromSpec("seuscheme=" + seuSchemeName(s), nullptr);
         ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, s);
+        EXPECT_EQ(parsed->seu.scheme, s);
     }
-    EXPECT_FALSE(seuSchemeFromName("Bogus").has_value());
+    EXPECT_FALSE(configFromSpec("seuscheme=Bogus", nullptr).has_value());
 }
 
 TEST(SeuParams, SchemePredicates)

@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <vector>
 
+#include "common/sha256.hpp"
 #include "sweep/sweep.hpp"
 
 namespace warpcomp {
@@ -90,6 +93,83 @@ TEST(SweepPointSpec, CustomFieldsSurviveTheTrip)
     EXPECT_EQ(back->seu.scheme, cfg.seu.scheme);
     EXPECT_EQ(back->seu.scrubInterval, cfg.seu.scrubInterval);
     EXPECT_FALSE(back->skipIdle);
+}
+
+/** The configs of bench_sweep's four grids under default flags, in
+ *  grid order: smoke, perf, fault, seu. */
+std::vector<ExperimentConfig>
+sweepGridConfigs()
+{
+    ExperimentConfig base;
+    base.faults.hangCycles = 2'000'000;
+    ExperimentConfig none = base;
+    none.scheme = CompressionScheme::None;
+    ExperimentConfig faulty = base;
+    faulty.faults.ber = 1e-3;
+    faulty.faults.policy = FaultPolicy::DisableEntry;
+    std::vector<ExperimentConfig> out = {base, none, faulty, base, none};
+
+    out.push_back(ExperimentConfig{});
+    for (double ber : {1e-4, 5e-4, 1e-3, 5e-3}) {
+        for (FaultPolicy policy :
+             {FaultPolicy::None, FaultPolicy::DisableEntry,
+              FaultPolicy::CompressRemap}) {
+            ExperimentConfig cfg;
+            cfg.faults.ber = ber;
+            cfg.faults.policy = policy;
+            out.push_back(cfg);
+        }
+    }
+
+    const CompressionScheme comps[] = {CompressionScheme::Warped,
+                                       CompressionScheme::None};
+    const SeuScheme seu_schemes[] = {SeuScheme::Unprotected,
+                                     SeuScheme::Ecc, SeuScheme::Scrub,
+                                     SeuScheme::EccScrub};
+    for (CompressionScheme comp : comps) {
+        ExperimentConfig cfg = base;
+        cfg.scheme = comp;
+        out.push_back(cfg);
+    }
+    for (CompressionScheme comp : comps) {
+        for (double rate : {1e-5, 1e-4, 1e-3, 1e-2}) {
+            for (SeuScheme scheme : seu_schemes) {
+                ExperimentConfig cfg = base;
+                cfg.scheme = comp;
+                cfg.seu.flipsPerCycle = rate;
+                cfg.seu.scheme = scheme;
+                out.push_back(cfg);
+            }
+        }
+    }
+    for (Cycle interval : {16, 64, 256, 1024}) {
+        for (SeuScheme scheme : {SeuScheme::Scrub, SeuScheme::EccScrub}) {
+            ExperimentConfig cfg = base;
+            cfg.seu.flipsPerCycle = 1e-3;
+            cfg.seu.scheme = scheme;
+            cfg.seu.scrubInterval = interval;
+            out.push_back(cfg);
+        }
+    }
+    return out;
+}
+
+TEST(SweepPointSpec, GridSpecsMatchPinnedDigest)
+{
+    // Every sweep point's journal key hashes configToSpec, so these
+    // bytes must never move: a change here silently orphans every
+    // journal and cached result.
+    std::vector<ExperimentConfig> configs = sweepGridConfigs();
+    ASSERT_EQ(configs.size(), 5u + 13u + 42u);
+    configs.push_back(customConfig());
+    std::string specs;
+    for (const ExperimentConfig &cfg : configs)
+        specs += configToSpec(cfg) + "\n";
+    EXPECT_EQ(sha256Hex(std::span<const u8>(
+                  reinterpret_cast<const u8 *>(specs.data()),
+                  specs.size())),
+              "9cb5708a040ecc2c9c1fbd08327dfa5d"
+              "94c7732d37a465503fcf38192a084ab5");
 }
 
 TEST(SweepPointSpec, RejectsMalformedSpecs)
@@ -426,12 +506,24 @@ TEST(SweepArgs, LeadingZeroIsDecimal)
     EXPECT_EQ(parseSweepOne("--backoff-ms=010").backoffMs, 10u);
     EXPECT_EQ(parseSweepOne("--attempts=010").maxAttempts, 10u);
     EXPECT_EQ(parseSweepOne("--die-after=010").dieAfterPoints, 10u);
+    EXPECT_EQ(parseSweepOne("--chaos=crash,0.1,010").chaos.seed, 10u);
 }
 
 TEST(SweepArgsDeathTest, MalformedFlagsExitNonzero)
 {
     EXPECT_EXIT(parseSweepOne("--chaos=bogus,0.5,1"),
                 ::testing::ExitedWithCode(1), "chaos");
+    // The chaos SEED follows the integer rule and RATE the number rule:
+    // no wrapped negatives, hex, octal or leading space.
+    for (const char *chaos :
+         {"--chaos=crash,0.1,-5", "--chaos=crash,0.1,0x10",
+          "--chaos=crash,0.1, 7", "--chaos=crash, 0.1,7",
+          "--chaos=crash,0x1p-4,7"})
+        EXPECT_EXIT(parseSweepOne(chaos), ::testing::ExitedWithCode(1),
+                    "chaos (SEED|RATE) must be")
+            << chaos;
+    EXPECT_EXIT(parseSweepOne("--timeout= 5"),
+                ::testing::ExitedWithCode(1), "--timeout");
     EXPECT_EXIT(parseSweepOne("--timeout=0"),
                 ::testing::ExitedWithCode(1), "--timeout");
     EXPECT_EXIT(parseSweepOne("--timeout=abc"),
