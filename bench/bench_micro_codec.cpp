@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <bit>
+#include <cstring>
 
 #include "analysis/similarity.hpp"
 #include "common/rng.hpp"
@@ -89,6 +90,44 @@ BM_BdiExplorerFullCandidates(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BdiExplorerFullCandidates);
+
+/** An image only the 8-byte base compresses: 64-bit chunks
+ *  0x0123456789ABCDEF + 3i fit <8,1>, while the 32-bit lanes alternate
+ *  between two distant words and fit no <4,Y>. */
+std::array<u8, kWarpRegBytes>
+base8Image()
+{
+    std::array<u8, kWarpRegBytes> img{};
+    for (u32 i = 0; i < kWarpRegBytes / 8; ++i) {
+        const u64 chunk = 0x0123456789ABCDEFull + 3 * i;
+        std::memcpy(img.data() + 8 * i, &chunk, 8);
+    }
+    return img;
+}
+
+void
+BM_BdiCompressBase8Full(benchmark::State &state)
+{
+    const auto img = base8Image();
+    for (auto _ : state) {
+        auto enc = bdiCompress(img, fullBdiCandidates());
+        benchmark::DoNotOptimize(enc);
+    }
+}
+BENCHMARK(BM_BdiCompressBase8Full);
+
+void
+BM_BdiDecompressBase8(benchmark::State &state)
+{
+    const BdiEncoded enc = bdiCompress(base8Image(), fullBdiCandidates());
+    if (enc.params != BdiParams{8, 1})
+        state.SkipWithError("fixture no longer encodes as <8,1>");
+    for (auto _ : state) {
+        auto out = bdiDecompress(enc);
+        benchmark::DoNotOptimize(out);
+    }
+}
+BENCHMARK(BM_BdiDecompressBase8);
 
 void
 BM_LaneScan(benchmark::State &state)

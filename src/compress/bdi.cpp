@@ -1,6 +1,7 @@
 #include "compress/bdi.hpp"
 
 #include <cstring>
+#include <type_traits>
 
 #include "common/bitops.hpp"
 #include "common/log.hpp"
@@ -9,7 +10,8 @@ namespace warpcomp {
 
 namespace {
 
-/** Load a little-endian chunk of 1/2/4/8 bytes as a signed value. */
+/** Load a little-endian chunk of 1/2/4/8 bytes as a signed value
+ *  (this and chunkDelta serve only the bdiCompressible reference). */
 i64
 loadChunk(std::span<const u8> data, u32 index, u32 chunk_bytes)
 {
@@ -35,135 +37,50 @@ chunkDelta(std::span<const u8> data, u32 index, u32 chunk_bytes, i64 base)
         static_cast<u64>(base));
 }
 
-/** Store the low @p bytes bytes of @p value little-endian. */
-void
-storeBytes(BdiByteBuf &out, i64 value, u32 bytes)
-{
-    u64 raw = static_cast<u64>(value);
-    for (u32 i = 0; i < bytes; ++i) {
-        out.push_back(static_cast<u8>(raw & 0xFF));
-        raw >>= 8;
-    }
-}
-
-/** Generic fits scan for @p base_bytes chunks (base 4 uses the
- *  vectorized scanLanes instead). */
-DeltaFits
-scanDeltas(std::span<const u8> data, u32 base_bytes)
-{
-    DeltaFits f;
-    const u32 chunks = static_cast<u32>(data.size()) / base_bytes;
-    const i64 base = loadChunk(data, 0, base_bytes);
-    for (u32 i = 1; i < chunks; ++i) {
-        const i64 d = chunkDelta(data, i, base_bytes, base);
-        f.zero = f.zero && d == 0;
-        f.one = f.one && fitsSigned(d, 1);
-        f.two = f.two && fitsSigned(d, 2);
-        if (!fitsSigned(d, 4)) {
-            // Nested ranges: nothing narrower can fit either.
-            f = {false, false, false, false};
-            break;
-        }
-    }
-    return f;
-}
-
-/** Encode the base-4 candidates (<4,0> <4,1> <4,2>) with one flat pass
- *  writing the payload in place. Byte-identical to the generic
- *  storeBytes loop: deltas store their low little-endian bytes. */
-void
-encodeBase4(std::span<const u8> data, u32 delta_bytes, BdiByteBuf &out)
-{
-    u32 lanes[kWarpSize];
-    std::memcpy(lanes, data.data(), kWarpRegBytes);
-    const i64 base = static_cast<i32>(lanes[0]);
-    out.resize(4 + delta_bytes * (kWarpSize - 1));
-    u8 *p = out.data();
-    std::memcpy(p, &lanes[0], 4);
-    p += 4;
-    if (delta_bytes == 1) {
-        for (u32 i = 1; i < kWarpSize; ++i)
-            p[i - 1] = static_cast<u8>(
-                static_cast<i32>(lanes[i]) - base);
-    } else if (delta_bytes == 2) {
-        for (u32 i = 1; i < kWarpSize; ++i) {
-            const u16 d = static_cast<u16>(
-                static_cast<i32>(lanes[i]) - base);
-            std::memcpy(p + 2 * (i - 1), &d, 2);
-        }
-    }
-}
-
-/** Decode a base-4 encoding into the 128-byte image with flat loops. */
-void
-decodeBase4(const BdiEncoded &enc, std::array<u8, kWarpRegBytes> &out)
-{
-    u32 lanes[kWarpSize];
-    u32 base_raw = 0;
-    std::memcpy(&base_raw, enc.bytes.data(), 4);
-    const i64 base = static_cast<i32>(base_raw);
-    lanes[0] = base_raw;
-    const u8 *d = enc.bytes.data() + 4;
-    switch (enc.params.deltaBytes) {
-      case 0:
-        for (u32 i = 1; i < kWarpSize; ++i)
-            lanes[i] = base_raw;
-        break;
-      case 1:
-        for (u32 i = 1; i < kWarpSize; ++i)
-            lanes[i] = static_cast<u32>(
-                base + static_cast<i8>(d[i - 1]));
-        break;
-      case 2:
-        for (u32 i = 1; i < kWarpSize; ++i) {
-            u16 raw = 0;
-            std::memcpy(&raw, d + 2 * (i - 1), 2);
-            lanes[i] = static_cast<u32>(
-                base + static_cast<i16>(raw));
-        }
-        break;
-      default:
-        WC_PANIC("unsupported base-4 delta width "
-                 << enc.params.deltaBytes);
-    }
-    std::memcpy(out.data(), lanes, kWarpRegBytes);
-}
-
 /**
- * The lane kernel behind scanLanes. kBins = false leaves out the Fig 2
- * half (LaneScan::bins stays zero) for callers that only encode.
+ * The one fits scan, over the 128-byte image read as chunks of the base
+ * width U (u32 for <4,Y>, u64 for <8,Y>). Every candidate sharing the
+ * base is answered at once: delta d = chunk i - chunk 0 fits Y bytes
+ * iff d + 2^(8Y-1) has no bit at or above 8Y.
  *
- * Signed 32-bit differences in u32 arithmetic: a - b wraps, and the
- * true (i64) difference left the i32 range iff a and b differ in sign
- * and the wrapped result differs in sign from a (bit 31 of
- * (a ^ b) & (a ^ (a - b))). An overflowed difference is nonzero and
- * wider than every threshold below. The accumulators are ORs and sums
- * of per-lane values, never early exits, so the loop vectorizes on
- * baseline SSE2. Lane 0 is paired with itself (a zero delta and a zero
- * distance, which every fit and the zero bin absorb), so the loop runs
- * all 32 lanes with no scalar remainder.
+ * Base 8 subtracts modulo 2^64, as the codec stores it. Base 4 keeps
+ * the exact i64 difference of the i32 lanes: a - b wraps in u32, and
+ * the true difference left the i32 range iff a and b differ in sign and
+ * the wrapped result differs in sign from a (bit 31 of
+ * (a ^ b) & (a ^ (a - b))); an overflowed delta is nonzero and fits no
+ * width. kBins (base 4 only) also counts the Fig 2 successive-lane
+ * distances into @p bins in DistanceBin order. The accumulators are ORs
+ * and sums, never early exits, so the loop vectorizes on baseline SSE2.
+ * Chunk 0 is paired with itself (a zero delta and a zero distance,
+ * which every fit and the zero bin absorb), so there is no remainder.
  */
-template <bool kBins>
-LaneScan
-laneKernel(const u32 *lanes)
+template <typename U, bool kBins>
+DeltaFits
+laneKernel(const U *chunks, u32 *bins)
 {
-    u32 prev[kWarpSize];
-    prev[0] = lanes[0];
-    std::memcpy(prev + 1, lanes, (kWarpSize - 1) * sizeof(u32));
+    static_assert(sizeof(U) == 4 || sizeof(U) == 8);
+    static_assert(!kBins || sizeof(U) == 4, "Fig 2 bins are per lane");
+    constexpr u32 kChunks = kWarpRegBytes / sizeof(U);
+    U prev[kChunks];
+    prev[0] = chunks[0];
+    std::memcpy(prev + 1, chunks, (kChunks - 1) * sizeof(U));
 
-    const u32 base = lanes[0];
-    u32 base_nonzero = 0;   // OR of lane i - lane 0
-    u32 base_span1 = 0;     // OR of the deltas biased by 2^7 ...
-    u32 base_span2 = 0;     // ... and by 2^15: a fit leaves no high bit
-    u32 base_ovf = 0;       // bit 31: some delta overflowed i32
+    const U base = chunks[0];
+    U nonzero_or = 0;   // OR of chunk i - chunk 0
+    U span1 = 0;        // OR of the deltas biased by 2^7, 2^15 and
+    U span2 = 0;        // 2^31: a fit leaves no bit at or above the
+    U span4 = 0;        // width (always so for 4-byte deltas of base 4)
+    U ovf = 0;          // base 4, bit 31: some delta overflowed i32
     u32 nonzero = 0, over128 = 0, over32k = 0;
-    for (u32 i = 0; i < kWarpSize; ++i) {
-        const u32 a = lanes[i];
-        const u32 d = a - base;
-        base_nonzero |= d;
-        base_span1 |= d + 0x80u;
-        base_span2 |= d + 0x8000u;
-        base_ovf |= (a ^ base) & (a ^ d);
+    for (u32 i = 0; i < kChunks; ++i) {
+        const U a = chunks[i];
+        const U d = a - base;
+        nonzero_or |= d;
+        span1 |= d + U{0x80};
+        span2 |= d + U{0x8000};
+        span4 |= d + U{0x80000000};
+        if constexpr (sizeof(U) == 4)
+            ovf |= (a ^ base) & (a ^ d);
         if constexpr (kBins) {
             const u32 e = a - prev[i];
             const u32 e_ovf = ((a ^ prev[i]) & (a ^ e)) >> 31;
@@ -172,19 +89,124 @@ laneKernel(const u32 *lanes)
             over32k += e_ovf | static_cast<u32>(e + 32768u > 65536u);
         }
     }
-    const bool ovf = (base_ovf >> 31) != 0;
-    LaneScan scan;
-    scan.fits4.zero = base_nonzero == 0;
-    scan.fits4.one = !ovf && (base_span1 & ~0xFFu) == 0;
-    scan.fits4.two = !ovf && (base_span2 & ~0xFFFFu) == 0;
-    scan.fits4.four = !ovf;
+    const bool wide = (ovf >> 31) != 0;
+    DeltaFits f;
+    f.zero = nonzero_or == 0;
+    f.one = !wide && (span1 & ~U{0xFF}) == 0;
+    f.two = !wide && (span2 & ~U{0xFFFF}) == 0;
+    f.four = !wide && (span4 & ~U{0xFFFFFFFF}) == 0;
     if constexpr (kBins) {
-        scan.bins[0] = (kWarpSize - 1) - nonzero;
-        scan.bins[1] = nonzero - over128;
-        scan.bins[2] = over128 - over32k;
-        scan.bins[3] = over32k;
+        bins[0] = (kWarpSize - 1) - nonzero;
+        bins[1] = nonzero - over128;
+        bins[2] = over128 - over32k;
+        bins[3] = over32k;
     }
-    return scan;
+    return f;
+}
+
+/** The fits of @p data, a 128-byte image, for base width U. */
+template <typename U>
+DeltaFits
+scanAs(std::span<const u8> data)
+{
+    WC_ASSERT(data.size() == kWarpRegBytes,
+              "register compression operates on 128-byte warp registers");
+    U chunks[kWarpRegBytes / sizeof(U)];
+    std::memcpy(chunks, data.data(), kWarpRegBytes);
+    return laneKernel<U, false>(chunks, nullptr);
+}
+
+/** Encode @p data with base width U: the base chunk, then each chunk
+ *  minus the base (modulo the width) as its low @p delta_bytes bytes,
+ *  little-endian. */
+template <typename U>
+void
+encodeAs(std::span<const u8> data, u32 delta_bytes, BdiByteBuf &out)
+{
+    constexpr u32 kChunks = kWarpRegBytes / sizeof(U);
+    U c[kChunks];
+    std::memcpy(c, data.data(), kWarpRegBytes);
+    out.resize(sizeof(U) + delta_bytes * (kChunks - 1));
+    std::memcpy(out.data(), c, sizeof(U));
+    u8 *p = out.data() + sizeof(U);
+    const auto deltas = [&](auto width) {
+        using D = decltype(width);
+        for (u32 i = 1; i < kChunks; ++i) {
+            const D d = static_cast<D>(c[i] - c[0]);
+            std::memcpy(p + (i - 1) * sizeof(D), &d, sizeof(D));
+        }
+    };
+    switch (delta_bytes) {
+      case 0: break;
+      case 1: deltas(u8{}); break;
+      case 2: deltas(u16{}); break;
+      case 4: deltas(u32{}); break;
+      default: WC_PANIC("unsupported delta width " << delta_bytes);
+    }
+}
+
+/** Invert encodeAs<U>: sign-extend each delta and add it back to the
+ *  base modulo the width. */
+template <typename U>
+std::array<u8, kWarpRegBytes>
+decodeAs(const BdiEncoded &enc)
+{
+    constexpr u32 kChunks = kWarpRegBytes / sizeof(U);
+    U c[kChunks];
+    std::memcpy(c, enc.bytes.data(), sizeof(U));
+    const u8 *p = enc.bytes.data() + sizeof(U);
+    const auto deltas = [&](auto width) {
+        using D = decltype(width);
+        for (u32 i = 1; i < kChunks; ++i) {
+            D d = 0;
+            std::memcpy(&d, p + (i - 1) * sizeof(D), sizeof(D));
+            c[i] = c[0] +
+                static_cast<U>(static_cast<std::make_signed_t<D>>(d));
+        }
+    };
+    switch (enc.params.deltaBytes) {
+      case 0:
+        for (u32 i = 1; i < kChunks; ++i)
+            c[i] = c[0];
+        break;
+      case 1: deltas(u8{}); break;
+      case 2: deltas(u16{}); break;
+      case 4: deltas(u32{}); break;
+      default:
+        WC_PANIC("unsupported delta width " << enc.params.deltaBytes);
+    }
+    std::array<u8, kWarpRegBytes> out{};
+    std::memcpy(out.data(), c, kWarpRegBytes);
+    return out;
+}
+
+/**
+ * The one selection loop: the smallest-footprint candidate that fits
+ * (ties to the earlier one), or nullptr when none is smaller than the
+ * raw register. @p fits4 are the base-4 fits; base 8 is scanned on
+ * first use, once for all its candidates.
+ */
+const BdiParams *
+choose(std::span<const u8> data, std::span<const BdiParams> candidates,
+       const DeltaFits &fits4)
+{
+    const BdiParams *best = nullptr;
+    u32 best_size = kWarpRegBytes;
+    std::optional<DeltaFits> fits8;
+    for (const BdiParams &p : candidates) {
+        WC_ASSERT(p.baseBytes == 4 || p.baseBytes == 8,
+                  "unsupported base size " << p.baseBytes);
+        const u32 size = bdiCompressedSize(p);
+        if (size >= best_size)
+            continue;
+        if (p.baseBytes == 8 && !fits8)
+            fits8 = scanAs<u64>(data);
+        if ((p.baseBytes == 4 ? fits4 : *fits8).fits(p.deltaBytes)) {
+            best = &p;
+            best_size = size;
+        }
+    }
+    return best;
 }
 
 constexpr BdiParams kFullCandidates[] = {
@@ -267,17 +289,15 @@ DeltaFits::fits(u32 delta_bytes) const
 LaneScan
 scanLanes(const WarpRegValue &value)
 {
-    return laneKernel<true>(value.data());
+    LaneScan scan;
+    scan.fits4 = laneKernel<u32, true>(value.data(), scan.bins);
+    return scan;
 }
 
 BdiEncoded
 bdiCompress(std::span<const u8> data, std::span<const BdiParams> candidates)
 {
-    WC_ASSERT(data.size() == kWarpRegBytes,
-              "register compression operates on 128-byte warp registers");
-    u32 lanes[kWarpSize];
-    std::memcpy(lanes, data.data(), kWarpRegBytes);
-    return bdiCompress(data, candidates, laneKernel<false>(lanes).fits4);
+    return bdiCompress(data, candidates, scanAs<u32>(data));
 }
 
 BdiEncoded
@@ -286,110 +306,38 @@ bdiCompress(std::span<const u8> data, std::span<const BdiParams> candidates,
 {
     WC_ASSERT(data.size() == kWarpRegBytes,
               "register compression operates on 128-byte warp registers");
-
-    const BdiParams *best = nullptr;
-    u32 best_size = kWarpRegBytes;
-    // Base 8 is scanned lazily, once for all its candidates.
-    std::optional<DeltaFits> fits8;
-    for (const BdiParams &p : candidates) {
-        const u32 size = bdiCompressedSize(p);
-        if (size >= best_size)
-            continue;
-        bool ok;
-        const bool scannable =
-            p.deltaBytes == 0 || p.deltaBytes == 1 ||
-            p.deltaBytes == 2 || p.deltaBytes == 4;
-        if (p.baseBytes == 4 && scannable) {
-            ok = fits4.fits(p.deltaBytes);
-        } else if (p.baseBytes == 8 && scannable) {
-            if (!fits8)
-                fits8 = scanDeltas(data, 8);
-            ok = fits8->fits(p.deltaBytes);
-        } else {
-            ok = bdiCompressible(data, p);
-        }
-        if (ok) {
-            best = &p;
-            best_size = size;
-        }
-    }
-
     BdiEncoded enc;
+    const BdiParams *best = choose(data, candidates, fits4);
     if (best == nullptr) {
-        enc.compressed = false;
         enc.bytes.assign(data);
-        return enc;
+    } else {
+        enc.compressed = true;
+        enc.params = *best;
+        if (best->baseBytes == 4)
+            encodeAs<u32>(data, best->deltaBytes, enc.bytes);
+        else
+            encodeAs<u64>(data, best->deltaBytes, enc.bytes);
     }
-
-    enc.compressed = true;
-    enc.params = *best;
-    if (best->baseBytes == 4 && best->deltaBytes <= 2) {
-        // The warped candidates (<4,0> <4,1> <4,2>) take the flat
-        // lane-wise path over the contiguous 32x4B image.
-        encodeBase4(data, best->deltaBytes, enc.bytes);
-        WC_ASSERT(enc.bytes.size() == best_size,
-                  "compressed size mismatch");
-        return enc;
-    }
-    const u32 chunks = kWarpRegBytes / best->baseBytes;
-    const i64 base = loadChunk(data, 0, best->baseBytes);
-    storeBytes(enc.bytes, base, best->baseBytes);
-    for (u32 i = 1; i < chunks; ++i) {
-        const i64 delta = chunkDelta(data, i, best->baseBytes, base);
-        storeBytes(enc.bytes, delta, best->deltaBytes);
-    }
-    WC_ASSERT(enc.bytes.size() == best_size, "compressed size mismatch");
     return enc;
 }
 
 std::array<u8, kWarpRegBytes>
 bdiDecompress(const BdiEncoded &enc)
 {
+    if (enc.compressed)
+        return enc.params.baseBytes == 4 ? decodeAs<u32>(enc)
+                                         : decodeAs<u64>(enc);
+    WC_ASSERT(enc.bytes.size() == kWarpRegBytes,
+              "uncompressed payload must be 128 bytes");
     std::array<u8, kWarpRegBytes> out{};
-    if (!enc.compressed) {
-        WC_ASSERT(enc.bytes.size() == kWarpRegBytes,
-                  "uncompressed payload must be 128 bytes");
-        std::memcpy(out.data(), enc.bytes.data(), kWarpRegBytes);
-        return out;
-    }
-
-    const BdiParams p = enc.params;
-    if (p.baseBytes == 4 && p.deltaBytes <= 2) {
-        decodeBase4(enc, out);
-        return out;
-    }
-    const u32 chunks = kWarpRegBytes / p.baseBytes;
-    const std::span<const u8> payload(enc.bytes.data(), enc.sizeBytes());
-    const i64 base = loadChunk(payload, 0, p.baseBytes);
-    // Base chunk.
-    u64 raw = static_cast<u64>(base);
-    std::memcpy(out.data(), &raw, p.baseBytes);
-    // Delta chunks.
-    for (u32 i = 1; i < chunks; ++i) {
-        i64 delta = 0;
-        if (p.deltaBytes > 0)
-            delta = loadChunk(payload.subspan(p.baseBytes), i - 1,
-                              p.deltaBytes);
-        raw = static_cast<u64>(base) + static_cast<u64>(delta);
-        std::memcpy(out.data() + i * p.baseBytes, &raw, p.baseBytes);
-    }
+    std::memcpy(out.data(), enc.bytes.data(), kWarpRegBytes);
     return out;
 }
 
 std::optional<BdiParams>
 bdiBestParams(std::span<const u8> data, std::span<const BdiParams> candidates)
 {
-    const BdiParams *best = nullptr;
-    u32 best_size = ~0u;
-    for (const BdiParams &p : candidates) {
-        const u32 size = bdiCompressedSize(
-            p, static_cast<u32>(data.size()));
-        if (size < best_size && size < data.size() &&
-            bdiCompressible(data, p)) {
-            best = &p;
-            best_size = size;
-        }
-    }
+    const BdiParams *best = choose(data, candidates, scanAs<u32>(data));
     if (best == nullptr)
         return std::nullopt;
     return *best;

@@ -8,7 +8,9 @@
  * A register compresses under <X,Y> iff every delta fits in Y bytes.
  * Deltas are exact differences, except that 8-byte chunks subtract
  * modulo 2^64 as a 64-bit hardware subtractor would (decode adds back
- * modulo 2^64, so the round trip is exact either way).
+ * modulo 2^64, so the round trip is exact either way). Bases 4 and 8
+ * are supported, the only ones a candidate list names; one codec,
+ * templated over the chunk width, serves both.
  *
  * The compressed length follows Eq. (1) of the paper:
  *   Lcomp = Lbase + Ldelta * (Linput / Lbase - 1)
@@ -64,7 +66,9 @@ std::array<u8, kWarpRegBytes> toBytes(const WarpRegValue &value);
 /** Rebuild a warp register value from its 128-byte image. */
 WarpRegValue fromBytes(std::span<const u8> bytes);
 
-/** True when @p data compresses under @p params. */
+/** True when @p data compresses under @p params: the scalar,
+ *  one-candidate-at-a-time reference definition the tests check the
+ *  codec's fits scan against (any base of 1, 2, 4 or 8 bytes). */
 bool bdiCompressible(std::span<const u8> data, BdiParams params);
 
 /**
@@ -102,8 +106,9 @@ struct LaneScan
     u32 bins[4] = {};
 };
 
-/** Scan @p value; see LaneScan. Branch-free u32 arithmetic with an
- *  explicit signed-overflow flag, so the loop vectorizes. */
+/** Scan @p value; see LaneScan. This is the base-4 instance of the
+ *  codec's fits scan with the Fig 2 bins compiled in: branch-free u32
+ *  arithmetic with an explicit signed-overflow flag, so it vectorizes. */
 LaneScan scanLanes(const WarpRegValue &value);
 
 /**
@@ -119,13 +124,9 @@ class BdiByteBuf
     u8 *data() { return data_.data(); }
     const u8 *data() const { return data_.data(); }
     u32 size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-    static constexpr u32 capacity() { return kWarpRegBytes; }
 
-    void clear() { size_ = 0; }
-
-    /** Set the logical size; the codec fast paths write the payload
-     *  in place through data() instead of byte-wise push_back. */
+    /** Set the logical size; the encoder then writes the payload in
+     *  place through data(). */
     void
     resize(u32 size)
     {
@@ -133,24 +134,7 @@ class BdiByteBuf
         size_ = size;
     }
 
-    void
-    push_back(u8 b)
-    {
-        assert(size_ < kWarpRegBytes);
-        data_[size_++] = b;
-    }
-
-    /** Replace the contents with [first, last). */
-    template <typename It>
-    void
-    assign(It first, It last)
-    {
-        size_ = 0;
-        for (; first != last; ++first)
-            push_back(*first);
-    }
-
-    /** Replace the contents with @p src (fast path for raw images). */
+    /** Replace the contents with @p src. */
     void
     assign(std::span<const u8> src)
     {
@@ -161,9 +145,6 @@ class BdiByteBuf
 
     u8 &operator[](std::size_t i) { return data_[i]; }
     const u8 &operator[](std::size_t i) const { return data_[i]; }
-
-    const u8 *begin() const { return data_.data(); }
-    const u8 *end() const { return data_.data() + size_; }
 
     bool
     operator==(const BdiByteBuf &other) const
@@ -193,8 +174,10 @@ struct BdiEncoded
 };
 
 /**
- * Compress @p data with the smallest-footprint candidate that fits (ties
- * broken toward the earlier candidate). Falls back to uncompressed.
+ * Compress the 128-byte image @p data with the smallest-footprint
+ * candidate that fits (ties broken toward the earlier candidate). Falls
+ * back to uncompressed. Every candidate must have base 4 or 8 and a
+ * delta of 0, 1, 2 or 4 bytes.
  */
 BdiEncoded bdiCompress(std::span<const u8> data,
                        std::span<const BdiParams> candidates);
@@ -210,8 +193,9 @@ std::array<u8, kWarpRegBytes> bdiDecompress(const BdiEncoded &enc);
 
 /**
  * The original-BDI explorer used for Fig 5: among @p candidates, the
- * parameter pair giving the smallest compressed size, or nullopt when
- * nothing fits.
+ * pair bdiCompress would choose for the 128-byte image @p data, or
+ * nullopt when nothing fits. It selects without encoding, scanning each
+ * base width at most once.
  */
 std::optional<BdiParams> bdiBestParams(std::span<const u8> data,
                                        std::span<const BdiParams> candidates);

@@ -49,19 +49,6 @@ enum class RangeIndicator : u8 {
     Uncompressed = 3    ///< 8 banks
 };
 
-/** Banks occupied for a range-indicator value. */
-inline u32
-indicatorBanks(RangeIndicator ind)
-{
-    switch (ind) {
-      case RangeIndicator::Base40: return 1;
-      case RangeIndicator::Base41: return 3;
-      case RangeIndicator::Base42: return 5;
-      case RangeIndicator::Uncompressed: return kBanksPerWarpReg;
-      default: WC_PANIC("unknown range indicator");
-    }
-}
-
 /** Payload bytes stored for a range-indicator value (4/35/66/128). */
 inline u32
 indicatorBytes(RangeIndicator ind)
@@ -73,6 +60,13 @@ indicatorBytes(RangeIndicator ind)
       case RangeIndicator::Uncompressed: return kWarpRegBytes;
       default: WC_PANIC("unknown range indicator");
     }
+}
+
+/** Banks occupied for a range-indicator value (1/3/5/8). */
+inline u32
+indicatorBanks(RangeIndicator ind)
+{
+    return banksForBytes(indicatorBytes(ind));
 }
 
 /** Indicator for a compression outcome under the Warped scheme. */

@@ -58,7 +58,6 @@ class UnitPool
 
     u32 count() const { return count_; }
     u32 latency() const { return latency_; }
-    void setLatency(u32 latency) { latency_ = latency; }
 
     /** Total operations issued (== unit activations for energy). */
     u64 activations() const { return activations_; }

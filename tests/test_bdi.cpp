@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "compress/bdi.hpp"
@@ -317,6 +318,53 @@ TEST(BdiCompress, Base4PayloadLayout)
         EXPECT_EQ(static_cast<i8>(enc.bytes[4 + i - 1]),
                   static_cast<i8>(-3 * static_cast<i32>(i)));
     EXPECT_EQ(bdiDecompress(enc), toBytes(v));
+}
+
+TEST(BdiCompress, Base8PayloadLayout)
+{
+    // Pin the wire format of the <8,1> <8,2> <8,4> encodings: the
+    // little-endian base chunk, then the low Y bytes of each chunk's
+    // delta taken modulo 2^64. The base sits just below 2^64, so the
+    // positive deltas wrap the chunks past zero.
+    const u64 base = 0xFFFFFFFFFFFFFFF0ull;
+    for (const auto &[y, step] : {std::pair<u32, i64>{1, 8},
+                                 {2, 2000}, {4, 100'000'000}}) {
+        std::array<u8, kWarpRegBytes> img{};
+        u64 deltas[kWarpRegBytes / 8] = {};
+        for (u32 c = 0; c < kWarpRegBytes / 8; ++c) {
+            deltas[c] = static_cast<u64>((c % 2 == 1 ? 1 : -1) * step *
+                                         static_cast<i64>(c));
+            const u64 chunk = base + deltas[c];
+            std::memcpy(img.data() + 8 * c, &chunk, 8);
+        }
+        const BdiParams p{8, y};
+        const BdiEncoded enc = bdiCompress(img, {&p, 1});
+        ASSERT_TRUE(enc.compressed) << y;
+        EXPECT_EQ(enc.params, p);
+        ASSERT_EQ(enc.sizeBytes(), 8 + 15 * y);
+        EXPECT_EQ(enc.bytes[0], 0xF0);
+        for (u32 b = 1; b < 8; ++b)
+            EXPECT_EQ(enc.bytes[b], 0xFF) << y << " base byte " << b;
+        for (u32 c = 1; c < kWarpRegBytes / 8; ++c) {
+            for (u32 b = 0; b < y; ++b)
+                EXPECT_EQ(enc.bytes[8 + (c - 1) * y + b],
+                          static_cast<u8>(deltas[c] >> (8 * b)))
+                    << y << " chunk " << c << " byte " << b;
+        }
+        EXPECT_EQ(bdiDecompress(enc), img) << y;
+    }
+    // Spot-check literal bytes: chunk 1 is +8, chunk 2 is -16.
+    std::array<u8, kWarpRegBytes> img{};
+    for (u32 c = 0; c < kWarpRegBytes / 8; ++c) {
+        const u64 chunk =
+            base + static_cast<u64>((c % 2 == 1 ? 8 : -8) * i64{c});
+        std::memcpy(img.data() + 8 * c, &chunk, 8);
+    }
+    const BdiParams p81{8, 1};
+    const BdiEncoded enc = bdiCompress(img, {&p81, 1});
+    ASSERT_TRUE(enc.compressed);
+    EXPECT_EQ(enc.bytes[8], 0x08);
+    EXPECT_EQ(enc.bytes[9], 0xF0);
 }
 
 TEST(BdiBytes, ToFromInverse)

@@ -6,15 +6,19 @@
  * and through the full design-space candidate list. The properties are
  * the paper's correctness obligations: decompress(compress(x)) == x,
  * encoded size never exceeds the 128-byte input, and the encoded size
- * always equals Eq. (1) for the chosen parameters. The fused lane
- * kernel (scanLanes) is checked against the reference definitions it
- * replaces on the same corpus plus hand-picked overflow edges.
+ * always equals Eq. (1) for the chosen parameters. The codec's fits
+ * scan, at both base widths, and its candidate selection are checked
+ * against the scalar reference bdiCompressible on the same corpus, on
+ * a base-8 shaped corpus and on hand-picked overflow and wrap edges.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <algorithm>
 #include <climits>
+#include <cstring>
+#include <optional>
 #include <vector>
 
 #include "analysis/similarity.hpp"
@@ -75,6 +79,31 @@ randomRegister(Rng &rng, u32 shape)
     return v;
 }
 
+/**
+ * Registers shaped for the 8-byte base: sixteen 64-bit chunks, a random
+ * base plus deltas sized for <8,0> <8,1> <8,2> <8,4> or full entropy,
+ * with the same one-chunk poisoning as randomRegister.
+ */
+WarpRegValue
+randomChunks64(Rng &rng, u32 shape)
+{
+    constexpr u32 kChunks = kWarpRegBytes / 8;
+    static constexpr i32 kSpan[] = {0, 127, 32767, INT32_MAX};
+    u64 chunks[kChunks];
+    const u64 base = rng.next();
+    for (u64 &c : chunks) {
+        c = shape % 5 == 4
+            ? rng.next()
+            : base + static_cast<u64>(static_cast<i64>(
+                  rng.nextRange(-kSpan[shape % 5], kSpan[shape % 5])));
+    }
+    if (rng.nextBool(0.25))
+        chunks[rng.nextU32(kChunks)] = rng.next();
+    std::array<u8, kWarpRegBytes> raw{};
+    std::memcpy(raw.data(), chunks, kWarpRegBytes);
+    return fromBytes(raw);
+}
+
 TEST(BdiFuzz, RoundTripWarpedCandidates)
 {
     Rng rng(0xF0221u);
@@ -124,22 +153,41 @@ TEST(BdiFuzz, RoundTripEverySingleParameterization)
     }
 }
 
+/** Brute-force selection over the scalar reference: the first
+ *  smallest candidate bdiCompressible accepts, if smaller than raw. */
+std::optional<BdiParams>
+referencePick(std::span<const u8> raw, std::span<const BdiParams> cands)
+{
+    std::optional<BdiParams> pick;
+    u32 pick_size = kWarpRegBytes;
+    for (const BdiParams &p : cands) {
+        if (bdiCompressedSize(p) < pick_size && bdiCompressible(raw, p)) {
+            pick = p;
+            pick_size = bdiCompressedSize(p);
+        }
+    }
+    return pick;
+}
+
 TEST(BdiFuzz, SelectorAgreesWithExplorer)
 {
-    // bdiCompress must pick a candidate no worse than the explorer's
-    // best choice over the same list.
+    // bdiCompress and the Fig 5 explorer share one selection loop, so
+    // each is checked against the brute-force reference pick, over
+    // both candidate lists and both register shapes.
     Rng rng(0xF0223u);
     for (u32 i = 0; i < kFuzzCases / 4; ++i) {
-        const WarpRegValue v = randomRegister(rng, i);
-        const auto raw = toBytes(v);
-        const BdiEncoded enc = bdiCompress(raw, fullBdiCandidates());
-        const auto best = bdiBestParams(raw, fullBdiCandidates());
-        if (best.has_value()) {
-            ASSERT_TRUE(enc.compressed) << "case " << i;
-            EXPECT_EQ(enc.sizeBytes(), bdiCompressedSize(*best))
-                << "case " << i << ": selector missed the best fit";
-        } else {
-            EXPECT_FALSE(enc.compressed) << "case " << i;
+        for (const WarpRegValue &v :
+             {randomRegister(rng, i), randomChunks64(rng, i)}) {
+            const auto raw = toBytes(v);
+            for (auto cands : {warpedCandidates(), fullBdiCandidates()}) {
+                const auto want = referencePick(raw, cands);
+                const BdiEncoded enc = bdiCompress(raw, cands);
+                ASSERT_EQ(enc.compressed, want.has_value()) << "case " << i;
+                if (want.has_value()) {
+                    EXPECT_EQ(enc.params, *want) << "case " << i;
+                }
+                EXPECT_EQ(bdiBestParams(raw, cands), want) << "case " << i;
+            }
         }
     }
 }
@@ -148,8 +196,11 @@ TEST(BdiFuzz, SelectorAgreesWithExplorer)
  * Check scanLanes(v) against the reference definitions: bdiCompressible
  * for <4,0> <4,1> <4,2>, the same i64 delta test for <4,4> (which
  * bdiCompressible rejects as a parameter pair, delta == base), and
- * classifyDistance over every successive lane pair. Also checks that
- * both compress entry points and both similarity paths agree.
+ * classifyDistance over every successive lane pair. The base-8 fits,
+ * seen through single-candidate compress and explorer calls, are
+ * checked against bdiCompressible for <8,0> <8,1> <8,2> <8,4>. Also
+ * checks that both compress entry points and both similarity paths
+ * agree.
  */
 void
 expectScanMatchesReference(const WarpRegValue &v, const char *what,
@@ -178,6 +229,15 @@ expectScanMatchesReference(const WarpRegValue &v, const char *what,
     for (u32 b = 0; b < kNumDistanceBins; ++b)
         EXPECT_EQ(scan.bins[b], bins[b])
             << what << " " << index << ": bin " << b;
+
+    for (u32 d : {0u, 1u, 2u, 4u}) {
+        const BdiParams p{8, d};
+        const bool fits = bdiCompressible(raw, p);
+        EXPECT_EQ(bdiCompress(raw, {&p, 1}).compressed, fits)
+            << what << " " << index << ": <8," << d << ">";
+        EXPECT_EQ(bdiBestParams(raw, {&p, 1}).has_value(), fits)
+            << what << " " << index << ": <8," << d << ">";
+    }
 
     const BdiEncoded lazy = bdiCompress(raw, warpedCandidates());
     const BdiEncoded given =
@@ -253,6 +313,60 @@ TEST(LaneScan, MatchesReferenceOnOverflowEdges)
 
     for (u32 i = 0; i < cases.size(); ++i)
         expectScanMatchesReference(cases[i], "edge", i);
+}
+
+TEST(LaneScan, MatchesReferenceOnBase8Images)
+{
+    Rng rng(0xF0226u);
+    for (u32 i = 0; i < kFuzzCases / 4; ++i)
+        expectScanMatchesReference(randomChunks64(rng, i), "case", i);
+}
+
+TEST(LaneScan, MatchesReferenceOnBase8WrapEdges)
+{
+    // 64-bit chunks where only the modular delta fits: INT64_MIN beside
+    // INT64_MAX (a wrapped difference of 1), and deltas on both sides
+    // of the 1-, 2- and 4-byte limits from extreme bases.
+    const i64 bases[] = {0, -1, INT64_MAX, INT64_MIN, INT64_MAX - 100,
+                         INT64_MIN + 100, INT32_MAX, INT32_MIN};
+    const i64 deltas[] = {0, 1, -1, 127, -128, 128, -129, 32767, -32768,
+                          32768, -32769, INT32_MAX, INT32_MIN,
+                          i64{INT32_MAX} + 1, i64{INT32_MIN} - 1,
+                          INT64_MAX, INT64_MIN};
+    constexpr u32 kChunks = kWarpRegBytes / 8;
+    const auto image = [](const u64 (&chunks)[kChunks]) {
+        std::array<u8, kWarpRegBytes> raw{};
+        std::memcpy(raw.data(), chunks, kWarpRegBytes);
+        return fromBytes(raw);
+    };
+    u32 n = 0;
+    for (i64 base : bases) {
+        const u64 b = static_cast<u64>(base);
+        for (i64 delta : deltas) {
+            const u64 o = b + static_cast<u64>(delta);
+            u64 chunks[kChunks];
+            // One outlier at the first, a middle and the last chunk.
+            for (u32 at : {1u, 8u, kChunks - 1}) {
+                std::fill(chunks, chunks + kChunks, b);
+                chunks[at] = o;
+                expectScanMatchesReference(image(chunks), "edge", n++);
+            }
+            // Every chunk after the base is the outlier.
+            std::fill(chunks, chunks + kChunks, o);
+            chunks[0] = b;
+            expectScanMatchesReference(image(chunks), "edge", n++);
+        }
+    }
+    // INT64_MAX then INT64_MIN: the true difference overflows i64, the
+    // modular one is 1, so <8,1> fits and <8,0> does not.
+    u64 chunks[kChunks];
+    std::fill(chunks, chunks + kChunks, u64{1} << 63);
+    chunks[0] = (u64{1} << 63) - 1;
+    const WarpRegValue v = image(chunks);
+    expectScanMatchesReference(v, "edge", n++);
+    const BdiParams p80{8, 0}, p81{8, 1};
+    EXPECT_FALSE(bdiCompress(toBytes(v), {&p80, 1}).compressed);
+    EXPECT_TRUE(bdiCompress(toBytes(v), {&p81, 1}).compressed);
 }
 
 TEST(LaneScan, OverflowedDeltasAreWideAndRandom)

@@ -46,7 +46,7 @@ TEST(Drowsy, AccessWakesOneBank)
     BdiEncoded enc;
     enc.compressed = false;
     const auto img = toBytes(v);
-    enc.bytes.assign(img.begin(), img.end());
+    enc.bytes.assign(img);
     rf.recordWrite(0, 0, enc, 100);
 
     const auto act = rf.bankActivity(105);

@@ -9,7 +9,9 @@
  *     flag each exit 1 with a one-line diagnostic instead of running
  *     something else;
  *   - a --stats-json document that cannot be written exits 1 with a
- *     one-line diagnostic, never 0 without the file.
+ *     one-line diagnostic, never 0 without the file;
+ *   - Fig 5's <base,delta> selection breakdown from a real run is
+ *     byte-identical to a pinned digest.
  *
  * Kept out of warpcomp_tests so the in-process suite never forks.
  */
@@ -23,6 +25,8 @@
 
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "common/sha256.hpp"
 
 namespace warpcomp {
 namespace {
@@ -180,6 +184,33 @@ TEST(WcBenchProcess, FailedStatsJsonWriteExitsOne)
     EXPECT_EQ(lineCount(msg), 1u) << msg;
     // The figure itself was printed before the failed write.
     EXPECT_NE(slurp(out).find("\nnw "), std::string::npos);
+}
+
+TEST(WcBenchProcess, Fig05SelectionMatchesPinnedDigest)
+{
+    // The explorer's per-write pick over all seven candidates, end to
+    // end. dwt2d selects <8,0> <8,1> <8,2> and hotspot <8,4>, so both
+    // base widths and every delta width feed the pinned tables.
+    const std::pair<const char *, const char *> pinned[] = {
+        {"dwt2d",
+         "088d9826b2b58bf285a169f2ef60e21b4d5ee681e6798786af50ecd8e013eae2"},
+        {"hotspot",
+         "4e6d660775b22492bc1f6aebf683d8aa91cfe4b7cbef22b54905872d9015a3e1"},
+    };
+    for (const auto &[workload, digest] : pinned) {
+        const std::string out = tempPath(std::string("fig05_") + workload);
+        const std::string err = out + ".err";
+        ASSERT_EQ(runBench(std::string("fig05 --sms=2 --only=") + workload,
+                           out, err),
+                  0)
+            << slurp(err);
+        const std::string text = slurp(out);
+        EXPECT_EQ(sha256Hex(std::span<const u8>(
+                      reinterpret_cast<const u8 *>(text.data()),
+                      text.size())),
+                  digest)
+            << workload << ":\n" << text;
+    }
 }
 
 } // namespace
