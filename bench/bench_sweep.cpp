@@ -387,7 +387,7 @@ main(int argc, char **argv)
     const SweepOptions sopt =
         parseSweepArgs(static_cast<int>(rest.size()), rest.data());
     if (sopt.isChild())
-        return runSweepChildPoint(sopt);
+        return runSweepChildPoint(sopt, opt.threads);
 
     const GridEntry &entry = findGrid(sopt.grid);
     GridRun run;

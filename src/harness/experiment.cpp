@@ -41,10 +41,12 @@ makeGpuParams(const ExperimentConfig &cfg)
 }
 
 ExperimentResult
-runWorkload(const std::string &name, const ExperimentConfig &cfg)
+runWorkload(const std::string &name, const ExperimentConfig &cfg,
+            u32 host_threads)
 {
     WorkloadInstance wl = makeWorkload(name, cfg.scale, cfg.seedSalt);
     GpuParams gp = makeGpuParams(cfg);
+    gp.hostThreads = host_threads;
     // The streaming sink is armed here, not in the simulator: this is
     // the one place that knows the full provenance (frontend, image
     // SHA, config label) before the run starts.
@@ -93,10 +95,10 @@ runWorkloadsParallel(const std::vector<std::string> &names,
     // Each slot is owned exclusively by one job; merging back is just
     // unwrapping in submission order.
     std::vector<std::optional<ExperimentResult>> slots(names.size());
-    parallelFor(names.size(), resolveThreadCount(num_threads),
-                [&](std::size_t i) {
-                    slots[i] = runWorkload(names[i], cfg);
-                });
+    const ThreadShare share = shareThreads(num_threads, names.size());
+    parallelFor(names.size(), share.workers, [&](std::size_t i) {
+        slots[i] = runWorkload(names[i], cfg, share.perJob);
+    });
     std::vector<ExperimentResult> results;
     results.reserve(slots.size());
     for (auto &slot : slots)
@@ -117,11 +119,11 @@ runGrid(const std::vector<ExperimentConfig> &configs,
     const std::size_t n_wl = workloads.size();
     const std::size_t n_jobs = configs.size() * n_wl;
     std::vector<std::optional<ExperimentResult>> slots(n_jobs);
-    parallelFor(n_jobs, resolveThreadCount(num_threads),
-                [&](std::size_t i) {
-                    slots[i] = runWorkload(workloads[i % n_wl],
-                                           configs[i / n_wl]);
-                });
+    const ThreadShare share = shareThreads(num_threads, n_jobs);
+    parallelFor(n_jobs, share.workers, [&](std::size_t i) {
+        slots[i] = runWorkload(workloads[i % n_wl], configs[i / n_wl],
+                               share.perJob);
+    });
     std::vector<std::vector<ExperimentResult>> grid(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
         grid[c].reserve(n_wl);

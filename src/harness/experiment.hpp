@@ -79,17 +79,24 @@ struct ExperimentResult
 /** Assemble GpuParams from an ExperimentConfig. */
 GpuParams makeGpuParams(const ExperimentConfig &cfg);
 
-/** Run one workload under @p cfg. */
+/**
+ * Run one workload under @p cfg, stepping its SMs on @p host_threads
+ * host threads (GpuParams::hostThreads: 0 = the CPUs in the affinity
+ * mask). Results are byte-identical for any @p host_threads.
+ */
 ExperimentResult runWorkload(const std::string &name,
-                             const ExperimentConfig &cfg);
+                             const ExperimentConfig &cfg,
+                             u32 host_threads = 0);
 
 /** Run the full 19-workload suite (workloadNames()) under @p cfg. */
 std::vector<ExperimentResult> runSuite(const ExperimentConfig &cfg);
 
 /**
- * Run @p names under @p cfg on @p num_threads workers (0 = hardware
- * concurrency). Simulation runs are share-nothing — each owns its
- * memory image, RNG streams, stats, and energy meter — and results are
+ * Run @p names under @p cfg within a budget of @p num_threads host
+ * threads (0 = the CPUs in the affinity mask): W = min(budget, runs)
+ * runs at a time, each stepping its SMs on max(1, budget / W)
+ * threads. Simulation runs are share-nothing — each owns its memory
+ * image, RNG streams, stats, and energy meter — and results are
  * returned in submission (= @p names) order, so the output is
  * bit-identical to the serial loop regardless of thread count.
  */
@@ -103,8 +110,9 @@ std::vector<ExperimentResult> runSuiteParallel(const ExperimentConfig &cfg,
 
 /**
  * Full experiment grid: every (config, workload) pair, flattened onto
- * one pool. result[c][w] corresponds to configs[c] x workloads[w], in
- * argument order — bit-identical to nested serial loops.
+ * one pool under the same thread budget as runWorkloadsParallel.
+ * result[c][w] corresponds to configs[c] x workloads[w], in argument
+ * order — bit-identical to nested serial loops.
  */
 std::vector<std::vector<ExperimentResult>>
 runGrid(const std::vector<ExperimentConfig> &configs,
@@ -124,7 +132,8 @@ struct HarnessOptions
         cfg.faults.hangCycles = 0;
         return cfg;
     }();
-    /** Worker threads for suite runs; 0 = hardware concurrency. */
+    /** Host-thread budget (--threads=N) for the runs and their SMs;
+     *  0 = the CPUs in the affinity mask. */
     u32 threads = 0;
     /** Restrict to a single workload (empty = all). */
     std::string only;

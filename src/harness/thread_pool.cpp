@@ -81,12 +81,15 @@ ThreadPool::workerLoop()
     }
 }
 
-u32
-resolveThreadCount(u32 requested)
+ThreadShare
+shareThreads(u32 requested, std::size_t jobs)
 {
-    if (requested >= 1)
-        return requested;
-    return std::max(1u, std::thread::hardware_concurrency());
+    const u32 budget = resolveThreadCount(requested);
+    ThreadShare share;
+    share.workers = static_cast<u32>(
+        std::clamp<std::size_t>(jobs, 1, budget));
+    share.perJob = std::max(1u, budget / share.workers);
+    return share;
 }
 
 } // namespace warpcomp

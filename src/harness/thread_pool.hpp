@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/host_threads.hpp"
 #include "common/types.hpp"
 
 namespace warpcomp {
@@ -64,11 +65,20 @@ class ThreadPool
     bool shutdown_ = false;
 };
 
+/** A host-thread budget split over jobs: `workers` jobs at a time,
+ *  each allowed `perJob` threads of its own. */
+struct ThreadShare
+{
+    u32 workers = 1;
+    u32 perJob = 1;
+};
+
 /**
- * Number of workers to actually use: @p requested, or the hardware
- * concurrency when @p requested is 0 (always at least 1).
+ * Split the budget resolveThreadCount(@p requested) over @p jobs:
+ * W = min(budget, jobs) workers (at least 1), each job max(1,
+ * budget / W) threads.
  */
-u32 resolveThreadCount(u32 requested);
+ThreadShare shareThreads(u32 requested, std::size_t jobs);
 
 /**
  * Run fn(0) .. fn(n-1) on @p num_threads workers and block until all

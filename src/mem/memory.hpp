@@ -78,6 +78,45 @@ class GlobalMemory
     u64 brk_ = 0;
 };
 
+/**
+ * One SM's global stores of one cycle, held back so every SM of a
+ * cycle reads the memory image from before that cycle. Gpu::run arms
+ * one per SM and commits them in SM order at the cycle's end: the
+ * higher-index SM's value wins a same-cycle race on a word, whatever
+ * host thread stepped which SM. Capacity is reserved up front (one
+ * STG per scheduler per cycle, 32 lanes each), so the cycle loop never
+ * allocates.
+ */
+class GlobalStoreBuffer
+{
+  public:
+    explicit GlobalStoreBuffer(std::size_t capacity)
+    {
+        stores_.reserve(capacity);
+    }
+
+    void push(u64 addr, u32 value) { stores_.push_back({addr, value}); }
+
+    bool empty() const { return stores_.empty(); }
+
+    /** Write every held store to @p gmem in issue order, then empty. */
+    void
+    commit(GlobalMemory &gmem)
+    {
+        for (const Store &s : stores_)
+            gmem.write32(s.addr, s.value);
+        stores_.clear();
+    }
+
+  private:
+    struct Store
+    {
+        u64 addr;
+        u32 value;
+    };
+    std::vector<Store> stores_;
+};
+
 /** Per-CTA scratchpad. */
 class SharedMemory
 {

@@ -430,7 +430,15 @@ FunctionalExecutor::execute(Warp &warp, u32 pc, SharedMemory *smem,
             each([&](u32 lane, u64 addr) { d[lane] = gmem_.read32(addr); });
             break;
           case Opcode::Stg:
-            each([&](u32 lane, u64 addr) { gmem_.write32(addr, b[lane]); });
+            if (stores_ != nullptr) {
+                each([&](u32 lane, u64 addr) {
+                    stores_->push(addr, b[lane]);
+                });
+            } else {
+                each([&](u32 lane, u64 addr) {
+                    gmem_.write32(addr, b[lane]);
+                });
+            }
             break;
           case Opcode::Lds:
             each([&](u32 lane, u64 addr) {

@@ -61,6 +61,13 @@ class FunctionalExecutor
     u64 containedAccesses() const { return contained_; }
 
     /**
+     * Hold global stores in @p stores instead of writing them through
+     * (nullptr, the default, writes through). Gpu::run arms one buffer
+     * per SM and commits them at each cycle's end.
+     */
+    void armStoreBuffer(GlobalStoreBuffer *stores) { stores_ = stores; }
+
+    /**
      * Execute the instruction at @p pc of the warp's kernel, applying
      * guards, updating lane values and the SIMT stack (pc advance /
      * branch / exit).
@@ -81,6 +88,7 @@ class FunctionalExecutor
 
     GlobalMemory &gmem_;
     ConstantMemory &cmem_;
+    GlobalStoreBuffer *stores_ = nullptr;
     bool containFaults_ = false;
     u64 contained_ = 0;
 };

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <memory>
 
+#include "common/host_threads.hpp"
 #include "common/log.hpp"
+#include "sim/sm_crew.hpp"
 
 namespace warpcomp {
 
@@ -11,6 +13,25 @@ namespace {
 
 /** Hard deadlock guard: no workload in the suite runs this long. */
 constexpr Cycle kMaxCycles = 200'000'000;
+
+/** One SM's store buffer on its own cache line: buffers of SMs that
+ *  step on different host threads never false-share. */
+struct alignas(64) PaddedStores
+{
+    explicit PaddedStores(std::size_t capacity) : buffer(capacity) {}
+    GlobalStoreBuffer buffer;
+};
+
+/** What stepping one SM group through one cycle left for the stepping
+ *  thread, on its own cache line. nextEvent is the minimum of the
+ *  group's Sm::cachedNextEvent(); 0 before the first cycle. */
+struct alignas(64) GroupStep
+{
+    Cycle nextEvent = 0;
+    bool busy = false;          ///< some SM of the group is busy
+    bool completed = false;     ///< some SM completed a CTA
+    bool stored = false;        ///< some SM buffered a global store
+};
 
 } // namespace
 
@@ -27,9 +48,15 @@ Gpu::run(const Kernel &kernel, const LaunchDims &dims,
     kernel.validate();
     WC_ASSERT(dims.gridDim >= 1, "empty grid");
 
+    const u32 num_sms = params_.numSms;
     std::vector<std::unique_ptr<Sm>> sms;
-    sms.reserve(params_.numSms);
-    for (u32 i = 0; i < params_.numSms; ++i) {
+    sms.reserve(num_sms);
+    // Each SM's global stores wait in its buffer until the cycle ends,
+    // then commit in SM order: every SM of a cycle reads memory as it
+    // was before that cycle, whichever host thread stepped it.
+    std::vector<PaddedStores> stores;
+    stores.reserve(num_sms);
+    for (u32 i = 0; i < num_sms; ++i) {
         // Each SM draws an independent deterministic stuck-at map:
         // salt the fault seed by SM index (a pure function, so reruns
         // and the parallel harness stay bit-reproducible).
@@ -42,10 +69,13 @@ Gpu::run(const Kernel &kernel, const LaunchDims &dims,
         sms.push_back(std::make_unique<Sm>(
             smp, params_.energy, gmem_, cmem_, kernel, dims,
             collect_bdi_breakdown));
+        stores.emplace_back(params_.sm.numSchedulers * kWarpSize);
+        sms[i]->armStoreBuffer(&stores[i].buffer);
     }
 
-    // One shared observability sink for the whole (single-threaded,
-    // lockstep) run; events arrive in deterministic (cycle, SM) order.
+    // One shared observability sink for the whole run; events must
+    // arrive in deterministic (cycle, SM) order, so an observed run
+    // steps its SMs on one host thread.
     std::shared_ptr<ObsRun> obs;
     if (params_.obs.enabled()) {
         obs = std::make_shared<ObsRun>(params_.obs);
@@ -53,8 +83,42 @@ Gpu::run(const Kernel &kernel, const LaunchDims &dims,
             sms[i]->attachObs(obs.get(), static_cast<u16>(i));
     }
 
+    const u32 groups = obs != nullptr ? 1 : std::min({
+        resolveThreadCount(params_.hostThreads), num_sms, dims.gridDim});
+    std::vector<GroupStep> steps(groups);
+
+    // A failed launch stays failed until the SM completes a CTA (see
+    // Sm::tryLaunchCta), so a closed SM is not asked again until its
+    // group reports a completion: the stepping thread then does not
+    // read SM state that another thread stepped.
+    std::vector<u8> launch_open(num_sms, 1);
     u32 next_cta = 0;
     Cycle now = 0;
+    Cycle skip_to = 0;
+    // Step one group (the SMs i % groups == g) through cycle `now`.
+    auto step_group = [&](u32 g) {
+        GroupStep s;
+        s.nextEvent = Sm::kNoEvent;
+        for (u32 i = g; i < num_sms; i += groups) {
+            Sm &sm = *sms[i];
+            const u64 done_before = sm.ctasCompleted();
+            sm.cycle(now);
+            s.busy = s.busy || sm.busy();
+            s.completed = s.completed || sm.ctasCompleted() != done_before;
+            s.stored = s.stored || !stores[i].buffer.empty();
+            s.nextEvent = std::min(s.nextEvent, sm.cachedNextEvent());
+        }
+        steps[g] = s;
+    };
+    // Bulk-account [now, skip_to) on one group.
+    auto skip_group = [&](u32 g) {
+        for (u32 i = g; i < num_sms; i += groups)
+            sms[i]->skipCycles(now, skip_to);
+    };
+    // Declared last: its workers are joined before the state they step
+    // is destroyed.
+    SmCrew crew(groups);
+
     u32 stalled_cycles = 0;
     bool unschedulable = false;
     bool hung = false;
@@ -71,23 +135,48 @@ Gpu::run(const Kernel &kernel, const LaunchDims &dims,
         // Each SM may accept one new CTA per cycle. The launch carries
         // the current cycle: register allocation timestamps valid bits
         // and power-gate wakeups, and later waves launch at now > 0.
+        // A launch resets the SM's next event to 0, and so its group's.
         bool launched = false;
-        for (auto &sm : sms) {
-            if (next_cta < dims.gridDim &&
-                sm->tryLaunchCta(next_cta, now)) {
+        for (u32 i = 0; i < num_sms && next_cta < dims.gridDim; ++i) {
+            if (!launch_open[i])
+                continue;
+            if (sms[i]->tryLaunchCta(next_cta, now)) {
                 ++next_cta;
                 launched = true;
+                steps[i % groups].nextEvent = 0;
+            } else {
+                launch_open[i] = 0;
             }
         }
 
+        // The crew pays for itself only when at least two groups take
+        // the full path this cycle; otherwise the stepping thread
+        // steps every group.
+        u32 eventful = 0;
+        for (const GroupStep &s : steps)
+            eventful += s.nextEvent <= now ? 1 : 0;
+        crew.run(step_group, eventful >= 2);
+
         bool sm_busy = false;
         bool cta_completed = false;
-        for (auto &sm : sms) {
-            const u64 done_before = sm->ctasCompleted();
-            sm->cycle(now);
-            sm_busy = sm_busy || sm->busy();
-            cta_completed =
-                cta_completed || sm->ctasCompleted() != done_before;
+        bool stored = false;
+        Cycle ev = Sm::kNoEvent;
+        for (u32 g = 0; g < groups; ++g) {
+            const GroupStep &s = steps[g];
+            sm_busy = sm_busy || s.busy;
+            cta_completed = cta_completed || s.completed;
+            stored = stored || s.stored;
+            ev = std::min(ev, s.nextEvent);
+            if (s.completed) {
+                for (u32 i = g; i < num_sms; i += groups)
+                    launch_open[i] = 1;
+            }
+        }
+        if (stored) {
+            for (u32 i = 0; i < num_sms; ++i) {
+                if (steps[i % groups].stored)
+                    stores[i].buffer.commit(gmem_);
+            }
         }
         ++now;
         if (next_cta >= dims.gridDim && !sm_busy)
@@ -117,24 +206,20 @@ Gpu::run(const Kernel &kernel, const LaunchDims &dims,
         if (params_.skipIdleCycles && sm_busy &&
             (next_cta >= dims.gridDim ||
              (!launched && !cta_completed))) {
-            Cycle ev = Sm::kNoEvent;
-            for (auto &sm : sms)
-                ev = std::min(ev, sm->cachedNextEvent());
             WC_ASSERT(ev != Sm::kNoEvent,
                       "busy GPU reported no future event");
             if (ev > now) {
                 WC_ASSERT(ev < kMaxCycles,
                           "next event beyond the deadlock guard in "
                           "kernel " << kernel.name());
-                Cycle target = ev;
+                skip_to = ev;
                 bool to_budget = false;
-                if (hang_budget != 0 && target >= hang_budget) {
-                    target = hang_budget;
+                if (hang_budget != 0 && skip_to >= hang_budget) {
+                    skip_to = hang_budget;
                     to_budget = true;
                 }
-                for (auto &sm : sms)
-                    sm->skipCycles(now, target);
-                now = target;
+                crew.run(skip_group, groups >= 2);
+                now = skip_to;
                 if (to_budget) {
                     hung = true;
                     break;

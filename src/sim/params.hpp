@@ -116,6 +116,14 @@ struct GpuParams
      *  Bit-identical to per-cycle stepping by construction; --no-skip
      *  turns it off for differential checks. */
     bool skipIdleCycles = true;
+    /**
+     * Host threads that step one cycle's SMs (sim/sm_crew.hpp); 0 means
+     * the CPUs in the affinity mask. Capped at min(numSms, gridDim),
+     * and 1 while obs is enabled. Not result-shaping: every result is
+     * byte-identical for any value, so it is neither a config spec key
+     * nor part of the stats document.
+     */
+    u32 hostThreads = 0;
 };
 
 } // namespace warpcomp

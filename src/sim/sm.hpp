@@ -135,6 +135,18 @@ class Sm
      */
     void attachObs(ObsRun *obs, u16 sm_id);
 
+    /**
+     * Hold this SM's global stores in @p stores until the owner
+     * commits them (nullptr, the default, writes through). Gpu::run
+     * arms one buffer per SM so the SMs of a cycle can step on any
+     * host threads; an SM driven directly writes through.
+     */
+    void
+    armStoreBuffer(GlobalStoreBuffer *stores)
+    {
+        fex_.armStoreBuffer(stores);
+    }
+
     /** True while any CTA is resident or instructions are in flight. */
     bool busy() const;
 

@@ -91,6 +91,7 @@ spawnChild(const SupervisorOptions &opts, const UniquePoint &up,
     args.push_back("--point=" + pointToSpec(up.point));
     args.push_back("--point-out=" + out_path);
     args.push_back("--attempt=" + std::to_string(attempt));
+    args.push_back("--threads=" + std::to_string(opts.childThreads));
     if (opts.chaos.enabled())
         args.push_back("--chaos=" + chaosToSpec(opts.chaos));
 

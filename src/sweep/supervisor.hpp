@@ -43,6 +43,8 @@ struct SupervisorOptions
     std::string selfPath;
     /** Concurrent child processes (already resolved, >= 1). */
     u32 workers = 1;
+    /** Host threads each child steps its SMs on (its --threads). */
+    u32 childThreads = 1;
     /** Per-point wall-clock watchdog in seconds. */
     double timeoutSeconds = 300.0;
     /** Total attempts per point (1 = no retries). */

@@ -104,7 +104,7 @@ parseSweepArgs(int argc, char **argv)
 }
 
 int
-runSweepChildPoint(const SweepOptions &opt)
+runSweepChildPoint(const SweepOptions &opt, u32 host_threads)
 {
     std::string err;
     const auto point = pointFromSpec(opt.pointSpec, &err);
@@ -116,7 +116,7 @@ runSweepChildPoint(const SweepOptions &opt)
     applyChaos(chaosAction(opt.chaos, pointKey(*point), opt.attempt));
 
     const ExperimentResult result =
-        runWorkload(point->workload, point->cfg);
+        runWorkload(point->workload, point->cfg, host_threads);
     const PointStats stats = makePointStats(result, point->cfg.energy);
 
     std::ofstream os(opt.pointOut, std::ios::binary);
@@ -160,7 +160,9 @@ runResilientSweep(const std::string &self_path,
 
     SupervisorOptions sup;
     sup.selfPath = self_path;
-    sup.workers = resolveThreadCount(threads);
+    const ThreadShare share = shareThreads(threads, points.size());
+    sup.workers = share.workers;
+    sup.childThreads = share.perJob;
     sup.timeoutSeconds = opt.timeoutSeconds;
     sup.maxAttempts = opt.maxAttempts;
     sup.backoffMs = opt.backoffMs;

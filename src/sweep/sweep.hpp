@@ -75,16 +75,19 @@ SweepOptions parseSweepArgs(int argc, char **argv);
 
 /**
  * Child mode: run the one point in @p opt (applying chaos first when
- * armed) and write its PointStats JSON to opt.pointOut. Returns the
- * process exit code.
+ * armed) on @p host_threads host threads (the child's --threads, its
+ * share of the parent's budget) and write its PointStats JSON to
+ * opt.pointOut. Returns the process exit code.
  */
-int runSweepChildPoint(const SweepOptions &opt);
+int runSweepChildPoint(const SweepOptions &opt, u32 host_threads);
 
 /**
  * Parent mode: run @p points under full supervision. @p self_path is
- * the driver binary (argv[0]); @p threads is the raw --threads value
- * (0 = hardware concurrency), which here sizes the child-process pool.
- * Handles resume loading, journaling, and the --sweep-stats dump.
+ * the driver binary (argv[0]); @p threads is the raw --threads value,
+ * the host-thread budget (0 = the CPUs in the affinity mask): W =
+ * min(budget, points) children run at a time, and each is passed
+ * --threads=max(1, budget / W). Handles resume loading, journaling,
+ * and the --sweep-stats dump.
  */
 std::vector<PointOutcome>
 runResilientSweep(const std::string &self_path,

@@ -70,52 +70,68 @@ namespace warpcomp {
 namespace {
 
 /** Long uniform ALU loop: thousands of busy cycles between the CTA
- *  launch and its completion, with every pipeline stage exercised. */
+ *  launch and its completion, with every pipeline stage exercised.
+ *  With @p store, every iteration also stores to global memory. */
 Kernel
-spinKernel()
+spinKernel(bool store = false)
 {
     KernelBuilder b("spin");
     Reg tid = b.newReg(), acc = b.newReg(), tmp = b.newReg(),
-        i = b.newReg();
+        i = b.newReg(), addr;
     b.s2r(tid, SpecialReg::TidX);
+    if (store) {
+        addr = b.newReg();
+        b.shl(addr, tid, KernelBuilder::imm(2));
+    }
     b.movImm(acc, 1);
     b.forRange(i, KernelBuilder::imm(0), KernelBuilder::imm(4000), 1,
                [&] {
                    b.iadd(acc, acc, tid);
                    b.xor_(tmp, acc, KernelBuilder::imm(0x55));
                    b.imad(acc, tmp, KernelBuilder::imm(3), acc);
+                   if (store)
+                       b.stg(addr, acc);
                });
     return b.build();
 }
 
 /** Steady-state window of one Sm run; returns allocations observed.
  *  When @p obs is non-null it is attached before warm-up, so the
- *  measured window covers the tracing hot path too. */
+ *  measured window covers the tracing hot path too. With @p stores
+ *  armed, the kernel stores every iteration and the buffer commits
+ *  after each cycle, as in Gpu::run. */
 unsigned long long
-measureSteadyState(const SmParams &sp, ObsRun *obs = nullptr)
+measureSteadyState(const SmParams &sp, ObsRun *obs = nullptr,
+                   GlobalStoreBuffer *stores = nullptr)
 {
     GlobalMemory gmem(1 << 20);
     ConstantMemory cmem(64);
-    const Kernel kernel = spinKernel();
+    const Kernel kernel = spinKernel(stores != nullptr);
 
     const EnergyParams ep;
     const LaunchDims dims{256, 1};  // one CTA: no mid-run launches
     Sm sm(sp, ep, gmem, cmem, kernel, dims);
     if (obs != nullptr)
         sm.attachObs(obs, 0);
+    sm.armStoreBuffer(stores);
     EXPECT_TRUE(sm.tryLaunchCta(0, 0));
 
+    auto step = [&](Cycle now) {
+        sm.cycle(now);
+        if (stores != nullptr)
+            stores->commit(gmem);
+    };
     // Warm up: scratch vectors (exec list, SIMT stacks, collector pool
     // bookkeeping) reach their steady-state capacity.
     Cycle now = 0;
     for (; now < 2000; ++now)
-        sm.cycle(now);
+        step(now);
     EXPECT_TRUE(sm.busy()) << "kernel finished during warm-up; "
                               "lengthen the spin loop";
 
     const auto before = g_allocations.load(std::memory_order_relaxed);
     for (; now < 12000; ++now)
-        sm.cycle(now);
+        step(now);
     const auto after = g_allocations.load(std::memory_order_relaxed);
 
     // The window must lie strictly inside the kernel run: CTA launch
@@ -232,6 +248,18 @@ TEST(AllocGuard, StreamingSinkHotPathIsAllocationFree)
         << "sink was armed but no events streamed";
     EXPECT_EQ(obs.streamedEvents(), sink.eventsWritten());
     std::remove(path.c_str());
+}
+
+TEST(AllocGuard, StoreBufferArmedCycleLoopIsAllocationFree)
+{
+    // Gpu::run holds each SM's global stores in a buffer reserved at
+    // numSchedulers x 32 entries, the most one cycle can issue, and
+    // commits it after every cycle: buffering never allocates.
+    SmParams sp;
+    sp.applyScheme();
+    GlobalStoreBuffer stores(sp.numSchedulers * kWarpSize);
+    EXPECT_EQ(measureSteadyState(sp, nullptr, &stores), 0u)
+        << "store-buffered cycle loop allocated over 10000 cycles";
 }
 
 TEST(AllocGuard, SeuEccScrubPathIsAllocationFree)

@@ -190,5 +190,22 @@ TEST(ThreadPool, ResolveThreadCount)
     EXPECT_GE(resolveThreadCount(0), 1u);
 }
 
+TEST(ThreadPool, ShareThreadsSplitsTheBudget)
+{
+    // W = min(budget, jobs) at a time, each max(1, budget / W) threads.
+    const ThreadShare one = shareThreads(4, 1);
+    EXPECT_EQ(one.workers, 1u);
+    EXPECT_EQ(one.perJob, 4u);
+    const ThreadShare many = shareThreads(4, 19);
+    EXPECT_EQ(many.workers, 4u);
+    EXPECT_EQ(many.perJob, 1u);
+    const ThreadShare three = shareThreads(8, 3);
+    EXPECT_EQ(three.workers, 3u);
+    EXPECT_EQ(three.perJob, 2u);
+    const ThreadShare none = shareThreads(4, 0);
+    EXPECT_EQ(none.workers, 1u);
+    EXPECT_EQ(none.perJob, 4u);
+}
+
 } // namespace
 } // namespace warpcomp
