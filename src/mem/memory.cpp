@@ -1,5 +1,7 @@
 #include "mem/memory.hpp"
 
+#include <sys/mman.h>
+
 #include <bit>
 #include <cstring>
 
@@ -38,6 +40,22 @@ void
 GlobalMemory::writeF32(u64 addr, float value)
 {
     write32(addr, std::bit_cast<u32>(value));
+}
+
+GlobalConflictDetector::GlobalConflictDetector(u64 bytes)
+    : segments_((bytes >> kSegmentShift) + 1),
+      mappedBytes_(segments_ * sizeof(u64))
+{
+    void *p = ::mmap(nullptr, mappedBytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    WC_ASSERT(p != MAP_FAILED, "cannot map a " << mappedBytes_
+              << " B conflict-detector table");
+    table_ = static_cast<u64 *>(p);
+}
+
+GlobalConflictDetector::~GlobalConflictDetector()
+{
+    ::munmap(table_, mappedBytes_);
 }
 
 SharedMemory::SharedMemory(u32 bytes) : data_(bytes, 0)

@@ -8,6 +8,8 @@
 #ifndef WARPCOMP_MEM_MEMORY_HPP
 #define WARPCOMP_MEM_MEMORY_HPP
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -79,42 +81,184 @@ class GlobalMemory
 };
 
 /**
- * One SM's global stores of one cycle, held back so every SM of a
- * cycle reads the memory image from before that cycle. Gpu::run arms
- * one per SM and commits them in SM order at the cycle's end: the
- * higher-index SM's value wins a same-cycle race on a word, whatever
- * host thread stepped which SM. Capacity is reserved up front (one
- * STG per scheduler per cycle, 32 lanes each), so the cycle loop never
- * allocates.
+ * One SM's held-back global stores, each stamped with its issue cycle.
+ * Gpu::run arms one per SM, and uses it two ways:
+ *
+ * - Lockstep (while CTAs are pending, and in obs-armed runs): the
+ *   buffer holds one cycle's stores so every SM of a cycle reads the
+ *   memory image from before that cycle, and is committed in SM order
+ *   at the cycle's end. The higher-index SM's value wins a same-cycle
+ *   race on a word, whatever host thread stepped which SM.
+ * - Run-ahead (once every CTA is resident): the buffer is a store log
+ *   that keeps growing while its SM runs to its end, and the logs of
+ *   all SMs merge into memory in (cycle, SM, issue) order afterwards,
+ *   which is the order lockstep commits in.
+ *
+ * Sm::cycle never grows the buffer: the capacity is reserved up front
+ * (one STG per scheduler per cycle, 32 lanes each) and a run-ahead
+ * caller restores that headroom before each cycle (reserveHeadroom).
+ * The same type serves as an undo log: commit can record the words it
+ * overwrites, and rollback writes them back newest first.
  */
 class GlobalStoreBuffer
 {
   public:
+    struct Store
+    {
+        u64 addr;
+        u32 value;
+        u32 cycle;
+    };
+
     explicit GlobalStoreBuffer(std::size_t capacity)
     {
         stores_.reserve(capacity);
     }
 
-    void push(u64 addr, u32 value) { stores_.push_back({addr, value}); }
+    void
+    push(u64 addr, u32 value, u32 cycle)
+    {
+        stores_.push_back({addr, value, cycle});
+    }
 
     bool empty() const { return stores_.empty(); }
 
-    /** Write every held store to @p gmem in issue order, then empty. */
+    std::span<const Store> stores() const { return stores_; }
+
+    void clear() { stores_.clear(); }
+
+    /** Make room for @p n more stores (amortized doubling), so the
+     *  next @p n pushes do not allocate. */
     void
-    commit(GlobalMemory &gmem)
+    reserveHeadroom(std::size_t n)
     {
-        for (const Store &s : stores_)
+        if (stores_.capacity() - stores_.size() < n)
+            stores_.reserve(std::max(2 * stores_.capacity(),
+                                     stores_.size() + n));
+    }
+
+    /**
+     * Write every held store to @p gmem in issue order, then empty.
+     * With @p undo, first push each overwritten word's old value to it.
+     */
+    void
+    commit(GlobalMemory &gmem, GlobalStoreBuffer *undo = nullptr)
+    {
+        for (const Store &s : stores_) {
+            if (undo != nullptr)
+                undo->push(s.addr, gmem.read32(s.addr), s.cycle);
             gmem.write32(s.addr, s.value);
+        }
+        stores_.clear();
+    }
+
+    /** Write the held stores to @p gmem newest first, then empty: for
+     *  an undo log, this restores the image from before its commits. */
+    void
+    rollback(GlobalMemory &gmem)
+    {
+        for (auto it = stores_.rbegin(); it != stores_.rend(); ++it)
+            gmem.write32(it->addr, it->value);
         stores_.clear();
     }
 
   private:
-    struct Store
-    {
-        u64 addr;
-        u32 value;
-    };
     std::vector<Store> stores_;
+};
+
+/**
+ * The run-ahead conflict detector. Once every CTA is resident,
+ * Gpu::run lets each SM run ahead to its end while global stores wait
+ * in per-SM logs (GlobalStoreBuffer). That reproduces lockstep exactly
+ * unless a load reads a word that some SM stored at an earlier cycle:
+ * lockstep would have made the store visible, run-ahead did not.
+ *
+ * The detector keeps one packed word per 128-byte segment of global
+ * memory: the earliest cycle any SM stored to the segment and the
+ * latest cycle any SM loaded from it, 32 bits each (every simulated
+ * cycle fits). Each LDG and STG marks every segment it touches, and a
+ * mark flags a conflict when lastLoad > firstStore. Both fields share
+ * one atomic word, so of a conflicting load and store the one whose
+ * update lands second sees the first, whatever the host-thread
+ * interleaving. A load in the store's own cycle reads the old value in
+ * lockstep too, so the comparison is strict, and in-place
+ * read-then-write updates never trip it. A conflict is conservative at
+ * segment granularity; Gpu::run answers it by rerunning the launch in
+ * lockstep.
+ *
+ * The table is an anonymous mapping: its pages are zero until touched,
+ * so only the segments a kernel touches cost memory (a calloc served
+ * from a reused heap block would clear, and so fault in, all of it).
+ */
+class GlobalConflictDetector
+{
+  public:
+    static constexpr u32 kSegmentShift = 7;     ///< 128-byte segments
+
+    /** A detector covering a global memory of @p bytes. */
+    explicit GlobalConflictDetector(u64 bytes);
+    ~GlobalConflictDetector();
+
+    GlobalConflictDetector(const GlobalConflictDetector &) = delete;
+    GlobalConflictDetector &
+    operator=(const GlobalConflictDetector &) = delete;
+
+    /** Segment @p seg was loaded from at @p cycle. */
+    void
+    markLoad(u64 seg, u32 cycle)
+    {
+        mark(seg, [cycle](u32 &, u32 &last_load) {
+            last_load = std::max(last_load, cycle);
+        });
+    }
+
+    /** Segment @p seg was stored to at @p cycle. */
+    void
+    markStore(u64 seg, u32 cycle)
+    {
+        // The word holds ~firstStore, so a zero (untouched) word reads
+        // as "no store" and the earliest store is the largest value.
+        mark(seg, [cycle](u32 &not_first_store, u32 &) {
+            not_first_store = std::max(not_first_store, ~cycle);
+        });
+    }
+
+    /** Some load came after a store to its segment. */
+    bool
+    conflict() const
+    {
+        return conflict_.load(std::memory_order_relaxed);
+    }
+
+  private:
+    template <typename Update>
+    void
+    mark(u64 seg, Update update)
+    {
+        WC_ASSERT(seg < segments_, "segment " << seg << " beyond "
+                  << segments_);
+        std::atomic_ref<u64> word(table_[seg]);
+        u64 old = word.load(std::memory_order_relaxed);
+        u64 next = 0;
+        // An unchanged word needs no write: the value read already
+        // orders this access after every update it reflects.
+        do {
+            u32 not_first_store = static_cast<u32>(old >> 32);
+            u32 last_load = static_cast<u32>(old);
+            update(not_first_store, last_load);
+            next = (static_cast<u64>(not_first_store) << 32) | last_load;
+        } while (next != old &&
+                 !word.compare_exchange_weak(old, next,
+                                             std::memory_order_relaxed));
+        if (static_cast<u32>(next) > ~static_cast<u32>(next >> 32))
+            conflict_.store(true, std::memory_order_relaxed);
+    }
+
+    u64 *table_ = nullptr;
+    u64 segments_ = 0;
+    std::size_t mappedBytes_ = 0;
+    /** Own cache line: polled by every running SM, written once. */
+    alignas(64) std::atomic<bool> conflict_{false};
 };
 
 /** Per-CTA scratchpad. */

@@ -118,6 +118,45 @@ f2iLane(u32 v)
     return static_cast<u32>(static_cast<i32>(f));
 }
 
+/** The distinct 128-byte segments one LDG or STG touches, each marked
+ *  in the run-ahead detector the first time it is seen. */
+class SegmentMarks
+{
+  public:
+    SegmentMarks(GlobalConflictDetector &detector, u32 cycle, bool store)
+        : detector_(detector), cycle_(cycle), store_(store)
+    {
+    }
+
+    void
+    add(u64 addr)
+    {
+        const u64 seg = addr >> GlobalConflictDetector::kSegmentShift;
+        // Coalesced lanes repeat the last segment; scattered ones
+        // search the few seen so far.
+        if (n_ != 0 && segs_[n_ - 1] == seg)
+            return;
+        for (u32 i = 0; i + 1 < n_; ++i) {
+            if (segs_[i] == seg)
+                return;
+        }
+        segs_[n_++] = seg;
+        if (store_)
+            detector_.markStore(seg, cycle_);
+        else
+            detector_.markLoad(seg, cycle_);
+    }
+
+  private:
+    GlobalConflictDetector &detector_;
+    const u32 cycle_;
+    const bool store_;
+    u32 n_ = 0;
+    /** Only entries below n_ are read, so it is left uninitialized:
+     *  marking costs no 256-byte clear per access. */
+    std::array<u64, kWarpSize> segs_;
+};
+
 } // namespace
 
 FunctionalExecutor::FunctionalExecutor(GlobalMemory &gmem,
@@ -153,7 +192,7 @@ FunctionalExecutor::addrValid(Opcode op, u64 addr,
 
 ExecOutcome
 FunctionalExecutor::execute(Warp &warp, u32 pc, SharedMemory *smem,
-                            const LaunchDims &dims)
+                            const LaunchDims &dims, Cycle now)
 {
     const Kernel &kernel = *warp.kernel();
     const Instruction &in = kernel.at(pc);
@@ -427,16 +466,34 @@ FunctionalExecutor::execute(Warp &warp, u32 pc, SharedMemory *smem,
         };
         switch (in.op) {
           case Opcode::Ldg:
-            each([&](u32 lane, u64 addr) { d[lane] = gmem_.read32(addr); });
-            break;
-          case Opcode::Stg:
-            if (stores_ != nullptr) {
+            if (detector_ == nullptr) {
                 each([&](u32 lane, u64 addr) {
-                    stores_->push(addr, b[lane]);
+                    d[lane] = gmem_.read32(addr);
                 });
             } else {
+                SegmentMarks marks(*detector_, static_cast<u32>(now),
+                                   false);
+                each([&](u32 lane, u64 addr) {
+                    d[lane] = gmem_.read32(addr);
+                    marks.add(addr);
+                });
+            }
+            break;
+          case Opcode::Stg:
+            if (stores_ == nullptr) {
                 each([&](u32 lane, u64 addr) {
                     gmem_.write32(addr, b[lane]);
+                });
+            } else if (detector_ == nullptr) {
+                each([&](u32 lane, u64 addr) {
+                    stores_->push(addr, b[lane], static_cast<u32>(now));
+                });
+            } else {
+                SegmentMarks marks(*detector_, static_cast<u32>(now),
+                                   true);
+                each([&](u32 lane, u64 addr) {
+                    stores_->push(addr, b[lane], static_cast<u32>(now));
+                    marks.add(addr);
                 });
             }
             break;

@@ -61,11 +61,22 @@ class FunctionalExecutor
     u64 containedAccesses() const { return contained_; }
 
     /**
-     * Hold global stores in @p stores instead of writing them through
-     * (nullptr, the default, writes through). Gpu::run arms one buffer
-     * per SM and commits them at each cycle's end.
+     * Hold global stores in @p stores, stamped with their issue cycle,
+     * instead of writing them through (nullptr, the default, writes
+     * through). Gpu::run arms one buffer per SM.
      */
     void armStoreBuffer(GlobalStoreBuffer *stores) { stores_ = stores; }
+
+    /**
+     * Mark every 128-byte segment each LDG and STG touches, once per
+     * instruction, in @p detector (nullptr, the default, marks
+     * nothing). Gpu::run arms it while SMs run ahead.
+     */
+    void
+    armDetector(GlobalConflictDetector *detector)
+    {
+        detector_ = detector;
+    }
 
     /**
      * Execute the instruction at @p pc of the warp's kernel, applying
@@ -77,9 +88,10 @@ class FunctionalExecutor
      * @param smem the warp's CTA shared memory (may be null when the
      *             kernel declares none)
      * @param dims launch dimensions for S2R
+     * @param now the issue cycle: stamps held stores and detector marks
      */
     ExecOutcome execute(Warp &warp, u32 pc, SharedMemory *smem,
-                        const LaunchDims &dims);
+                        const LaunchDims &dims, Cycle now = 0);
 
   private:
     /** True when (space, addr) lies inside its memory; only consulted
@@ -89,6 +101,7 @@ class FunctionalExecutor
     GlobalMemory &gmem_;
     ConstantMemory &cmem_;
     GlobalStoreBuffer *stores_ = nullptr;
+    GlobalConflictDetector *detector_ = nullptr;
     bool containFaults_ = false;
     u64 contained_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "sim/gpu.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 
 #include "common/host_threads.hpp"
@@ -13,6 +14,8 @@ namespace {
 
 /** Hard deadlock guard: no workload in the suite runs this long. */
 constexpr Cycle kMaxCycles = 200'000'000;
+static_assert(kMaxCycles < (Cycle{1} << 32),
+              "store stamps and detector marks hold 32-bit cycles");
 
 /** One SM's store buffer on its own cache line: buffers of SMs that
  *  step on different host threads never false-share. */
@@ -33,6 +36,82 @@ struct alignas(64) GroupStep
     bool stored = false;        ///< some SM buffered a global store
 };
 
+/** Where one SM's run-ahead stopped, on its own cache line. */
+struct alignas(64) SmEnd
+{
+    Cycle at = 0;
+    bool busy = false;      ///< stopped busy, at the hang budget
+};
+
+/**
+ * Step @p sm from cycle @p now to @p to, or, with @p until_idle, only
+ * until it is no longer busy, and return the cycle it stopped at. With
+ * @p skip, the SM bulk-accounts its own idle spans (skipCycles), as
+ * lockstep skipping does for all SMs at once. Before each stepped
+ * cycle, @p stores regains room for one cycle's stores (@p headroom),
+ * so Sm::cycle never grows it. Stops early once @p detector flags a
+ * conflict.
+ */
+Cycle
+advance(Sm &sm, Cycle now, Cycle to, bool until_idle, bool skip,
+        GlobalStoreBuffer &stores, u32 headroom,
+        const GlobalConflictDetector &detector)
+{
+    while (now < to && (!until_idle || sm.busy())) {
+        if (skip) {
+            const Cycle ev = sm.cachedNextEvent();
+            WC_ASSERT(!sm.busy() || ev != Sm::kNoEvent,
+                      "busy SM reported no future event");
+            if (ev > now) {
+                const Cycle next = std::min(ev, to);
+                sm.skipCycles(now, next);
+                now = next;
+                continue;
+            }
+        }
+        stores.reserveHeadroom(headroom);
+        sm.cycle(now);
+        ++now;
+        if (detector.conflict())
+            break;
+    }
+    return now;
+}
+
+/**
+ * Write every SM's run-ahead store log to @p gmem in (cycle, SM,
+ * issue) order, the order lockstep commits in, and empty the logs.
+ * Each log is already in cycle order.
+ */
+void
+commitInCycleOrder(std::vector<PaddedStores> &stores, GlobalMemory &gmem)
+{
+    const std::size_t n = stores.size();
+    std::vector<std::size_t> pos(n, 0);
+    while (true) {
+        // The SM whose next store has the lowest cycle; the lowest SM
+        // index wins a tie.
+        std::size_t sm = n;
+        u32 cycle = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto log = stores[i].buffer.stores();
+            if (pos[i] < log.size() &&
+                (sm == n || log[pos[i]].cycle < cycle)) {
+                sm = i;
+                cycle = log[pos[i]].cycle;
+            }
+        }
+        if (sm == n)
+            break;
+        const auto log = stores[sm].buffer.stores();
+        for (std::size_t &p = pos[sm];
+             p < log.size() && log[p].cycle == cycle; ++p)
+            gmem.write32(log[p].addr, log[p].value);
+    }
+    for (PaddedStores &s : stores)
+        s.buffer.clear();
+}
+
 } // namespace
 
 Gpu::Gpu(const GpuParams &params, GlobalMemory &gmem, ConstantMemory &cmem)
@@ -48,12 +127,33 @@ Gpu::run(const Kernel &kernel, const LaunchDims &dims,
     kernel.validate();
     WC_ASSERT(dims.gridDim >= 1, "empty grid");
 
+    // An observed run steps in lockstep throughout (see launch).
+    SteppingCensus census;
+    std::optional<RunResult> result =
+        launch(kernel, dims, collect_bdi_breakdown,
+               params_.runAhead && !params_.obs.enabled(), census);
+    if (!result) {
+        ++census.fallbacks;
+        result = launch(kernel, dims, collect_bdi_breakdown, false,
+                        census);
+    }
+    result->stepping = census;
+    return std::move(*result);
+}
+
+std::optional<RunResult>
+Gpu::launch(const Kernel &kernel, const LaunchDims &dims,
+            bool collect_bdi_breakdown, bool run_ahead,
+            SteppingCensus &census)
+{
     const u32 num_sms = params_.numSms;
     std::vector<std::unique_ptr<Sm>> sms;
     sms.reserve(num_sms);
     // Each SM's global stores wait in its buffer until the cycle ends,
     // then commit in SM order: every SM of a cycle reads memory as it
-    // was before that cycle, whichever host thread stepped it.
+    // was before that cycle, whichever host thread stepped it. While
+    // SMs run ahead, the buffers are their store logs.
+    const u32 headroom = params_.sm.numSchedulers * kWarpSize;
     std::vector<PaddedStores> stores;
     stores.reserve(num_sms);
     for (u32 i = 0; i < num_sms; ++i) {
@@ -69,13 +169,13 @@ Gpu::run(const Kernel &kernel, const LaunchDims &dims,
         sms.push_back(std::make_unique<Sm>(
             smp, params_.energy, gmem_, cmem_, kernel, dims,
             collect_bdi_breakdown));
-        stores.emplace_back(params_.sm.numSchedulers * kWarpSize);
+        stores.emplace_back(headroom);
         sms[i]->armStoreBuffer(&stores[i].buffer);
     }
 
     // One shared observability sink for the whole run; events must
     // arrive in deterministic (cycle, SM) order, so an observed run
-    // steps its SMs on one host thread.
+    // steps its SMs on one host thread, in lockstep throughout.
     std::shared_ptr<ObsRun> obs;
     if (params_.obs.enabled()) {
         obs = std::make_shared<ObsRun>(params_.obs);
@@ -119,9 +219,15 @@ Gpu::run(const Kernel &kernel, const LaunchDims &dims,
     // is destroyed.
     SmCrew crew(groups);
 
+    // The lockstep commits that precede a run-ahead, as (address, old
+    // value): a conflict rolls them back instead of copying the image.
+    GlobalStoreBuffer undo(0);
+    GlobalStoreBuffer *const undo_log = run_ahead ? &undo : nullptr;
+
     u32 stalled_cycles = 0;
     bool unschedulable = false;
     bool hung = false;
+    bool ahead = false;
     // Uncontained corruption — stuck-at policy None, or an SEU scheme
     // without ECC — can livelock a kernel; cap such runs at the
     // configured budget instead of the hard guard.
@@ -132,6 +238,12 @@ Gpu::run(const Kernel &kernel, const LaunchDims &dims,
     const Cycle hang_budget =
         silent_corruption ? params_.sm.faults.hangCycles : 0;
     while (true) {
+        // Every CTA is resident: the SMs now share nothing but global
+        // memory, so each may run ahead to its end.
+        if (run_ahead && next_cta >= dims.gridDim) {
+            ahead = true;
+            break;
+        }
         // Each SM may accept one new CTA per cycle. The launch carries
         // the current cycle: register allocation timestamps valid bits
         // and power-gate wakeups, and later waves launch at now > 0.
@@ -175,7 +287,7 @@ Gpu::run(const Kernel &kernel, const LaunchDims &dims,
         if (stored) {
             for (u32 i = 0; i < num_sms; ++i) {
                 if (steps[i % groups].stored)
-                    stores[i].buffer.commit(gmem_);
+                    stores[i].buffer.commit(gmem_, undo_log);
             }
         }
         ++now;
@@ -230,6 +342,60 @@ Gpu::run(const Kernel &kernel, const LaunchDims &dims,
                   "simulation exceeded " << kMaxCycles
                   << " cycles; likely a deadlock in kernel "
                   << kernel.name());
+    }
+
+    if (ahead) {
+        census.runAheadFrom = now;
+        // No budget means the deadlock guard; a budget past the guard
+        // hits the guard first, as in lockstep.
+        const Cycle limit = hang_budget != 0
+            ? std::min(hang_budget, kMaxCycles) : kMaxCycles;
+        const bool skip = params_.skipIdleCycles;
+        GlobalConflictDetector detector(gmem_.size());
+        for (auto &sm : sms)
+            sm->armDetector(&detector);
+        // Every crew thread pulls SMs and runs each to its end.
+        std::vector<SmEnd> ends(num_sms);
+        std::atomic<u32> next_sm{0};
+        auto pull = [&] {
+            return next_sm.fetch_add(1, std::memory_order_relaxed);
+        };
+        auto run_to_end = [&](u32) {
+            for (u32 i = pull(); i < num_sms; i = pull()) {
+                if (detector.conflict())
+                    return;
+                Sm &sm = *sms[i];
+                ends[i].at = advance(sm, now, limit, true, skip,
+                                     stores[i].buffer, headroom,
+                                     detector);
+                ends[i].busy = sm.busy();
+            }
+        };
+        crew.run(run_to_end, groups >= 2);
+        if (detector.conflict()) {
+            undo.rollback(gmem_);
+            return std::nullopt;
+        }
+        Cycle end = now;
+        for (const SmEnd &e : ends) {
+            end = std::max(end, e.at);
+            hung = hung || e.busy;
+        }
+        WC_ASSERT(!hung || limit == hang_budget,
+                  "simulation exceeded " << kMaxCycles
+                  << " cycles; likely a deadlock in kernel "
+                  << kernel.name());
+        // Bring every SM to the run's end: idle SMs still account
+        // their cycles, and scrub ticks and SEU sampling replay.
+        next_sm.store(0, std::memory_order_relaxed);
+        auto run_tail = [&](u32) {
+            for (u32 i = pull(); i < num_sms; i = pull())
+                advance(*sms[i], ends[i].at, end, false, skip,
+                        stores[i].buffer, headroom, detector);
+        };
+        crew.run(run_tail, groups >= 2);
+        commitInCycleOrder(stores, gmem_);
+        now = end;
     }
 
     RunResult result(params_.energy);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Whole-GPU simulation: a set of SMs fed from a global CTA queue,
- * run in lockstep until the grid drains. Produces the merged energy /
+ * run in lockstep while CTAs wait, then each to its own end. Produces the merged energy /
  * statistics results every experiment consumes.
  */
 
@@ -9,12 +9,30 @@
 #define WARPCOMP_SIM_GPU_HPP
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "power/energy_meter.hpp"
 #include "sim/sm.hpp"
 
 namespace warpcomp {
+
+/**
+ * How Gpu::run stepped one launch. Tests assert on it; it is not a
+ * result of the simulated GPU, so neither the stats document nor any
+ * digest includes it.
+ */
+struct SteppingCensus
+{
+    /** Cycle from which the SMs ran ahead of each other (the first
+     *  cycle after the last CTA launch); 0 when the launch stepped in
+     *  lockstep throughout. A launch that fell back keeps the cycle of
+     *  its abandoned run-ahead. */
+    Cycle runAheadFrom = 0;
+    /** Reruns in lockstep after the run-ahead detector found a load
+     *  of a word stored at an earlier cycle (0 or 1). */
+    u32 fallbacks = 0;
+};
 
 /** Outcome of one kernel launch. */
 struct RunResult
@@ -53,6 +71,8 @@ struct RunResult
      * other fault outcome.
      */
     bool hung = false;
+    /** How the launch was stepped (never serialized). */
+    SteppingCensus stepping;
 
     explicit RunResult(const EnergyParams &energy) : meter(energy, 0, 0) {}
 };
@@ -75,6 +95,18 @@ class Gpu
     const GpuParams &params() const { return params_; }
 
   private:
+    /**
+     * Simulate the launch once, running ahead once every CTA is
+     * resident when @p run_ahead is set. Returns nothing when the
+     * run-ahead detector found a conflict; global memory is then
+     * restored to its image before the launch.
+     */
+    std::optional<RunResult> launch(const Kernel &kernel,
+                                    const LaunchDims &dims,
+                                    bool collect_bdi_breakdown,
+                                    bool run_ahead,
+                                    SteppingCensus &census);
+
     GpuParams params_;
     GlobalMemory &gmem_;
     ConstantMemory &cmem_;

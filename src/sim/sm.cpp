@@ -860,7 +860,7 @@ Sm::issueFrom(u32 slot, Cycle now)
 
     Cta &cta = ctas_[w.ctaSlot()];
     SharedMemory *smem = cta.smem.get();
-    const ExecOutcome out = fex_.execute(w, pc, smem, dims_);
+    const ExecOutcome out = fex_.execute(w, pc, smem, dims_, now);
     // The SIMT stack only changes inside execute, so reconverged
     // entries are popped eagerly here — the next fetch (any later
     // cycle) sees the post-reconvergence pc/mask without a per-cycle

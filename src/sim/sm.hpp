@@ -147,6 +147,14 @@ class Sm
         fex_.armStoreBuffer(stores);
     }
 
+    /** Mark this SM's global accesses in @p detector (nullptr, the
+     *  default, marks nothing); Gpu::run arms it for run-ahead. */
+    void
+    armDetector(GlobalConflictDetector *detector)
+    {
+        fex_.armDetector(detector);
+    }
+
     /** True while any CTA is resident or instructions are in flight. */
     bool busy() const;
 

@@ -262,6 +262,43 @@ TEST(AllocGuard, StoreBufferArmedCycleLoopIsAllocationFree)
         << "store-buffered cycle loop allocated over 10000 cycles";
 }
 
+TEST(AllocGuard, RunAheadDetectorArmedCycleIsAllocationFree)
+{
+    // While SMs run ahead, each STG appends to a store log that grows
+    // for the whole run and marks the conflict detector. Gpu::run
+    // restores the log's headroom before each cycle, outside
+    // Sm::cycle; inside it, logging and marking never allocate.
+    SmParams sp;
+    sp.applyScheme();
+    GlobalMemory gmem(1 << 20);
+    ConstantMemory cmem(64);
+    const Kernel kernel = spinKernel(true);
+    Sm sm(sp, EnergyParams{}, gmem, cmem, kernel, LaunchDims{256, 1});
+    const u32 headroom = sp.numSchedulers * kWarpSize;
+    GlobalStoreBuffer log(headroom);
+    GlobalConflictDetector detector(gmem.size());
+    sm.armStoreBuffer(&log);
+    sm.armDetector(&detector);
+    EXPECT_TRUE(sm.tryLaunchCta(0, 0));
+
+    unsigned long long in_cycle = 0;
+    for (Cycle now = 0; now < 12000; ++now) {
+        log.reserveHeadroom(headroom);
+        const auto before = g_allocations.load(std::memory_order_relaxed);
+        sm.cycle(now);
+        if (now >= 2000)
+            in_cycle += g_allocations.load(std::memory_order_relaxed) -
+                before;
+    }
+    EXPECT_TRUE(sm.busy()) << "kernel finished inside the measured "
+                              "window; lengthen the spin loop";
+    EXPECT_EQ(in_cycle, 0u)
+        << "Sm::cycle allocated with the run-ahead detector armed";
+    EXPECT_GT(log.stores().size(), 10'000u)
+        << "the log should hold every store of the window";
+    EXPECT_FALSE(detector.conflict());
+}
+
 TEST(AllocGuard, SeuEccScrubPathIsAllocationFree)
 {
     // ECC resolution plus the background scrubber (one row visit every

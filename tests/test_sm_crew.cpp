@@ -7,6 +7,9 @@
  * and off, plus fault and SEU configs), and the store-visibility rule
  * holds: a cycle's global stores become visible at its end, committed
  * in SM order, while an Sm with no store buffer armed writes through.
+ * Run-ahead (GpuParams::runAhead) reproduces serial lockstep byte for
+ * byte, and its detector reruns a launch in lockstep exactly when a
+ * load follows a store to its segment.
  */
 
 #include <gtest/gtest.h>
@@ -132,15 +135,17 @@ struct RunBytes
     std::string stats;
     WorkloadInstance wl;
     Cycle cycles = 0;
+    SteppingCensus stepping;
 };
 
 RunBytes
 runWithThreads(const std::string &name, const ExperimentConfig &cfg,
-               u32 host_threads)
+               u32 host_threads, bool run_ahead = true)
 {
-    RunBytes out{{}, makeWorkload(name, cfg.scale, cfg.seedSalt), 0};
+    RunBytes out{{}, makeWorkload(name, cfg.scale, cfg.seedSalt), 0, {}};
     GpuParams gp = makeGpuParams(cfg);
     gp.hostThreads = host_threads;
+    gp.runAhead = run_ahead;
     const RunResult run = Gpu(gp, *out.wl.gmem, *out.wl.cmem)
         .run(out.wl.kernel, out.wl.dims, cfg.collectBdiBreakdown);
     std::ostringstream os;
@@ -150,7 +155,21 @@ runWithThreads(const std::string &name, const ExperimentConfig &cfg,
     }
     out.stats = os.str();
     out.cycles = run.cycles;
+    out.stepping = run.stepping;
     return out;
+}
+
+/** Same stats document and final global memory. */
+void
+expectSameBytes(const RunBytes &got, const RunBytes &ref,
+                const std::string &what)
+{
+    EXPECT_EQ(got.stats, ref.stats) << what;
+    const std::span<const u8> mem = got.wl.gmem->bytes();
+    const std::span<const u8> ref_mem = ref.wl.gmem->bytes();
+    EXPECT_TRUE(mem.size() == ref_mem.size() &&
+                std::memcmp(mem.data(), ref_mem.data(), mem.size()) == 0)
+        << what << ": final global memory differs";
 }
 
 /** Runs at hostThreads 2..4 reproduce @p ref byte for byte. */
@@ -239,6 +258,118 @@ TEST(CrewDeterminismFaults, EccScrubSeu)
 }
 
 // ---------------------------------------------------------------------
+// Run-ahead reproduces lockstep
+// ---------------------------------------------------------------------
+
+/** Serial lockstep: the reference every run-ahead run must match. */
+RunBytes
+runLockstep(const std::string &name, const ExperimentConfig &cfg)
+{
+    RunBytes ref = runWithThreads(name, cfg, 1, false);
+    EXPECT_GT(ref.cycles, 0u);
+    EXPECT_EQ(ref.stepping.runAheadFrom, 0u);
+    EXPECT_EQ(ref.stepping.fallbacks, 0u);
+    return ref;
+}
+
+/** Run-ahead at hostThreads 1..4 reproduces @p ref byte for byte,
+ *  falling back to lockstep @p fallbacks times each. */
+void
+expectRunAheadMatches(const RunBytes &ref, const std::string &name,
+                      const ExperimentConfig &cfg, u32 fallbacks)
+{
+    for (u32 t = 1; t <= 4; ++t) {
+        const RunBytes got = runWithThreads(name, cfg, t);
+        const std::string what = name + " running ahead on " +
+            std::to_string(t) + " host threads";
+        expectSameBytes(got, ref, what);
+        EXPECT_GT(got.stepping.runAheadFrom, 0u) << what;
+        EXPECT_EQ(got.stepping.fallbacks, fallbacks) << what;
+    }
+}
+
+class RunAheadEquivalence : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(RunAheadEquivalence, MatchesSerialLockstep)
+{
+    // Idle skipping is byte-invisible (test_skip_equiv), so one
+    // lockstep reference serves run-ahead with skipping on and off.
+    ExperimentConfig cfg;
+    cfg.numSms = 15;
+    const RunBytes ref = runLockstep(GetParam(), cfg);
+    for (bool skip : {true, false}) {
+        SCOPED_TRACE(skip ? "idle skipping on" : "idle skipping off");
+        cfg.skipIdle = skip;
+        expectRunAheadMatches(ref, GetParam(), cfg, 0);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, RunAheadEquivalence,
+                         ::testing::ValuesIn(workloadNames()),
+                         [](const auto &info) { return info.param; });
+
+TEST(RunAheadEquivalenceFaults, CompressRemapStuckAt)
+{
+    ExperimentConfig cfg;
+    cfg.numSms = 15;
+    cfg.faults.ber = 1e-3;
+    cfg.faults.policy = FaultPolicy::CompressRemap;
+    expectRunAheadMatches(runLockstep("nw", cfg), "nw", cfg, 0);
+}
+
+TEST(RunAheadEquivalenceFaults, PolicyNoneFallsBackToLockstep)
+{
+    // Corrupted addresses make bfs load words stored earlier in the
+    // run, which clean runs never do: the detector must catch it, and
+    // the rerun must stop at the same budget with the same census.
+    ExperimentConfig cfg;
+    cfg.numSms = 15;
+    cfg.faults.ber = 1e-4;
+    cfg.faults.policy = FaultPolicy::None;
+    cfg.faults.hangCycles = 60'000;
+    const RunBytes ref = runLockstep("bfs", cfg);
+    EXPECT_EQ(ref.cycles, cfg.faults.hangCycles);
+    expectRunAheadMatches(ref, "bfs", cfg, 1);
+}
+
+TEST(RunAheadEquivalenceFaults, EccScrubSeu)
+{
+    // Scrub ticks keep idle SMs eventful: the tail that brings
+    // finished SMs to the run's end must replay them.
+    ExperimentConfig cfg;
+    cfg.numSms = 15;
+    cfg.seu.flipsPerCycle = 1e-3;
+    cfg.seu.scheme = SeuScheme::EccScrub;
+    expectRunAheadMatches(runLockstep("pathfinder", cfg), "pathfinder",
+                          cfg, 0);
+}
+
+class RunAheadDetectorWorkloads
+    : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(RunAheadDetectorWorkloads, NoFallbackAtSeeds0And7)
+{
+    // No workload loads a word stored earlier in its run, so none may
+    // fall back: a fallback costs the whole run-ahead gain.
+    for (u64 seed : {0u, 7u}) {
+        ExperimentConfig cfg;
+        cfg.numSms = 15;
+        cfg.seedSalt = seed;
+        const RunBytes got = runWithThreads(GetParam(), cfg, 0);
+        EXPECT_GT(got.stepping.runAheadFrom, 0u) << "seed " << seed;
+        EXPECT_EQ(got.stepping.fallbacks, 0u) << "seed " << seed;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, RunAheadDetectorWorkloads,
+                         ::testing::ValuesIn(workloadNames()),
+                         [](const auto &info) { return info.param; });
+
+// ---------------------------------------------------------------------
 // Store visibility
 // ---------------------------------------------------------------------
 
@@ -289,6 +420,7 @@ struct RaceOutcome
     u32 word = 0;
     u32 loaded = 0;
     std::shared_ptr<ObsRun> obs;
+    SteppingCensus stepping;
 };
 
 RaceOutcome
@@ -304,7 +436,7 @@ runRace(u32 host_threads, bool trace)
     gp.hostThreads = host_threads;
     gp.obs.trace = trace;
     RunResult run = Gpu(gp, gmem, cmem).run(kernel, LaunchDims{1, 3});
-    return {gmem.read32(kWord), gmem.read32(kOut), run.obs};
+    return {gmem.read32(kWord), gmem.read32(kOut), run.obs, run.stepping};
 }
 
 TEST(StoreVisibility, RacingStoresAndLoadShareOneCycle)
@@ -341,6 +473,181 @@ TEST(StoreVisibility, HigherSmWinsAndSameCycleLoadSeesTheOldValue)
         // SM 2's load in that cycle reads memory from before it.
         EXPECT_EQ(r.loaded, kBefore) << t << " host threads";
     }
+}
+
+TEST(RunAheadDetector, SameCycleRaceDoesNotFallBack)
+{
+    // The loader's LDG shares its cycle with both STGs: lockstep reads
+    // the old value there too, so running ahead is exact.
+    for (u32 t = 1; t <= 4; ++t) {
+        const RaceOutcome r = runRace(t, false);
+        EXPECT_GT(r.stepping.runAheadFrom, 0u) << t << " host threads";
+        EXPECT_EQ(r.stepping.fallbacks, 0u) << t << " host threads";
+        EXPECT_EQ(r.word, 2u) << t << " host threads";
+        EXPECT_EQ(r.loaded, kBefore) << t << " host threads";
+    }
+}
+
+constexpr u32 kStored = 0xBEEF;    ///< what the detector kernels store
+
+/**
+ * One thread per CTA. CTA 0 stores kStored to kWord at once; CTA 1
+ * first runs a dependent loop, then loads kWord and saves it to kOut,
+ * many cycles after the store.
+ */
+Kernel
+lateLoaderKernel()
+{
+    KernelBuilder b("late_loader");
+    Reg cta = b.newReg(), addr = b.newReg(), out = b.newReg(),
+        val = b.newReg(), i = b.newReg(), acc = b.newReg();
+    Pred loader = b.newPred();
+    b.s2r(cta, SpecialReg::CtaIdX);
+    b.movImm(addr, static_cast<i32>(kWord));
+    b.movImm(out, static_cast<i32>(kOut));
+    b.movImm(acc, 0);
+    b.isetp(loader, CmpOp::Eq, cta, KernelBuilder::imm(1));
+    b.ifElse_(loader,
+              [&] {
+                  b.forRange(i, KernelBuilder::imm(0),
+                             KernelBuilder::imm(64), 1,
+                             [&] { b.iadd(acc, acc, i); });
+                  b.ldg(val, addr);
+                  b.stg(out, val);
+              },
+              [&] {
+                  b.stg(addr, KernelBuilder::imm(static_cast<i32>(kStored)));
+              });
+    return b.build();
+}
+
+constexpr u32 kLate = 0xF00D;      ///< the late storer's value
+
+/**
+ * One thread per CTA. CTA 1 stores kStored to kWord at once; CTA 0
+ * first runs a dependent loop, then stores kLate to kWord, many cycles
+ * later. Lockstep leaves kLate: the later cycle wins, not the higher
+ * SM.
+ */
+Kernel
+lateStorerKernel()
+{
+    KernelBuilder b("late_storer");
+    Reg cta = b.newReg(), addr = b.newReg(), i = b.newReg(),
+        acc = b.newReg();
+    Pred late = b.newPred();
+    b.s2r(cta, SpecialReg::CtaIdX);
+    b.movImm(addr, static_cast<i32>(kWord));
+    b.movImm(acc, 0);
+    b.isetp(late, CmpOp::Eq, cta, KernelBuilder::imm(0));
+    b.ifElse_(late,
+              [&] {
+                  b.forRange(i, KernelBuilder::imm(0),
+                             KernelBuilder::imm(64), 1,
+                             [&] { b.iadd(acc, acc, i); });
+                  b.stg(addr, KernelBuilder::imm(static_cast<i32>(kLate)));
+              },
+              [&] {
+                  b.stg(addr, KernelBuilder::imm(static_cast<i32>(kStored)));
+              });
+    return b.build();
+}
+
+/** One thread stores kStored to kWord, then loads kWord back and
+ *  saves it to kOut. */
+Kernel
+ownStoreThenLoadKernel()
+{
+    KernelBuilder b("own_store_then_load");
+    Reg addr = b.newReg(), out = b.newReg(), val = b.newReg();
+    b.movImm(addr, static_cast<i32>(kWord));
+    b.movImm(out, static_cast<i32>(kOut));
+    b.stg(addr, KernelBuilder::imm(static_cast<i32>(kStored)));
+    b.ldg(val, addr);
+    b.stg(out, val);
+    return b.build();
+}
+
+/** One thread increments kWord in place: load, add, store back. */
+Kernel
+inPlaceKernel()
+{
+    KernelBuilder b("in_place");
+    Reg addr = b.newReg(), val = b.newReg();
+    b.movImm(addr, static_cast<i32>(kWord));
+    b.ldg(val, addr);
+    b.iadd(val, val, KernelBuilder::imm(1));
+    b.stg(addr, val);
+    return b.build();
+}
+
+/** @p kernel over @p ctas one-thread CTAs, one SM each, kWord preset
+ *  to kBefore. */
+RaceOutcome
+runOneThreadCtas(const Kernel &kernel, u32 ctas, u32 host_threads,
+                 bool run_ahead)
+{
+    GlobalMemory gmem(4096);
+    ConstantMemory cmem(64);
+    gmem.write32(kWord, kBefore);
+    GpuParams gp;
+    gp.numSms = ctas;
+    gp.hostThreads = host_threads;
+    gp.runAhead = run_ahead;
+    const RunResult run =
+        Gpu(gp, gmem, cmem).run(kernel, LaunchDims{1, ctas});
+    return {gmem.read32(kWord), gmem.read32(kOut), nullptr, run.stepping};
+}
+
+TEST(RunAheadDetector, LateLoaderFallsBackAndSeesTheStore)
+{
+    const Kernel kernel = lateLoaderKernel();
+    const RaceOutcome lockstep = runOneThreadCtas(kernel, 2, 1, false);
+    EXPECT_EQ(lockstep.loaded, kStored);
+    for (u32 t = 1; t <= 4; ++t) {
+        const RaceOutcome r = runOneThreadCtas(kernel, 2, t, true);
+        EXPECT_GT(r.stepping.runAheadFrom, 0u) << t << " host threads";
+        EXPECT_EQ(r.stepping.fallbacks, 1u) << t << " host threads";
+        EXPECT_EQ(r.loaded, lockstep.loaded) << t << " host threads";
+        EXPECT_EQ(r.word, lockstep.word) << t << " host threads";
+    }
+}
+
+TEST(RunAheadDetector, LaterCycleWinsOverHigherSm)
+{
+    // Run-ahead logs commit in (cycle, SM) order: SM 0's later store
+    // overwrites SM 1's earlier one, as in lockstep. No load, so no
+    // fallback.
+    const Kernel kernel = lateStorerKernel();
+    EXPECT_EQ(runOneThreadCtas(kernel, 2, 1, false).word, kLate);
+    for (u32 t = 1; t <= 4; ++t) {
+        const RaceOutcome r = runOneThreadCtas(kernel, 2, t, true);
+        EXPECT_GT(r.stepping.runAheadFrom, 0u) << t << " host threads";
+        EXPECT_EQ(r.stepping.fallbacks, 0u) << t << " host threads";
+        EXPECT_EQ(r.word, kLate) << t << " host threads";
+    }
+}
+
+TEST(RunAheadDetector, OwnStoreThenLoadFallsBack)
+{
+    // An SM's own run-ahead stores wait in its log too, so it must not
+    // read its own earlier store from memory either.
+    const RaceOutcome r =
+        runOneThreadCtas(ownStoreThenLoadKernel(), 1, 1, true);
+    EXPECT_GT(r.stepping.runAheadFrom, 0u);
+    EXPECT_EQ(r.stepping.fallbacks, 1u);
+    EXPECT_EQ(r.loaded, kStored);
+    EXPECT_EQ(r.word, kStored);
+}
+
+TEST(RunAheadDetector, InPlaceUpdateDoesNotFallBack)
+{
+    // A load before a store to the same word is exact when running
+    // ahead: the strict cycle comparison lets it through.
+    const RaceOutcome r = runOneThreadCtas(inPlaceKernel(), 1, 1, true);
+    EXPECT_GT(r.stepping.runAheadFrom, 0u);
+    EXPECT_EQ(r.stepping.fallbacks, 0u);
+    EXPECT_EQ(r.word, kBefore + 1);
 }
 
 /**
