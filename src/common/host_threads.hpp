@@ -1,8 +1,8 @@
 /**
  * @file
  * The one host-thread count the simulator resolves a budget against:
- * the experiment runner, the sweep supervisor and one run's SM crew
- * (sim/sm_crew.hpp) all call resolveThreadCount.
+ * the experiment runner, the sweep supervisor and the threads that run
+ * one launch's SMs ahead (Gpu::run) all call resolveThreadCount.
  */
 
 #ifndef WARPCOMP_COMMON_HOST_THREADS_HPP

@@ -1,31 +1,9 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace warpcomp {
-
-namespace {
-
-// The only process-wide mutable in the simulator. Atomic so worker
-// threads in the parallel runner can read it while a driver adjusts
-// verbosity; everything else a run touches is owned by that run.
-std::atomic<LogLevel> gLevel{LogLevel::Warn};
-
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return gLevel.load(std::memory_order_relaxed);
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    gLevel.store(level, std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -41,13 +19,6 @@ fatalImpl(const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     std::exit(1);
-}
-
-void
-logImpl(LogLevel level, const std::string &msg)
-{
-    const char *tag = level == LogLevel::Warn ? "warn" : "info";
-    std::fprintf(stderr, "%s: %s\n", tag, msg.c_str());
 }
 
 } // namespace detail

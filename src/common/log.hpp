@@ -12,21 +12,11 @@
 
 namespace warpcomp {
 
-/** Verbosity levels, most severe first. */
-enum class LogLevel { Quiet, Warn, Info, Debug };
-
-/** Process-wide log verbosity; defaults to Warn. */
-LogLevel logLevel();
-
-/** Set the process-wide log verbosity. */
-void setLogLevel(LogLevel level);
-
 namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const std::string &msg);
-void logImpl(LogLevel level, const std::string &msg);
 
 /**
  * Cold out-of-line slow path for WC_PANIC / WC_ASSERT: the message is
@@ -71,28 +61,6 @@ panicWith(const char *file, int line, FormatFn &&format)
     do {                                                                    \
         if (!(cond))                                                        \
             WC_PANIC("assertion failed: " #cond ": " << msg);               \
-    } while (0)
-
-/** Informational message, shown at Info verbosity and above. */
-#define WC_INFO(msg)                                                        \
-    do {                                                                    \
-        if (::warpcomp::logLevel() >= ::warpcomp::LogLevel::Info) {         \
-            std::ostringstream wc_info_ss_;                                 \
-            wc_info_ss_ << msg;                                             \
-            ::warpcomp::detail::logImpl(::warpcomp::LogLevel::Info,         \
-                                        wc_info_ss_.str());                 \
-        }                                                                   \
-    } while (0)
-
-/** Warning message, shown at Warn verbosity and above. */
-#define WC_WARN(msg)                                                        \
-    do {                                                                    \
-        if (::warpcomp::logLevel() >= ::warpcomp::LogLevel::Warn) {         \
-            std::ostringstream wc_warn_ss_;                                 \
-            wc_warn_ss_ << msg;                                             \
-            ::warpcomp::detail::logImpl(::warpcomp::LogLevel::Warn,         \
-                                        wc_warn_ss_.str());                 \
-        }                                                                   \
     } while (0)
 
 } // namespace warpcomp

@@ -84,21 +84,19 @@ class GlobalMemory
  * One SM's held-back global stores, each stamped with its issue cycle.
  * Gpu::run arms one per SM, and uses it two ways:
  *
- * - Lockstep (while CTAs are pending, and in obs-armed runs): the
- *   buffer holds one cycle's stores so every SM of a cycle reads the
- *   memory image from before that cycle, and is committed in SM order
- *   at the cycle's end. The higher-index SM's value wins a same-cycle
- *   race on a word, whatever host thread stepped which SM.
- * - Run-ahead (once every CTA is resident): the buffer is a store log
- *   that keeps growing while its SM runs to its end, and the logs of
- *   all SMs merge into memory in (cycle, SM, issue) order afterwards,
- *   which is the order lockstep commits in.
+ * - Lockstep (obs-armed runs, runAhead off, fallbacks): the buffer
+ *   holds one cycle's stores so every SM of a cycle reads the memory
+ *   image from before that cycle, and is committed in SM order at the
+ *   cycle's end. The higher-index SM's value wins a same-cycle race on
+ *   a word.
+ * - Run-ahead: the buffer is a store log that keeps growing while its
+ *   SM runs to its end, and the logs of all SMs merge into memory in
+ *   (cycle, SM, issue) order afterwards, which is the order lockstep
+ *   commits in.
  *
  * Sm::cycle never grows the buffer: the capacity is reserved up front
  * (one STG per scheduler per cycle, 32 lanes each) and a run-ahead
  * caller restores that headroom before each cycle (reserveHeadroom).
- * The same type serves as an undo log: commit can record the words it
- * overwrites, and rollback writes them back newest first.
  */
 class GlobalStoreBuffer
 {
@@ -137,28 +135,12 @@ class GlobalStoreBuffer
                                      stores_.size() + n));
     }
 
-    /**
-     * Write every held store to @p gmem in issue order, then empty.
-     * With @p undo, first push each overwritten word's old value to it.
-     */
+    /** Write every held store to @p gmem in issue order, then empty. */
     void
-    commit(GlobalMemory &gmem, GlobalStoreBuffer *undo = nullptr)
+    commit(GlobalMemory &gmem)
     {
-        for (const Store &s : stores_) {
-            if (undo != nullptr)
-                undo->push(s.addr, gmem.read32(s.addr), s.cycle);
+        for (const Store &s : stores_)
             gmem.write32(s.addr, s.value);
-        }
-        stores_.clear();
-    }
-
-    /** Write the held stores to @p gmem newest first, then empty: for
-     *  an undo log, this restores the image from before its commits. */
-    void
-    rollback(GlobalMemory &gmem)
-    {
-        for (auto it = stores_.rbegin(); it != stores_.rend(); ++it)
-            gmem.write32(it->addr, it->value);
         stores_.clear();
     }
 
@@ -167,9 +149,9 @@ class GlobalStoreBuffer
 };
 
 /**
- * The run-ahead conflict detector. Once every CTA is resident,
- * Gpu::run lets each SM run ahead to its end while global stores wait
- * in per-SM logs (GlobalStoreBuffer). That reproduces lockstep exactly
+ * The run-ahead conflict detector. Gpu::run lets each SM run ahead on
+ * its own clock while global stores wait in per-SM logs
+ * (GlobalStoreBuffer). That reproduces lockstep exactly
  * unless a load reads a word that some SM stored at an earlier cycle:
  * lockstep would have made the store visible, run-ahead did not.
  *

@@ -174,20 +174,6 @@ writeJson(JsonWriter &w, const StatGroup &group)
 }
 
 void
-writeJson(JsonWriter &w, const Histogram &hist)
-{
-    w.beginObject();
-    w.key("bins");
-    w.beginArray();
-    for (std::size_t i = 0; i < hist.size(); ++i)
-        w.value(hist.bin(i));
-    w.endArray();
-    w.field("overflow", hist.overflow());
-    w.field("total", hist.total());
-    w.endObject();
-}
-
-void
 writeJson(JsonWriter &w, const EnergyBreakdown &e)
 {
     w.beginObject();

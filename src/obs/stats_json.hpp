@@ -29,9 +29,6 @@ namespace warpcomp {
  *  map order). Caller positions the writer (key or array slot). */
 void writeJson(JsonWriter &w, const StatGroup &group);
 
-/** Serialize a Histogram as {"bins": [...], "overflow": n, "total": n}. */
-void writeJson(JsonWriter &w, const Histogram &hist);
-
 /** Serialize an EnergyBreakdown with its derived totals. */
 void writeJson(JsonWriter &w, const EnergyBreakdown &e);
 

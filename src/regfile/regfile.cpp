@@ -380,13 +380,6 @@ RegisterFile::entryExtent(u32 cluster, u32 entry) const
 }
 
 void
-RegisterFile::noteRead(const RegAccess &access, Cycle now)
-{
-    for (u32 b = 0; b < access.numBanks; ++b)
-        banks_.noteRead(access.firstBank + b, now);
-}
-
-void
 RegisterFile::activitySpan(Cycle from, Cycle to, u64 &active,
                            u64 &drowsy) const
 {

@@ -225,9 +225,6 @@ class RegisterFile
      *  state, preserving the stored-payload fidelity invariant. */
     void refreshStored(u32 warp_slot, u32 reg, const BdiEncoded &enc);
 
-    /** Bump bank read counters for a read access at @p now. */
-    void noteRead(const RegAccess &access, Cycle now);
-
     /** Per-bank access bookkeeping (scrub engine, collector reads). */
     void noteBankRead(u32 bank, Cycle now) { banks_.noteRead(bank, now); }
     void noteBankWrite(u32 bank, Cycle now)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Whole-GPU simulation: a set of SMs fed from a global CTA queue,
- * run in lockstep while CTAs wait, then each to its own end. Produces the merged energy /
- * statistics results every experiment consumes.
+ * Whole-GPU simulation: a set of SMs fed from a global CTA queue in
+ * (cycle, SM) order, each running ahead on its own clock, or all in
+ * lockstep when observed. Produces the merged energy / statistics
+ * results every experiment consumes.
  */
 
 #ifndef WARPCOMP_SIM_GPU_HPP
@@ -24,11 +25,10 @@ namespace warpcomp {
  */
 struct SteppingCensus
 {
-    /** Cycle from which the SMs ran ahead of each other (the first
-     *  cycle after the last CTA launch); 0 when the launch stepped in
-     *  lockstep throughout. A launch that fell back keeps the cycle of
-     *  its abandoned run-ahead. */
-    Cycle runAheadFrom = 0;
+    /** The launch ran its SMs ahead of each other; false when it
+     *  stepped in lockstep. Stays true for a launch that then fell
+     *  back. */
+    bool ranAhead = false;
     /** Reruns in lockstep after the run-ahead detector found a load
      *  of a word stored at an earlier cycle (0 or 1). */
     u32 fallbacks = 0;
@@ -96,16 +96,15 @@ class Gpu
 
   private:
     /**
-     * Simulate the launch once, running ahead once every CTA is
-     * resident when @p run_ahead is set. Returns nothing when the
-     * run-ahead detector found a conflict; global memory is then
-     * restored to its image before the launch.
+     * Simulate the launch once: with @p run_ahead, every SM runs ahead
+     * on its own clock, else all SMs step in lockstep. Returns nothing
+     * when the run-ahead detector found a conflict; global memory then
+     * still holds its image from before the launch.
      */
     std::optional<RunResult> launch(const Kernel &kernel,
                                     const LaunchDims &dims,
                                     bool collect_bdi_breakdown,
-                                    bool run_ahead,
-                                    SteppingCensus &census);
+                                    bool run_ahead);
 
     GpuParams params_;
     GlobalMemory &gmem_;

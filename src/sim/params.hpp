@@ -117,22 +117,24 @@ struct GpuParams
      *  turns it off for differential checks. */
     bool skipIdleCycles = true;
     /**
-     * Host threads that step one run's SMs (sim/sm_crew.hpp): each
-     * cycle's SMs while CTAs wait for a slot, then whole SMs run ahead
-     * to their ends. 0 means the CPUs in the affinity mask. Capped at
-     * min(numSms, gridDim), and 1 while obs is enabled. Not
-     * result-shaping: every result is byte-identical for any value, so
-     * it is neither a config spec key nor part of the stats document.
+     * Host threads that run one launch's SMs ahead of each other
+     * (Gpu::run), the caller included. 0 means the CPUs in the
+     * affinity mask. Capped at min(numSms, gridDim); unused while obs
+     * is enabled or runAhead is off, which step serially in lockstep.
+     * Not result-shaping: every result is byte-identical for any
+     * value, so it is neither a config spec key nor part of the stats
+     * document.
      */
     u32 hostThreads = 0;
     /**
-     * Once every CTA is resident, let each SM run ahead to its end
-     * instead of stepping all SMs cycle by cycle (Gpu::run). A load of
-     * a word stored at an earlier cycle makes the launch rerun in
-     * lockstep, so results are byte-identical either way; obs-armed
-     * runs always step in lockstep. Not result-shaping, like
-     * hostThreads: no flag, no spec key, not in the stats document.
-     * Tests turn it off to pin run-ahead against lockstep.
+     * Let each SM run ahead on its own clock from cycle 0, taking CTAs
+     * in (cycle, SM) order, instead of stepping all SMs cycle by cycle
+     * in lockstep (Gpu::run). A load of a word stored at an earlier
+     * cycle makes the launch rerun in lockstep, so results are
+     * byte-identical either way; obs-armed runs always step in
+     * lockstep. Not result-shaping, like hostThreads: no flag, no spec
+     * key, not in the stats document. Tests turn it off to pin
+     * run-ahead against lockstep.
      */
     bool runAhead = true;
 };

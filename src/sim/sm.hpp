@@ -158,6 +158,10 @@ class Sm
     /** True while any CTA is resident or instructions are in flight. */
     bool busy() const;
 
+    /** The last launch attempt failed and no CTA has completed since:
+     *  the next attempt would fail too (see tryLaunchCta). */
+    bool launchBlocked() const { return launchBlocked_; }
+
     const SmParams &params() const { return params_; }
     const EnergyMeter &meter() const { return meter_; }
     const SimStats &stats() const { return stats_; }

@@ -42,14 +42,4 @@ fillRandomF32(GlobalMemory &gmem, u64 base, u32 count, float lo, float hi,
     }
 }
 
-void
-fillIota(GlobalMemory &gmem, u64 base, u32 count, i32 start, i32 step)
-{
-    i32 v = start;
-    for (u32 i = 0; i < count; ++i) {
-        gmem.write32(base + 4ull * i, static_cast<u32>(v));
-        v += step;
-    }
-}
-
 } // namespace warpcomp

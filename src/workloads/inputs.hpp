@@ -24,9 +24,6 @@ void fillConstantU32(GlobalMemory &gmem, u64 base, u32 count, u32 value);
 void fillRandomF32(GlobalMemory &gmem, u64 base, u32 count, float lo,
                    float hi, Rng &rng);
 
-/** Fill with an arithmetic sequence start, start+step, ... */
-void fillIota(GlobalMemory &gmem, u64 base, u32 count, i32 start, i32 step);
-
 } // namespace warpcomp
 
 #endif // WARPCOMP_WORKLOADS_INPUTS_HPP

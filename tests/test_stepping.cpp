@@ -1,15 +1,14 @@
 /**
  * @file
- * One run's SMs stepped on a crew of host threads (sim/sm_crew.hpp):
- * the crew calls every group exactly once per step, every result is
- * byte-identical for any GpuParams::hostThreads (stats document and
- * final global-memory image, all 19 workloads with idle skipping on
- * and off, plus fault and SEU configs), and the store-visibility rule
- * holds: a cycle's global stores become visible at its end, committed
- * in SM order, while an Sm with no store buffer armed writes through.
- * Run-ahead (GpuParams::runAhead) reproduces serial lockstep byte for
- * byte, and its detector reruns a launch in lockstep exactly when a
- * load follows a store to its segment.
+ * How Gpu::run steps one launch's SMs: every result is byte-identical
+ * for any GpuParams::hostThreads (stats document and final
+ * global-memory image, all 19 workloads with idle skipping on and off,
+ * plus fault and SEU configs); running ahead (GpuParams::runAhead)
+ * reproduces serial lockstep byte for byte, CTA dispatch included, and
+ * its detector reruns a launch in lockstep exactly when a load follows
+ * a store to its segment; and the store-visibility rule holds: a
+ * cycle's global stores become visible at its end, committed in SM
+ * order, while an Sm with no store buffer armed writes through.
  */
 
 #include <gtest/gtest.h>
@@ -19,14 +18,11 @@
 #include <unistd.h>
 
 #include <array>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <span>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/host_threads.hpp"
@@ -34,95 +30,9 @@
 #include "isa/builder.hpp"
 #include "obs/obs.hpp"
 #include "obs/stats_json.hpp"
-#include "sim/sm_crew.hpp"
 
 namespace warpcomp {
 namespace {
-
-// ---------------------------------------------------------------------
-// The crew itself
-// ---------------------------------------------------------------------
-
-/** One counter per group, each on its own cache line. */
-struct alignas(64) GroupCount
-{
-    u64 calls = 0;
-    u64 lastStep = 0;
-    bool inOrder = true;
-};
-
-TEST(SmCrew, EveryGroupRunsOncePerStep)
-{
-    for (u32 threads : {1u, 2u, 3u, 4u}) {
-        SmCrew crew(threads);
-        std::vector<GroupCount> counts(threads);
-        u64 step = 0;
-        auto fn = [&](u32 g) {
-            GroupCount &c = counts[g];
-            c.inOrder = c.inOrder && c.lastStep + 1 == step;
-            ++c.calls;
-            c.lastStep = step;
-        };
-        // Alternate parallel and serial steps, as Gpu::run does.
-        constexpr u64 kSteps = 20'000;
-        for (step = 1; step <= kSteps; ++step)
-            crew.run(fn, step % 7 != 0);
-        for (u32 g = 0; g < threads; ++g) {
-            EXPECT_EQ(counts[g].calls, kSteps) << "group " << g;
-            EXPECT_TRUE(counts[g].inOrder) << "group " << g;
-        }
-        EXPECT_LE(crew.stolenGroups(),
-                  crew.parallelSteps() * (threads - 1));
-        if (threads == 1) {
-            EXPECT_EQ(crew.parallelSteps(), 0u);
-        }
-    }
-}
-
-TEST(SmCrew, SerialStepsRunOnTheCallingThread)
-{
-    SmCrew crew(4);
-    const std::thread::id self = std::this_thread::get_id();
-    bool all_here = true;
-    auto fn = [&](u32) {
-        all_here = all_here && std::this_thread::get_id() == self;
-    };
-    for (u32 i = 0; i < 100; ++i)
-        crew.run(fn, false);
-    EXPECT_TRUE(all_here);
-    EXPECT_EQ(crew.parallelSteps(), 0u);
-}
-
-TEST(SmCrew, GroupZeroStaysOnTheCallingThread)
-{
-    SmCrew crew(3);
-    const std::thread::id self = std::this_thread::get_id();
-    bool zero_here = true;
-    std::atomic<u64> calls{0};
-    auto fn = [&](u32 g) {
-        if (g == 0)
-            zero_here = zero_here && std::this_thread::get_id() == self;
-        calls.fetch_add(1, std::memory_order_relaxed);
-    };
-    for (u32 i = 0; i < 5'000; ++i)
-        crew.run(fn, true);
-    EXPECT_TRUE(zero_here);
-    EXPECT_EQ(calls.load(), 15'000u);
-}
-
-TEST(SmCrew, ExceptionInAGroupReachesTheCaller)
-{
-    SmCrew crew(2);
-    auto fine = [](u32) {};
-    auto fail = [](u32 g) {
-        if (g == 1)
-            throw std::runtime_error("group 1");
-    };
-    for (u32 i = 0; i < 200; ++i) {
-        crew.run(fine, true);
-        EXPECT_THROW(crew.run(fail, true), std::runtime_error);
-    }
-}
 
 // ---------------------------------------------------------------------
 // Results do not depend on the thread count
@@ -136,13 +46,16 @@ struct RunBytes
     WorkloadInstance wl;
     Cycle cycles = 0;
     SteppingCensus stepping;
+    bool unschedulable = false;
+    u64 ctas = 0;
 };
 
 RunBytes
 runWithThreads(const std::string &name, const ExperimentConfig &cfg,
                u32 host_threads, bool run_ahead = true)
 {
-    RunBytes out{{}, makeWorkload(name, cfg.scale, cfg.seedSalt), 0, {}};
+    RunBytes out{{}, makeWorkload(name, cfg.scale, cfg.seedSalt), 0, {},
+                 false, 0};
     GpuParams gp = makeGpuParams(cfg);
     gp.hostThreads = host_threads;
     gp.runAhead = run_ahead;
@@ -156,6 +69,8 @@ runWithThreads(const std::string &name, const ExperimentConfig &cfg,
     out.stats = os.str();
     out.cycles = run.cycles;
     out.stepping = run.stepping;
+    out.unschedulable = run.unschedulable;
+    out.ctas = run.ctas;
     return out;
 }
 
@@ -207,9 +122,10 @@ class CrewDeterminism : public ::testing::TestWithParam<std::string>
 
 TEST_P(CrewDeterminism, StatsAndMemoryMatchAcrossThreadCounts)
 {
-    // One serial reference serves both skip settings: idle skipping
-    // is itself byte-invisible (test_skip_equiv), so a crew run with
-    // skipping off must reproduce the serial run with it on.
+    // One single-thread reference serves both skip settings: idle
+    // skipping is itself byte-invisible (test_skip_equiv), so a
+    // multi-thread run with skipping off must reproduce the
+    // single-thread run with it on.
     ExperimentConfig cfg;
     cfg.numSms = 15;
     const RunBytes ref = runWithThreads(GetParam(), cfg, 1);
@@ -267,7 +183,7 @@ runLockstep(const std::string &name, const ExperimentConfig &cfg)
 {
     RunBytes ref = runWithThreads(name, cfg, 1, false);
     EXPECT_GT(ref.cycles, 0u);
-    EXPECT_EQ(ref.stepping.runAheadFrom, 0u);
+    EXPECT_FALSE(ref.stepping.ranAhead);
     EXPECT_EQ(ref.stepping.fallbacks, 0u);
     return ref;
 }
@@ -283,7 +199,7 @@ expectRunAheadMatches(const RunBytes &ref, const std::string &name,
         const std::string what = name + " running ahead on " +
             std::to_string(t) + " host threads";
         expectSameBytes(got, ref, what);
-        EXPECT_GT(got.stepping.runAheadFrom, 0u) << what;
+        EXPECT_TRUE(got.stepping.ranAhead) << what;
         EXPECT_EQ(got.stepping.fallbacks, fallbacks) << what;
     }
 }
@@ -346,6 +262,64 @@ TEST(RunAheadEquivalenceFaults, EccScrubSeu)
                           cfg, 0);
 }
 
+/** How many of @p cfg's SMs can hold a CTA of @p name, each SM with
+ *  its own salted stuck-at map as Gpu::run draws it. */
+u32
+smsThatHoldACta(const std::string &name, const ExperimentConfig &cfg)
+{
+    const WorkloadInstance wl = makeWorkload(name, cfg.scale, cfg.seedSalt);
+    const GpuParams gp = makeGpuParams(cfg);
+    u32 holders = 0;
+    for (u32 i = 0; i < gp.numSms; ++i) {
+        SmParams sp = gp.sm;
+        sp.faults.seed = faultSeedForSm(gp.sm.faults.seed, i);
+        Sm sm(sp, gp.energy, *wl.gmem, *wl.cmem, wl.kernel, wl.dims);
+        holders += sm.tryLaunchCta(0, 0) ? 1 : 0;
+    }
+    return holders;
+}
+
+TEST(RunAheadEquivalenceFaults, NoSmHoldsACta)
+{
+    // Every SM's launch stays blocked from cycle 0: lockstep gives up
+    // after two stalled cycles, and running ahead must stop at the
+    // same cycle (the stats document holds cycles and unschedulable).
+    ExperimentConfig cfg;
+    cfg.numSms = 15;
+    cfg.faults.ber = 0.2;
+    cfg.faults.policy = FaultPolicy::DisableEntry;
+    ASSERT_EQ(smsThatHoldACta("nw", cfg), 0u);
+    const RunBytes ref = runLockstep("nw", cfg);
+    EXPECT_TRUE(ref.unschedulable);
+    for (bool skip : {true, false}) {
+        SCOPED_TRACE(skip ? "idle skipping on" : "idle skipping off");
+        cfg.skipIdle = skip;
+        expectRunAheadMatches(ref, "nw", cfg, 0);
+    }
+}
+
+TEST(RunAheadEquivalenceFaults, SomeSmsHoldNoCtaAndTheOthersFinish)
+{
+    // The SMs that cannot hold a CTA leave dispatch for good (their key
+    // is done) while the others take the whole grid. At this BER and
+    // the default fault seed, 10 of the 15 SMs can hold an nw CTA.
+    ExperimentConfig cfg;
+    cfg.numSms = 15;
+    cfg.faults.ber = 1.6e-3;
+    cfg.faults.policy = FaultPolicy::DisableEntry;
+    const u32 holders = smsThatHoldACta("nw", cfg);
+    ASSERT_GT(holders, 0u);
+    ASSERT_LT(holders, cfg.numSms);
+    const RunBytes ref = runLockstep("nw", cfg);
+    EXPECT_FALSE(ref.unschedulable);
+    EXPECT_EQ(ref.ctas, ref.wl.dims.gridDim);
+    for (bool skip : {true, false}) {
+        SCOPED_TRACE(skip ? "idle skipping on" : "idle skipping off");
+        cfg.skipIdle = skip;
+        expectRunAheadMatches(ref, "nw", cfg, 0);
+    }
+}
+
 class RunAheadDetectorWorkloads
     : public ::testing::TestWithParam<std::string>
 {
@@ -360,7 +334,7 @@ TEST_P(RunAheadDetectorWorkloads, NoFallbackAtSeeds0And7)
         cfg.numSms = 15;
         cfg.seedSalt = seed;
         const RunBytes got = runWithThreads(GetParam(), cfg, 0);
-        EXPECT_GT(got.stepping.runAheadFrom, 0u) << "seed " << seed;
+        EXPECT_TRUE(got.stepping.ranAhead) << "seed " << seed;
         EXPECT_EQ(got.stepping.fallbacks, 0u) << "seed " << seed;
     }
 }
@@ -481,7 +455,7 @@ TEST(RunAheadDetector, SameCycleRaceDoesNotFallBack)
     // the old value there too, so running ahead is exact.
     for (u32 t = 1; t <= 4; ++t) {
         const RaceOutcome r = runRace(t, false);
-        EXPECT_GT(r.stepping.runAheadFrom, 0u) << t << " host threads";
+        EXPECT_TRUE(r.stepping.ranAhead) << t << " host threads";
         EXPECT_EQ(r.stepping.fallbacks, 0u) << t << " host threads";
         EXPECT_EQ(r.word, 2u) << t << " host threads";
         EXPECT_EQ(r.loaded, kBefore) << t << " host threads";
@@ -606,7 +580,7 @@ TEST(RunAheadDetector, LateLoaderFallsBackAndSeesTheStore)
     EXPECT_EQ(lockstep.loaded, kStored);
     for (u32 t = 1; t <= 4; ++t) {
         const RaceOutcome r = runOneThreadCtas(kernel, 2, t, true);
-        EXPECT_GT(r.stepping.runAheadFrom, 0u) << t << " host threads";
+        EXPECT_TRUE(r.stepping.ranAhead) << t << " host threads";
         EXPECT_EQ(r.stepping.fallbacks, 1u) << t << " host threads";
         EXPECT_EQ(r.loaded, lockstep.loaded) << t << " host threads";
         EXPECT_EQ(r.word, lockstep.word) << t << " host threads";
@@ -622,7 +596,7 @@ TEST(RunAheadDetector, LaterCycleWinsOverHigherSm)
     EXPECT_EQ(runOneThreadCtas(kernel, 2, 1, false).word, kLate);
     for (u32 t = 1; t <= 4; ++t) {
         const RaceOutcome r = runOneThreadCtas(kernel, 2, t, true);
-        EXPECT_GT(r.stepping.runAheadFrom, 0u) << t << " host threads";
+        EXPECT_TRUE(r.stepping.ranAhead) << t << " host threads";
         EXPECT_EQ(r.stepping.fallbacks, 0u) << t << " host threads";
         EXPECT_EQ(r.word, kLate) << t << " host threads";
     }
@@ -634,7 +608,7 @@ TEST(RunAheadDetector, OwnStoreThenLoadFallsBack)
     // read its own earlier store from memory either.
     const RaceOutcome r =
         runOneThreadCtas(ownStoreThenLoadKernel(), 1, 1, true);
-    EXPECT_GT(r.stepping.runAheadFrom, 0u);
+    EXPECT_TRUE(r.stepping.ranAhead);
     EXPECT_EQ(r.stepping.fallbacks, 1u);
     EXPECT_EQ(r.loaded, kStored);
     EXPECT_EQ(r.word, kStored);
@@ -645,7 +619,7 @@ TEST(RunAheadDetector, InPlaceUpdateDoesNotFallBack)
     // A load before a store to the same word is exact when running
     // ahead: the strict cycle comparison lets it through.
     const RaceOutcome r = runOneThreadCtas(inPlaceKernel(), 1, 1, true);
-    EXPECT_GT(r.stepping.runAheadFrom, 0u);
+    EXPECT_TRUE(r.stepping.ranAhead);
     EXPECT_EQ(r.stepping.fallbacks, 0u);
     EXPECT_EQ(r.word, kBefore + 1);
 }
