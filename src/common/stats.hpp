@@ -1,18 +1,16 @@
 /**
  * @file
  * Lightweight named-statistics registry. Components register scalar
- * counters and distributions; harness code dumps or queries them after a
- * simulation run. Inspired by gem5's stats package, radically simplified.
+ * counters; harness code queries or serializes them after a simulation
+ * run. Inspired by gem5's stats package, radically simplified.
  */
 
 #ifndef WARPCOMP_COMMON_STATS_HPP
 #define WARPCOMP_COMMON_STATS_HPP
 
-#include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "common/types.hpp"
 
@@ -63,9 +61,6 @@ class StatGroup
             kv.second.reset();
     }
 
-    /** Dump "group.name value" lines. */
-    void dump(std::ostream &os) const;
-
     const std::string &name() const { return name_; }
 
     /** All counters, sorted by name (map order) — serialization walks
@@ -78,34 +73,6 @@ class StatGroup
   private:
     std::string name_;
     std::map<std::string, Counter> counters_;
-};
-
-/**
- * Fixed-bin histogram for distributions such as the per-bank gated-cycle
- * counts and value-similarity bins. Adds past the last bin saturate into
- * a dedicated overflow bin instead of failing, so a histogram sized for
- * the expected range survives an outlier sample and still reports it.
- */
-class Histogram
-{
-  public:
-    explicit Histogram(std::size_t bins) : bins_(bins, 0) {}
-
-    void add(std::size_t bin, u64 v = 1);
-
-    u64 bin(std::size_t i) const { return bins_.at(i); }
-    std::size_t size() const { return bins_.size(); }
-    /** Samples that landed past the last bin. */
-    u64 overflow() const { return overflow_; }
-    /** Sum over all bins, including the overflow bin. */
-    u64 total() const;
-    /** Bin value as a fraction of the histogram total (0 when empty). */
-    double fraction(std::size_t i) const;
-    void reset();
-
-  private:
-    std::vector<u64> bins_;
-    u64 overflow_ = 0;
 };
 
 } // namespace warpcomp

@@ -6,9 +6,9 @@
 #include <optional>
 #include <utility>
 
+#include "common/host_threads.hpp"
 #include "common/log.hpp"
 #include "harness/config_spec.hpp"
-#include "harness/thread_pool.hpp"
 #include "obs/trace_stream.hpp"
 
 namespace warpcomp {
@@ -78,40 +78,6 @@ runWorkload(const std::string &name, const ExperimentConfig &cfg,
                             std::move(wl.imageSha)};
 }
 
-std::vector<ExperimentResult>
-runSuite(const ExperimentConfig &cfg)
-{
-    std::vector<ExperimentResult> results;
-    results.reserve(workloadNames().size());
-    for (const std::string &name : workloadNames())
-        results.push_back(runWorkload(name, cfg));
-    return results;
-}
-
-std::vector<ExperimentResult>
-runWorkloadsParallel(const std::vector<std::string> &names,
-                     const ExperimentConfig &cfg, u32 num_threads)
-{
-    // Each slot is owned exclusively by one job; merging back is just
-    // unwrapping in submission order.
-    std::vector<std::optional<ExperimentResult>> slots(names.size());
-    const ThreadShare share = shareThreads(num_threads, names.size());
-    parallelFor(names.size(), share.workers, [&](std::size_t i) {
-        slots[i] = runWorkload(names[i], cfg, share.perJob);
-    });
-    std::vector<ExperimentResult> results;
-    results.reserve(slots.size());
-    for (auto &slot : slots)
-        results.push_back(std::move(*slot));
-    return results;
-}
-
-std::vector<ExperimentResult>
-runSuiteParallel(const ExperimentConfig &cfg, u32 num_threads)
-{
-    return runWorkloadsParallel(workloadNames(), cfg, num_threads);
-}
-
 std::vector<std::vector<ExperimentResult>>
 runGrid(const std::vector<ExperimentConfig> &configs,
         const std::vector<std::string> &workloads, u32 num_threads)
@@ -131,6 +97,13 @@ runGrid(const std::vector<ExperimentConfig> &configs,
             grid[c].push_back(std::move(*slots[c * n_wl + w]));
     }
     return grid;
+}
+
+std::vector<ExperimentResult>
+runWorkloadsParallel(const std::vector<std::string> &names,
+                     const ExperimentConfig &cfg, u32 num_threads)
+{
+    return std::move(runGrid({cfg}, names, num_threads)[0]);
 }
 
 namespace {

@@ -1,9 +1,11 @@
 /**
  * @file
  * Experiment harness: runs a workload under a named configuration and
- * returns the merged results. Every bench binary (the `wc_bench`
- * figure driver, the sweep driver, `run_kernel`) and example builds on
- * this.
+ * returns the merged results. Three entry points: runWorkload (one
+ * run), runGrid (every config x workload pair on host threads) and
+ * runWorkloadsParallel (runGrid over one config). Every bench binary
+ * (the `wc_bench` figure driver, the sweep driver, `run_kernel`) and
+ * example builds on this.
  */
 
 #ifndef WARPCOMP_HARNESS_EXPERIMENT_HPP
@@ -88,35 +90,25 @@ ExperimentResult runWorkload(const std::string &name,
                              const ExperimentConfig &cfg,
                              u32 host_threads = 0);
 
-/** Run the full 19-workload suite (workloadNames()) under @p cfg. */
-std::vector<ExperimentResult> runSuite(const ExperimentConfig &cfg);
-
 /**
- * Run @p names under @p cfg within a budget of @p num_threads host
- * threads (0 = the CPUs in the affinity mask): W = min(budget, runs)
- * runs at a time, each stepping its SMs on max(1, budget / W)
- * threads. Simulation runs are share-nothing — each owns its memory
- * image, RNG streams, stats, and energy meter — and results are
- * returned in submission (= @p names) order, so the output is
- * bit-identical to the serial loop regardless of thread count.
- */
-std::vector<ExperimentResult>
-runWorkloadsParallel(const std::vector<std::string> &names,
-                     const ExperimentConfig &cfg, u32 num_threads = 0);
-
-/** Parallel runSuite: the full suite with the same ordering guarantee. */
-std::vector<ExperimentResult> runSuiteParallel(const ExperimentConfig &cfg,
-                                               u32 num_threads = 0);
-
-/**
- * Full experiment grid: every (config, workload) pair, flattened onto
- * one pool under the same thread budget as runWorkloadsParallel.
- * result[c][w] corresponds to configs[c] x workloads[w], in argument
- * order — bit-identical to nested serial loops.
+ * Full experiment grid: every (config, workload) pair, one job each,
+ * run within a budget of @p num_threads host threads (0 = the CPUs in
+ * the affinity mask): W = min(budget, jobs) runs at a time on
+ * parallelFor, each stepping its SMs on max(1, budget / W) threads.
+ * Simulation runs are share-nothing — each owns its memory image, RNG
+ * streams, stats and energy meter — and each lands in its own slot,
+ * so result[c][w] is configs[c] x workloads[w], byte-identical to
+ * nested serial runWorkload loops for any thread count.
  */
 std::vector<std::vector<ExperimentResult>>
 runGrid(const std::vector<ExperimentConfig> &configs,
         const std::vector<std::string> &workloads, u32 num_threads = 0);
+
+/** runGrid over one config: @p names under @p cfg, in @p names order,
+ *  byte-identical to a serial runWorkload loop. */
+std::vector<ExperimentResult>
+runWorkloadsParallel(const std::vector<std::string> &names,
+                     const ExperimentConfig &cfg, u32 num_threads = 0);
 
 /** Command-line options shared by the bench binaries. */
 struct HarnessOptions

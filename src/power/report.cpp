@@ -68,25 +68,6 @@ TextTable::print(std::ostream &os) const
         print_row(row);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto emit_row = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c != 0)
-                os << ',';
-            if (cells[c].find(',') != std::string::npos)
-                os << '"' << cells[c] << '"';
-            else
-                os << cells[c];
-        }
-        os << '\n';
-    };
-    emit_row(headers_);
-    for (const auto &row : rows_)
-        emit_row(row);
-}
-
 std::string
 fmtDouble(double v, int precision)
 {

@@ -31,9 +31,6 @@ class TextTable
 
     void print(std::ostream &os) const;
 
-    /** Machine-readable CSV (quoting cells that contain commas). */
-    void printCsv(std::ostream &os) const;
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

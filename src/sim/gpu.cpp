@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <exception>
 #include <memory>
 #include <mutex>
-#include <system_error>
-#include <thread>
 
 #include "common/host_threads.hpp"
 #include "common/log.hpp"
@@ -96,43 +93,6 @@ commitInCycleOrder(std::vector<PaddedStores> &stores, GlobalMemory &gmem)
     }
     for (PaddedStores &s : stores)
         s.buffer.clear();
-}
-
-/**
- * Call @p fn on @p threads host threads, the caller included, and
- * return once every call has returned; rethrows the first exception a
- * call threw. Fewer threads run when the system cannot start more,
- * which no caller's result depends on.
- */
-template <typename Fn>
-void
-runOnThreads(u32 threads, Fn fn)
-{
-    std::mutex m;
-    std::exception_ptr error;
-    auto guarded = [&] {
-        try {
-            fn();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(m);
-            if (!error)
-                error = std::current_exception();
-        }
-    };
-    std::vector<std::thread> helpers;
-    helpers.reserve(threads > 0 ? threads - 1 : 0);
-    for (u32 t = 1; t < threads; ++t) {
-        try {
-            helpers.emplace_back(guarded);
-        } catch (const std::system_error &) {
-            break;
-        }
-    }
-    guarded();
-    for (std::thread &t : helpers)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
 }
 
 /**
@@ -647,13 +607,10 @@ Gpu::launch(const Kernel &kernel, const LaunchDims &dims,
                   << kernel.name());
         // Bring every SM to the run's end: idle SMs still account
         // their cycles, and scrub ticks and SEU sampling replay.
-        std::atomic<u32> next_sm{0};
-        runOnThreads(threads, [&] {
-            for (u32 i = next_sm++; i < num_sms; i = next_sm++) {
-                for (Cycle now = ahead.stoppedAt(i); now < end.cycles;)
-                    now = advance(*sms[i], now, end.cycles, skip,
-                                  stores[i].buffer, headroom);
-            }
+        parallelFor(num_sms, threads, [&](std::size_t i) {
+            for (Cycle now = ahead.stoppedAt(i); now < end.cycles;)
+                now = advance(*sms[i], now, end.cycles, skip,
+                              stores[i].buffer, headroom);
         });
         commitInCycleOrder(stores, gmem_);
     }

@@ -6,8 +6,8 @@
 #include <limits>
 #include <sstream>
 
+#include "common/host_threads.hpp"
 #include "common/log.hpp"
-#include "harness/thread_pool.hpp"
 
 namespace warpcomp {
 

@@ -193,44 +193,6 @@ TEST(Stats, GroupLookup)
     EXPECT_EQ(g.get("issued"), 0u);
 }
 
-TEST(Stats, GroupDumpFormat)
-{
-    StatGroup g("rf");
-    g.counter("reads") += 3;
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_EQ(os.str(), "rf.reads 3\n");
-}
-
-TEST(Stats, Histogram)
-{
-    Histogram h(4);
-    h.add(0);
-    h.add(3, 9);
-    EXPECT_EQ(h.total(), 10u);
-    EXPECT_DOUBLE_EQ(h.fraction(3), 0.9);
-    h.reset();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
-}
-
-TEST(Stats, HistogramOverflowSaturates)
-{
-    Histogram h(4);
-    h.add(2, 3);
-    h.add(4);           // first bin past the end
-    h.add(1000, 6);     // far past the end
-    EXPECT_EQ(h.overflow(), 7u);
-    EXPECT_EQ(h.total(), 10u);
-    EXPECT_EQ(h.bin(2), 3u);
-    // In-range bins are untouched by overflow samples.
-    EXPECT_EQ(h.bin(3), 0u);
-    EXPECT_DOUBLE_EQ(h.fraction(2), 0.3);
-    h.reset();
-    EXPECT_EQ(h.overflow(), 0u);
-    EXPECT_EQ(h.total(), 0u);
-}
-
 TEST(Report, TableAlignment)
 {
     TextTable t({"bench", "a", "b"});
@@ -242,15 +204,6 @@ TEST(Report, TableAlignment)
     EXPECT_NE(s.find("bench"), std::string::npos);
     EXPECT_NE(s.find("3.25"), std::string::npos);
     EXPECT_NE(s.find("4.50"), std::string::npos);
-}
-
-TEST(Report, CsvOutput)
-{
-    TextTable t({"bench", "value"});
-    t.addRow({"a,b", "1.5"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "bench,value\n\"a,b\",1.5\n");
 }
 
 TEST(Report, Formatters)

@@ -1,18 +1,24 @@
 /**
  * @file
- * Parallel-runner determinism: runSuiteParallel must produce results
- * bit-identical to serial runSuite for any thread count, runGrid must
- * match nested serial loops even with far more jobs than workers, and
- * the thread pool itself must execute every submitted job exactly once.
+ * Parallel-runner determinism and the host-thread primitive under it:
+ * runWorkloadsParallel must produce results bit-identical to a serial
+ * runWorkload loop for any thread count, runGrid must match nested
+ * serial loops even with far more jobs than threads, parallelFor must
+ * call every index exactly once (in order on the caller with one
+ * thread) and rethrow a call's exception only after every call has
+ * returned, and shareThreads must split a budget as documented.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
+#include "common/host_threads.hpp"
 #include "harness/experiment.hpp"
-#include "harness/thread_pool.hpp"
 
 namespace warpcomp {
 namespace {
@@ -91,8 +97,11 @@ class ParallelRunner : public ::testing::TestWithParam<u32>
 TEST_P(ParallelRunner, SuiteMatchesSerialBitExactly)
 {
     const ExperimentConfig cfg = smallConfig();
-    const auto serial = runSuite(cfg);
-    const auto parallel = runSuiteParallel(cfg, GetParam());
+    std::vector<ExperimentResult> serial;
+    for (const std::string &name : workloadNames())
+        serial.push_back(runWorkload(name, cfg));
+    const auto parallel =
+        runWorkloadsParallel(workloadNames(), cfg, GetParam());
     expectSuitesEqual(serial, parallel);
 }
 
@@ -103,8 +112,8 @@ TEST(ParallelRunner, SameSeedSameOutputAcrossRepeats)
 {
     ExperimentConfig cfg = smallConfig();
     cfg.seedSalt = 7;
-    const auto first = runSuiteParallel(cfg, 4);
-    const auto second = runSuiteParallel(cfg, 4);
+    const auto first = runWorkloadsParallel(workloadNames(), cfg, 4);
+    const auto second = runWorkloadsParallel(workloadNames(), cfg, 4);
     expectSuitesEqual(first, second);
 }
 
@@ -134,8 +143,9 @@ TEST(ParallelRunner, SeedSaltChangesInputsDeterministically)
 
 TEST(ParallelRunner, GridWithMoreJobsThanThreads)
 {
-    // 4 configs x 5 workloads = 20 jobs on 2 threads: a queue-pressure
-    // stress that still must match the nested serial loops exactly.
+    // 4 configs x 5 workloads = 20 jobs on 2 threads: each thread
+    // pulls many jobs, and the grid must still match the nested serial
+    // loops exactly.
     std::vector<ExperimentConfig> configs;
     for (CompressionScheme s :
          {CompressionScheme::None, CompressionScheme::Warped,
@@ -157,40 +167,57 @@ TEST(ParallelRunner, GridWithMoreJobsThanThreads)
     }
 }
 
-TEST(ThreadPool, RunsEveryJobExactlyOnce)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
-    constexpr int kJobs = 1000;
-    std::vector<std::atomic<int>> hits(kJobs);
+    constexpr std::size_t kIndices = 1000;
+    std::vector<std::atomic<int>> hits(kIndices);
     for (auto &h : hits)
         h.store(0);
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < kJobs; ++i)
-            pool.submit([&hits, i] { hits[i].fetch_add(1); });
-        pool.wait();
-        // wait() must be re-usable: submit a second wave.
-        for (int i = 0; i < kJobs; ++i)
-            pool.submit([&hits, i] { hits[i].fetch_add(1); });
-        pool.wait();
-    }
-    for (int i = 0; i < kJobs; ++i)
-        EXPECT_EQ(hits[i].load(), 2) << "job " << i;
+    // Twice in a row: nothing of the first call outlives it.
+    for (int round = 0; round < 2; ++round)
+        parallelFor(kIndices, 4,
+                    [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < kIndices; ++i)
+        EXPECT_EQ(hits[i].load(), 2) << "index " << i;
 }
 
-TEST(ThreadPool, WaitRethrowsFirstJobError)
+TEST(ParallelFor, RethrowsTheFirstErrorAfterEveryCallReturned)
 {
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
+    // The last index throws, so it is handed out after every other:
+    // by the time the error reaches the caller, each of them must have
+    // run to its end, even those still sleeping when it was thrown.
+    constexpr std::size_t kIndices = 16;
+    std::atomic<std::size_t> finished{0};
+    EXPECT_THROW(parallelFor(kIndices, 4,
+                             [&](std::size_t i) {
+                                 if (i == kIndices - 1)
+                                     throw std::runtime_error("boom");
+                                 std::this_thread::sleep_for(
+                                     std::chrono::milliseconds(5));
+                                 ++finished;
+                             }),
+                 std::runtime_error);
+    EXPECT_EQ(finished.load(), kIndices - 1);
 }
 
-TEST(ThreadPool, ResolveThreadCount)
+TEST(ParallelFor, OneThreadRunsInOrderOnTheCaller)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    parallelFor(5, 1, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(HostThreads, ResolveThreadCount)
 {
     EXPECT_EQ(resolveThreadCount(3), 3u);
     EXPECT_GE(resolveThreadCount(0), 1u);
 }
 
-TEST(ThreadPool, ShareThreadsSplitsTheBudget)
+TEST(HostThreads, ShareThreadsSplitsTheBudget)
 {
     // W = min(budget, jobs) at a time, each max(1, budget / W) threads.
     const ThreadShare one = shareThreads(4, 1);

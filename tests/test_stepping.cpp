@@ -1,14 +1,15 @@
 /**
  * @file
- * How Gpu::run steps one launch's SMs: every result is byte-identical
- * for any GpuParams::hostThreads (stats document and final
- * global-memory image, all 19 workloads with idle skipping on and off,
- * plus fault and SEU configs); running ahead (GpuParams::runAhead)
- * reproduces serial lockstep byte for byte, CTA dispatch included, and
- * its detector reruns a launch in lockstep exactly when a load follows
- * a store to its segment; and the store-visibility rule holds: a
- * cycle's global stores become visible at its end, committed in SM
- * order, while an Sm with no store buffer armed writes through.
+ * How Gpu::run steps one launch's SMs: running ahead
+ * (GpuParams::runAhead) on 1-4 host threads reproduces serial lockstep
+ * byte for byte (stats document and final global-memory image, all 19
+ * workloads with idle skipping on and off, plus fault and SEU
+ * configs), CTA dispatch included, so no result depends on
+ * GpuParams::hostThreads; its detector reruns a launch in lockstep
+ * exactly when a load follows a store to its segment; and the
+ * store-visibility rule holds: a cycle's global stores become visible
+ * at its end, committed in SM order, while an Sm with no store buffer
+ * armed writes through.
  */
 
 #include <gtest/gtest.h>
@@ -35,7 +36,7 @@ namespace warpcomp {
 namespace {
 
 // ---------------------------------------------------------------------
-// Results do not depend on the thread count
+// Run-ahead on any thread count reproduces lockstep
 // ---------------------------------------------------------------------
 
 /** What a run leaves behind: its stats document and its final
@@ -86,96 +87,6 @@ expectSameBytes(const RunBytes &got, const RunBytes &ref,
                 std::memcmp(mem.data(), ref_mem.data(), mem.size()) == 0)
         << what << ": final global memory differs";
 }
-
-/** Runs at hostThreads 2..4 reproduce @p ref byte for byte. */
-void
-expectMatches(const RunBytes &ref, const std::string &name,
-              const ExperimentConfig &cfg)
-{
-    const std::span<const u8> ref_mem = ref.wl.gmem->bytes();
-    for (u32 t = 2; t <= 4; ++t) {
-        const RunBytes got = runWithThreads(name, cfg, t);
-        EXPECT_EQ(got.stats, ref.stats) << name << " at " << t
-                                        << " host threads";
-        const std::span<const u8> mem = got.wl.gmem->bytes();
-        EXPECT_TRUE(mem.size() == ref_mem.size() &&
-                    std::memcmp(mem.data(), ref_mem.data(),
-                                mem.size()) == 0)
-            << name << ": final global memory differs at " << t
-            << " host threads";
-    }
-}
-
-/** hostThreads 2..4 reproduce hostThreads 1 byte for byte. */
-void
-expectThreadCountInvariant(const std::string &name,
-                           const ExperimentConfig &cfg)
-{
-    const RunBytes ref = runWithThreads(name, cfg, 1);
-    ASSERT_GT(ref.cycles, 0u);
-    expectMatches(ref, name, cfg);
-}
-
-class CrewDeterminism : public ::testing::TestWithParam<std::string>
-{
-};
-
-TEST_P(CrewDeterminism, StatsAndMemoryMatchAcrossThreadCounts)
-{
-    // One single-thread reference serves both skip settings: idle
-    // skipping is itself byte-invisible (test_skip_equiv), so a
-    // multi-thread run with skipping off must reproduce the
-    // single-thread run with it on.
-    ExperimentConfig cfg;
-    cfg.numSms = 15;
-    const RunBytes ref = runWithThreads(GetParam(), cfg, 1);
-    ASSERT_GT(ref.cycles, 0u);
-    for (bool skip : {true, false}) {
-        SCOPED_TRACE(skip ? "idle skipping on" : "idle skipping off");
-        cfg.skipIdle = skip;
-        expectMatches(ref, GetParam(), cfg);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, CrewDeterminism,
-                         ::testing::ValuesIn(workloadNames()),
-                         [](const auto &info) { return info.param; });
-
-TEST(CrewDeterminismFaults, CompressRemapStuckAt)
-{
-    ExperimentConfig cfg;
-    cfg.numSms = 15;
-    cfg.faults.ber = 1e-3;
-    cfg.faults.policy = FaultPolicy::CompressRemap;
-    expectThreadCountInvariant("nw", cfg);
-}
-
-TEST(CrewDeterminismFaults, PolicyNoneStopsAtTheHangBudget)
-{
-    // Uncontained corruption livelocks bfs; every thread count must
-    // stop at the same budget with the same census.
-    ExperimentConfig cfg;
-    cfg.numSms = 15;
-    cfg.faults.ber = 1e-4;
-    cfg.faults.policy = FaultPolicy::None;
-    cfg.faults.hangCycles = 60'000;
-    const RunBytes ref = runWithThreads("bfs", cfg, 1);
-    EXPECT_EQ(ref.cycles, cfg.faults.hangCycles);
-    expectThreadCountInvariant("bfs", cfg);
-}
-
-TEST(CrewDeterminismFaults, EccScrubSeu)
-{
-    ExperimentConfig cfg;
-    cfg.numSms = 15;
-    cfg.seu.flipsPerCycle = 1e-3;
-    cfg.seu.scheme = SeuScheme::EccScrub;
-    expectThreadCountInvariant("pathfinder", cfg);
-}
-
-// ---------------------------------------------------------------------
-// Run-ahead reproduces lockstep
-// ---------------------------------------------------------------------
 
 /** Serial lockstep: the reference every run-ahead run must match. */
 RunBytes
