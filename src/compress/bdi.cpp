@@ -300,24 +300,32 @@ bdiCompress(std::span<const u8> data, std::span<const BdiParams> candidates)
     return bdiCompress(data, candidates, scanAs<u32>(data));
 }
 
+BdiChoice
+bdiChoose(std::span<const u8> data, std::span<const BdiParams> candidates,
+          const DeltaFits &fits4)
+{
+    WC_ASSERT(data.size() == kWarpRegBytes,
+              "register compression operates on 128-byte warp registers");
+    const BdiParams *best = choose(data, candidates, fits4);
+    if (best == nullptr)
+        return {};
+    return {*best, true, bdiCompressedSize(*best)};
+}
+
 BdiEncoded
 bdiCompress(std::span<const u8> data, std::span<const BdiParams> candidates,
             const DeltaFits &fits4)
 {
-    WC_ASSERT(data.size() == kWarpRegBytes,
-              "register compression operates on 128-byte warp registers");
+    const BdiChoice choice = bdiChoose(data, candidates, fits4);
     BdiEncoded enc;
-    const BdiParams *best = choose(data, candidates, fits4);
-    if (best == nullptr) {
+    enc.params = choice.params;
+    enc.compressed = choice.compressed;
+    if (!choice.compressed)
         enc.bytes.assign(data);
-    } else {
-        enc.compressed = true;
-        enc.params = *best;
-        if (best->baseBytes == 4)
-            encodeAs<u32>(data, best->deltaBytes, enc.bytes);
-        else
-            encodeAs<u64>(data, best->deltaBytes, enc.bytes);
-    }
+    else if (choice.params.baseBytes == 4)
+        encodeAs<u32>(data, choice.params.deltaBytes, enc.bytes);
+    else
+        encodeAs<u64>(data, choice.params.deltaBytes, enc.bytes);
     return enc;
 }
 

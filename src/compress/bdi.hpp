@@ -63,6 +63,15 @@ banksForBytes(u32 bytes)
 
 /** Serialize a warp register value to its 128-byte memory image. */
 std::array<u8, kWarpRegBytes> toBytes(const WarpRegValue &value);
+
+/** The same image viewed in place, without the copy toBytes makes. */
+inline std::span<const u8, kWarpRegBytes>
+regBytes(const WarpRegValue &value)
+{
+    return std::span<const u8, kWarpRegBytes>(
+        reinterpret_cast<const u8 *>(value.data()), kWarpRegBytes);
+}
+
 /** Rebuild a warp register value from its 128-byte image. */
 WarpRegValue fromBytes(std::span<const u8> bytes);
 
@@ -158,6 +167,21 @@ class BdiByteBuf
     u32 size_ = 0;
 };
 
+/**
+ * A compression decision without its bytes: the candidate chosen and
+ * the stored size, all the bank allocation and arbitration need. The
+ * bytes are a pure function of the register value and the decision,
+ * so the simulator re-derives them (bdiCompress) where it needs them.
+ */
+struct BdiChoice
+{
+    /** Parameters chosen; meaningless when !compressed. */
+    BdiParams params{};
+    bool compressed = false;
+    /** bdiCompressedSize(params) when compressed, else 128. */
+    u32 sizeBytes = kWarpRegBytes;
+};
+
 /** Result of attempting compression on a warp register. */
 struct BdiEncoded
 {
@@ -174,11 +198,17 @@ struct BdiEncoded
 };
 
 /**
- * Compress the 128-byte image @p data with the smallest-footprint
- * candidate that fits (ties broken toward the earlier candidate). Falls
- * back to uncompressed. Every candidate must have base 4 or 8 and a
- * delta of 0, 1, 2 or 4 bytes.
+ * The decision bdiCompress makes for the 128-byte image @p data: the
+ * smallest-footprint candidate that fits (ties broken toward the
+ * earlier candidate), or uncompressed. Every candidate must have base 4
+ * or 8 and a delta of 0, 1, 2 or 4 bytes; @p fits4 must be
+ * scanLanes(...).fits4 of the same image.
  */
+BdiChoice bdiChoose(std::span<const u8> data,
+                    std::span<const BdiParams> candidates,
+                    const DeltaFits &fits4);
+
+/** Compress the 128-byte image @p data as bdiChoose decides. */
 BdiEncoded bdiCompress(std::span<const u8> data,
                        std::span<const BdiParams> candidates);
 

@@ -26,6 +26,17 @@ schemeCandidates(CompressionScheme scheme)
     }
 }
 
+BdiEncoded
+storedImage(const WarpRegValue &value, bool compressed,
+            CompressionScheme scheme)
+{
+    if (compressed)
+        return bdiCompress(regBytes(value), schemeCandidates(scheme));
+    BdiEncoded raw;
+    raw.bytes.assign(regBytes(value));
+    return raw;
+}
+
 std::string
 schemeName(CompressionScheme scheme)
 {

@@ -29,6 +29,15 @@ enum class CompressionScheme : u8 {
 /** Candidate parameter list for a scheme (empty for None). */
 std::span<const BdiParams> schemeCandidates(CompressionScheme scheme);
 
+/**
+ * The bytes a register bank stripe holds for a register of value
+ * @p value: its encoding under @p scheme when it is stored
+ * @p compressed, else the raw image. A pure function of the value, so
+ * the register file keeps no copy of them.
+ */
+BdiEncoded storedImage(const WarpRegValue &value, bool compressed,
+                       CompressionScheme scheme);
+
 /** Human-readable scheme name. */
 std::string schemeName(CompressionScheme scheme);
 
@@ -71,15 +80,15 @@ indicatorBanks(RangeIndicator ind)
 
 /** Indicator for a compression outcome under the Warped scheme. */
 inline RangeIndicator
-indicatorFor(const BdiEncoded &enc)
+indicatorFor(const BdiChoice &choice)
 {
-    if (!enc.compressed)
+    if (!choice.compressed)
         return RangeIndicator::Uncompressed;
-    if (enc.params == BdiParams{4, 0})
+    if (choice.params == BdiParams{4, 0})
         return RangeIndicator::Base40;
-    if (enc.params == BdiParams{4, 1})
+    if (choice.params == BdiParams{4, 1})
         return RangeIndicator::Base41;
-    if (enc.params == BdiParams{4, 2})
+    if (choice.params == BdiParams{4, 2})
         return RangeIndicator::Base42;
     // Non-warped parameter (e.g. an <8,Y> from the FullBdi explorer):
     // represent by footprint only; the indicator is a warped-scheme

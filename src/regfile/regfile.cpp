@@ -11,8 +11,7 @@ RegisterFile::RegisterFile(const RegFileParams &params,
                            const SeuParams &seu)
     : params_(params),
       banks_(params.numBanks, params.entriesPerBank, params.wakeupLatency,
-             params.gatingEnabled),
-      store_(params.numClusters(), params.entriesPerBank)
+             params.gatingEnabled)
 {
     WC_ASSERT(params.numBanks % kBanksPerWarpReg == 0,
               "bank count must be a multiple of " << kBanksPerWarpReg);
@@ -155,7 +154,6 @@ RegisterFile::releaseId(u32 id, Cycle now)
     // Pending transient flips die with the row's content.
     if (seu_ != nullptr && seu_->hasPending())
         seu_->clearEntry(s.cluster, s.entry);
-    store_.clear(rowOf(s));
     // Valid entries of a register form a prefix of its bank stripe:
     // recordWrite sets banks [0, footprint) and clears the rest (all
     // 8 under validAtAlloc). Probing only the prefix makes teardown
@@ -241,14 +239,8 @@ RegisterFile::locate(u32 warp_slot, u32 reg) const
     return slotOf(regId(warp_slot, reg));
 }
 
-RangeIndicator
-RegisterFile::indicator(u32 warp_slot, u32 reg) const
-{
-    return regs_[regId(warp_slot, reg)].ind;
-}
-
 std::pair<Cycle, RegAccess>
-RegisterFile::recordWrite(u32 warp_slot, u32 reg, const BdiEncoded &enc,
+RegisterFile::recordWrite(u32 warp_slot, u32 reg, const BdiChoice &choice,
                           Cycle now)
 {
     const u32 id = regId(warp_slot, reg);
@@ -263,7 +255,7 @@ RegisterFile::recordWrite(u32 warp_slot, u32 reg, const BdiEncoded &enc,
         seu_->clearEntry(s.cluster, s.entry);
 
     const u32 old_banks = footprintBanks(id);
-    const RangeIndicator ind = indicatorFor(enc);
+    const RangeIndicator ind = indicatorFor(choice);
     const u32 new_banks = params_.validAtAlloc ? kBanksPerWarpReg
                                                : indicatorBanks(ind);
 
@@ -279,7 +271,7 @@ RegisterFile::recordWrite(u32 warp_slot, u32 reg, const BdiEncoded &enc,
         const u32 healthy =
             faults_->healthyPrefixBytes(s.firstBank(), s.entry);
         if (healthy < kWarpRegBytes) {
-            if (enc.sizeBytes() <= healthy) {
+            if (choice.sizeBytes <= healthy) {
                 ++faultStats_.toleratedWrites;
             } else {
                 remapped = true;
@@ -314,9 +306,6 @@ RegisterFile::recordWrite(u32 warp_slot, u32 reg, const BdiEncoded &enc,
         }
     }
 
-    // The banks now hold exactly this encoding (fidelity invariant).
-    store_.store(rowOf(s), enc);
-
     if (!st.written) {
         ++writtenCount_;
         if (ind != RangeIndicator::Uncompressed)
@@ -338,26 +327,9 @@ RegisterFile::recordWrite(u32 warp_slot, u32 reg, const BdiEncoded &enc,
     a.entry = s.entry;
     a.numBanks = new_banks;
     a.compressed = ind != RangeIndicator::Uncompressed;
-    a.bytes = enc.sizeBytes();
+    a.bytes = choice.sizeBytes;
     a.remapped = remapped;
     return {ready, a};
-}
-
-BdiEncoded
-RegisterFile::storedEncoding(u32 warp_slot, u32 reg) const
-{
-    const RegSlot s = locate(warp_slot, reg);
-    WC_ASSERT(regs_[regId(warp_slot, reg)].written,
-              "stored encoding of an unwritten register");
-    return store_.load(rowOf(s));
-}
-
-void
-RegisterFile::refreshStored(u32 warp_slot, u32 reg,
-                            const BdiEncoded &enc)
-{
-    const RegSlot s = locate(warp_slot, reg);
-    store_.store(rowOf(s), enc);
 }
 
 RegisterFile::EntryExtent

@@ -5,10 +5,14 @@
  * one cluster at one entry index, with per-register compression state
  * (the 2-bit range indicator of Sec. 4) and bank-level power gating.
  *
- * Bank state lives structure-of-arrays in a BankSet, and the stored
- * payload bytes of every stripe live contiguously in a BankStorage row,
- * so the hot paths (census, SEU resolution, release probing) are flat
- * array passes.
+ * Bank state lives structure-of-arrays in a BankSet, so the hot paths
+ * (census, release probing) are flat array passes. The register file
+ * keeps no payload bytes: a register's value lives once, in its Warp,
+ * and what the banks hold is a pure function of that value and the
+ * per-register indicator (storedImage): its BDI encoding under the
+ * SM's scheme when stored compressed, else the raw image. The SM
+ * re-derives those bytes where a path needs them (SEU read resolution,
+ * the stuck-at write).
  */
 
 #ifndef WARPCOMP_REGFILE_REGFILE_HPP
@@ -25,7 +29,6 @@
 #include "fault/seu.hpp"
 #include "obs/obs.hpp"
 #include "regfile/bank.hpp"
-#include "regfile/bank_storage.hpp"
 
 namespace warpcomp {
 
@@ -164,9 +167,6 @@ class RegisterFile
     /** Physical location of (slot, architectural register). */
     RegSlot locate(u32 warp_slot, u32 reg) const;
 
-    /** Current range indicator of a register. */
-    RangeIndicator indicator(u32 warp_slot, u32 reg) const;
-
     /** True when the register currently holds compressed data. */
     bool
     isCompressed(u32 warp_slot, u32 reg) const
@@ -202,28 +202,15 @@ class RegisterFile
     }
 
     /**
-     * Record a write with compression outcome @p enc. Updates valid
-     * bits, shrinks/grows the footprint, wakes gated banks the write
-     * needs, bumps bank write counters, and stores the encoded payload
-     * bytes into the stripe's storage row. Returns the cycle the write
-     * can complete (now, or later when a wakeup was required) and the
-     * resulting access footprint.
+     * Record a write with compression decision @p choice. Updates
+     * valid bits, shrinks/grows the footprint, wakes gated banks the
+     * write needs, and bumps bank write counters. Returns the cycle the
+     * write can complete (now, or later when a wakeup was required) and
+     * the resulting access footprint.
      */
     std::pair<Cycle, RegAccess> recordWrite(u32 warp_slot, u32 reg,
-                                            const BdiEncoded &enc,
+                                            const BdiChoice &choice,
                                             Cycle now);
-
-    /**
-     * The encoding the banks currently hold for a written register
-     * (descriptor + payload bytes). Invariant: equal to re-encoding the
-     * current architectural value — recordWrite stores it and the
-     * corruption-commit paths refresh it.
-     */
-    BdiEncoded storedEncoding(u32 warp_slot, u32 reg) const;
-
-    /** Re-store a row after a corruption commit mutated architectural
-     *  state, preserving the stored-payload fidelity invariant. */
-    void refreshStored(u32 warp_slot, u32 reg, const BdiEncoded &enc);
 
     /** Per-bank access bookkeeping (scrub engine, collector reads). */
     void noteBankRead(u32 bank, Cycle now) { banks_.noteRead(bank, now); }
@@ -335,15 +322,8 @@ class RegisterFile
     }
     void releaseId(u32 id, Cycle now);
 
-    u32
-    rowOf(const RegSlot &s) const
-    {
-        return s.cluster * params_.entriesPerBank + s.entry;
-    }
-
     RegFileParams params_;
     BankSet banks_;
-    BankStorage store_;
     std::vector<RegState> regs_;
     std::vector<SlotAlloc> slots_;
     /** Free-range list over warp-register ids, kept sorted/coalesced. */

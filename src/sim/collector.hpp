@@ -63,7 +63,9 @@ struct InFlight
     bool memReleased = false;   ///< MSHR slot returned
     bool wbRecorded = false;    ///< RegisterFile::recordWrite performed
     RegAccess writeAcc{};
-    BdiEncoded encoded{};
+    /** How the write is stored; its bytes are re-derived from the
+     *  register value where needed (storedImage). */
+    BdiChoice choice{};
 
     /**
      * Make a recycled entry ready for the issue path: reset exactly the
@@ -71,10 +73,10 @@ struct InFlight
      * operand fetches, the counters, the stage and readyAt, and the
      * dummyMov / memReleased / wbRecorded flags. Everything else is
      * written first: inst, warpSlot, effMask, divergentWrite and
-     * writesBack at every issue, memLatency for memory ops, encoded
+     * writesBack at every issue, memLatency for memory ops, choice
      * for register writes, writeAcc together with wbRecorded. Skipping
-     * those (the 128-byte encoded buffer and the Instruction copy
-     * above all) saves clearing the whole ~384-byte entry per issue.
+     * those (the Instruction copy above all) saves clearing the whole
+     * entry per issue.
      */
     void
     resetForIssue()
@@ -103,12 +105,16 @@ struct InFlight
     }
 };
 
+// Entries recycle through the SM's slab on every issue; keep one within
+// four cache lines.
+static_assert(sizeof(InFlight) <= 256, "InFlight outgrew four cache lines");
+
 /**
  * Fixed pool of collector units. An instruction occupies a unit from
  * issue until it dispatches to an execution unit. The pool references
  * entries owned elsewhere (the SM's in-flight slab): moving a warp
  * instruction through the pipeline shuffles pointers, never the
- * multi-hundred-byte InFlight payload.
+ * InFlight payload.
  */
 class CollectorPool
 {

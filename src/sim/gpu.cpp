@@ -197,7 +197,12 @@ stepLockstep(std::vector<std::unique_ptr<Sm>> &sms,
  * its own clock, with no per-cycle barrier (conservative parallel
  * discrete-event simulation). Host threads pull SMs, lowest clock
  * first, and step each for a turn of kTurnCycles, until it must wait,
- * or until it is done.
+ * or until it is done. Host thread t of T has home SMs t, t + T,
+ * t + 2T, ...: it takes its own lowest-clock ready SM, and the global
+ * lowest-clock ready SM only when none of its own is ready, so an SM's
+ * state mostly stays in one core's caches (the SMs of a thread the
+ * system could not start are only ever stolen). Which thread steps an
+ * SM never changes the result.
  *
  * Only CTA dispatch couples the SMs: lockstep hands out CTAs in (cycle,
  * SM) order, so SM i may attempt a launch at cycle c only once every
@@ -219,9 +224,10 @@ class RunAhead
     RunAhead(std::vector<std::unique_ptr<Sm>> &sms,
              std::vector<PaddedStores> &stores, u32 grid, Cycle limit,
              bool skip, u32 headroom,
-             const GlobalConflictDetector &detector)
+             const GlobalConflictDetector &detector, u32 threads)
         : sms_(sms), stores_(stores), grid_(grid), limit_(limit),
           skip_(skip), headroom_(headroom), detector_(detector),
+          threads_(threads),
           keys_(sms.size()), state_(sms.size(), Slot::Ready),
           clock_(sms.size(), 0)
     {
@@ -240,10 +246,11 @@ class RunAhead
     {
         try {
             std::unique_lock<std::mutex> lock(m_);
+            const u32 thread = nextThread_++;
             while (true) {
                 u32 sm = kNone;
                 cv_.wait(lock, [&] {
-                    sm = pickReady();
+                    sm = pickReady(thread);
                     return sm != kNone || stopped() || !waiting();
                 });
                 if (sm == kNone || stopped())
@@ -270,8 +277,8 @@ class RunAhead
   private:
     enum class Slot : u8 { Ready, Running, Parked, Done };
 
-    /** Cycles an SM steps per turn before its thread takes the SM
-     *  with the lowest clock: the SMs stay near each other, so the
+    /** Cycles an SM steps per turn before its thread picks an SM
+     *  again (pickReady): the SMs stay near each other, so the
      *  global-memory lines they share stay in the host's caches
      *  (perfbench suite on a 4-vCPU x86 VM: about 10% less wall time
      *  than unbounded turns on one host thread, none lost on four). */
@@ -428,17 +435,23 @@ class RunAhead
         }
     }
 
-    /** The ready SM with the lowest clock, or kNone. Needs m_. */
+    /** The ready home SM of host thread @p thread with the lowest
+     *  clock; failing that, the ready SM with the lowest clock; kNone
+     *  when no SM is ready. Needs m_. */
     u32
-    pickReady() const
+    pickReady(u32 thread) const
     {
-        u32 best = kNone;
+        u32 home = kNone, any = kNone;
         for (u32 i = 0; i < state_.size(); ++i) {
-            if (state_[i] == Slot::Ready &&
-                (best == kNone || clock_[i] < clock_[best]))
-                best = i;
+            if (state_[i] != Slot::Ready)
+                continue;
+            if (any == kNone || clock_[i] < clock_[any])
+                any = i;
+            if (i % threads_ == thread &&
+                (home == kNone || clock_[i] < clock_[home]))
+                home = i;
         }
-        return best;
+        return home != kNone ? home : any;
     }
 
     /** Some SM is ready or parked. Needs m_. */
@@ -460,6 +473,8 @@ class RunAhead
     const bool skip_;
     const u32 headroom_;
     const GlobalConflictDetector &detector_;
+    /** Host threads the SMs are homed over. */
+    const u32 threads_;
 
     /** Published keys, read by any thread. */
     std::vector<Key> keys_;
@@ -475,6 +490,8 @@ class RunAhead
     std::condition_variable cv_;
     std::vector<Slot> state_;
     std::vector<Cycle> clock_;
+    /** The index the next host thread to call work() takes. */
+    u32 nextThread_ = 0;
     u32 nextCta_ = 0;
     bool failed_ = false;
 };
@@ -573,7 +590,7 @@ Gpu::launch(const Kernel &kernel, const LaunchDims &dims,
             resolveThreadCount(params_.hostThreads), num_sms,
             dims.gridDim});
         RunAhead ahead(sms, stores, dims.gridDim, limit, skip, headroom,
-                       detector);
+                       detector, threads);
         runOnThreads(threads, [&] { ahead.work(); });
         // Memory was never written: the logs are simply dropped.
         if (detector.conflict())

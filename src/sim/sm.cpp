@@ -349,41 +349,23 @@ Sm::resolveSeuRead(SeuEngine &seu, u32 slot, u32 reg, Cycle now)
     if (!res.corrupt)
         return;
 
-    // XOR the pending flips into the stored row image and decode back.
-    // The storage row holds exactly the bytes the write path stored
-    // (fidelity invariant; the corruption-commit paths re-store after
-    // mutating architectural state), so no re-encode is needed here.
-    // A flipped byte inside a BDI base or delta corrupts every lane
-    // that chunk feeds: the amplification the paper's reliability
+    // XOR the pending flips into the bytes the banks hold and decode
+    // back. A flipped byte inside a BDI base or delta corrupts every
+    // lane that chunk feeds: the amplification the paper's reliability
     // tradeoff has to own.
     Warp &w = warps_[slot];
     const WarpRegValue before = w.reg(reg);
-    WarpRegValue after;
-    bool amplified = false;
-    if (rf_.isCompressed(slot, reg)) {
-        BdiEncoded enc = rf_.storedEncoding(slot, reg);
-        // Flip positions were recorded against the stored extent; a
-        // position beyond the stored size (possible only after
-        // composed stuck-at corruption changed compressibility) is
-        // dropped.
-        for (u32 i = 0; i < res.tracked; ++i) {
-            const u32 byte = res.pos[i] / 8;
-            if (byte < enc.sizeBytes())
-                enc.bytes[byte] ^=
-                    static_cast<u8>(1u << (res.pos[i] % 8));
-        }
-        after = fromBytes(bdiDecompress(enc));
-        amplified = enc.compressed;
-    } else {
-        auto raw = toBytes(before);
-        for (u32 i = 0; i < res.tracked; ++i) {
-            const u32 byte = res.pos[i] / 8;
-            if (byte < raw.size())
-                raw[byte] ^=
-                    static_cast<u8>(1u << (res.pos[i] % 8));
-        }
-        after = fromBytes(raw);
+    BdiEncoded stored = storedImage(before, rf_.isCompressed(slot, reg),
+                                    params_.scheme);
+    // Flip positions were recorded against the stored extent; a
+    // position beyond the stored size (possible only after composed
+    // stuck-at corruption changed compressibility) is dropped.
+    for (u32 i = 0; i < res.tracked; ++i) {
+        const u32 byte = res.pos[i] / 8;
+        if (byte < stored.sizeBytes())
+            stored.bytes[byte] ^= static_cast<u8>(1u << (res.pos[i] % 8));
     }
+    const WarpRegValue after = fromBytes(bdiDecompress(stored));
 
     u32 lanes = 0;
     for (u32 l = 0; l < kWarpSize; ++l) {
@@ -393,12 +375,7 @@ Sm::resolveSeuRead(SeuEngine &seu, u32 slot, u32 reg, Cycle now)
     if (lanes == 0)
         return;
     w.reg(reg) = after;
-    // The corrupted value is architectural now; re-store its encoding
-    // so the next read of this row sees consistent bytes.
-    if (rf_.isCompressed(slot, reg))
-        rf_.refreshStored(slot, reg,
-                          bdiCompress(toBytes(after),
-                                      schemeCandidates(params_.scheme)));
+    const bool amplified = stored.compressed;
     seu.noteCorruption(lanes, amplified);
     if (obs_ != nullptr)
         obs_->onSeuCorruption(obsSmId_, static_cast<u16>(slot), lanes,
@@ -499,7 +476,7 @@ Sm::stepWritebackAndExec(Cycle now)
         if (f.stage == InFlight::Stage::Writeback && now >= f.readyAt) {
             if (!f.wbRecorded) {
                 auto [ready, acc] = rf_.recordWrite(f.warpSlot, f.inst.dst,
-                                                    f.encoded, now);
+                                                    f.choice, now);
                 f.wbRecorded = true;
                 f.writeAcc = acc;
                 if (ready > now) {
@@ -529,24 +506,15 @@ Sm::stepWritebackAndExec(Cycle now)
                 if (const FaultMap *fm = rf_.faultMap();
                     fm != nullptr &&
                     rf_.faultPolicy() == FaultPolicy::None) {
-                    BdiEncoded stored = f.encoded;
+                    WarpRegValue &value = warps_[f.warpSlot].reg(f.inst.dst);
+                    BdiEncoded stored = storedImage(
+                        value, f.choice.compressed, params_.scheme);
                     if (fm->corrupt(f.writeAcc.firstBank,
                                     f.writeAcc.entry,
                                     stored.bytes.data(),
                                     stored.bytes.size())) {
                         rf_.noteCorruptedWrite();
-                        warps_[f.warpSlot].reg(f.inst.dst) =
-                            fromBytes(bdiDecompress(stored));
-                        // Keep the storage row consistent with the
-                        // corrupted architectural value (fidelity
-                        // invariant for the SEU read path).
-                        if (rf_.isCompressed(f.warpSlot, f.inst.dst))
-                            rf_.refreshStored(
-                                f.warpSlot, f.inst.dst,
-                                bdiCompress(
-                                    toBytes(warps_[f.warpSlot]
-                                                .reg(f.inst.dst)),
-                                    schemeCandidates(params_.scheme)));
+                        value = fromBytes(bdiDecompress(stored));
                         if (obs_ != nullptr)
                             obs_->onFaultCorruptedWrite(
                                 obsSmId_, static_cast<u16>(f.warpSlot),
@@ -723,7 +691,7 @@ Sm::stepIssue(Cycle now)
 void
 Sm::recordWriteStats(const Warp &warp, const Instruction &inst,
                      LaneMask eff, bool divergent,
-                     std::span<const u8> img, const BdiEncoded &enc,
+                     std::span<const u8> img, const BdiChoice &choice,
                      const LaneScan &scan)
 {
     // A full-mask write's Fig 2 bins come from the same lane pass that
@@ -735,9 +703,9 @@ Sm::recordWriteStats(const Warp &warp, const Instruction &inst,
 
     // Potential compressibility of the merged register (Fig 8 semantics:
     // divergent writes measured as decompress-update-recompress). The
-    // encoding is computed once by the caller and shared with the bank
+    // decision is made once by the caller and shared with the bank
     // write path.
-    stats_.ratio.record(enc.sizeBytes(), divergent);
+    stats_.ratio.record(choice.sizeBytes, divergent);
 
     if (collectBdi_) {
         const auto best = bdiBestParams(img, fullBdiCandidates());
@@ -791,10 +759,7 @@ Sm::issueDummyMov(u32 slot, u8 dst, Cycle now)
         meter_.addRemapAccesses(1);
     }
 
-    const auto img = toBytes(w.reg(dst));
-    f.encoded.params = BdiParams{};
-    f.encoded.compressed = false;
-    f.encoded.bytes.assign(std::span<const u8>(img));
+    f.choice = BdiChoice{};
 
     scoreboard_.reserve(slot, mov);
     ++ctas_[w.ctaSlot()].inFlight;
@@ -954,37 +919,28 @@ Sm::issueFrom(u32 slot, Cycle now)
         if (divergent)
             ++stats_.regWritesDivergent;
 
-        // Scan and compress the written register exactly once: one lane
-        // pass feeds the encoder's base-4 fits and the Fig 2 bins, and
-        // the same encoding feeds the Fig 8 ratio stats and the bank
-        // write. Under the None scheme the stats still measure
-        // potential compressibility over the warped candidates while
-        // the write stays raw, so the candidate list below matches
-        // what recordWriteStats always used; for every enabled scheme
-        // it equals the write path's schemeCandidates(scheme).
+        // Scan the written register and decide its compression exactly
+        // once: one lane pass feeds the decision's base-4 fits and the
+        // Fig 2 bins, and the same decision feeds the Fig 8 ratio stats
+        // and the bank write. Under the None scheme the stats still
+        // measure potential compressibility over the warped candidates
+        // while the write stays raw, so the candidate list below
+        // matches what recordWriteStats always used; for every enabled
+        // scheme it equals the write path's schemeCandidates(scheme).
         const WarpRegValue &value = w.reg(inst.dst);
         const LaneScan scan = scanLanes(value);
-        const auto img = toBytes(value);
+        const auto img = regBytes(value);
         const auto cands = params_.scheme == CompressionScheme::None
             ? warpedCandidates() : schemeCandidates(params_.scheme);
-        BdiEncoded enc = bdiCompress(img, cands, scan.fits4);
-        recordWriteStats(w, inst, eff, divergent, img, enc, scan);
-        if (obs_ != nullptr) {
-            const bool stores_compressed =
-                params_.compressionEnabled() && !f.divergentWrite;
+        const BdiChoice choice = bdiChoose(img, cands, scan.fits4);
+        recordWriteStats(w, inst, eff, divergent, img, choice, scan);
+        const bool stores_compressed =
+            params_.compressionEnabled() && !f.divergentWrite;
+        f.choice = stores_compressed ? choice : BdiChoice{};
+        if (obs_ != nullptr)
             obs_->onCompressDecision(
-                obsSmId_, static_cast<u16>(slot), enc.sizeBytes(),
-                stores_compressed ? enc.sizeBytes() : kWarpRegBytes,
-                static_cast<u16>(inst.dst), now);
-        }
-
-        if (params_.compressionEnabled() && !f.divergentWrite) {
-            f.encoded = std::move(enc);
-        } else {
-            f.encoded.params = BdiParams{};
-            f.encoded.compressed = false;
-            f.encoded.bytes.assign(std::span<const u8>(img));
-        }
+                obsSmId_, static_cast<u16>(slot), choice.sizeBytes,
+                f.choice.sizeBytes, static_cast<u16>(inst.dst), now);
     }
 
     scoreboard_.reserve(slot, inst);

@@ -211,7 +211,7 @@ class Sm
     void finishInFlight(InFlight &f, Cycle now);
     void recordWriteStats(const Warp &warp, const Instruction &inst,
                           LaneMask eff, bool divergent,
-                          std::span<const u8> img, const BdiEncoded &enc,
+                          std::span<const u8> img, const BdiChoice &choice,
                           const LaneScan &scan);
     void tryReleaseBarrier(Cta &cta);
     void maybeCompleteCta(u32 cta_slot, Cycle now);
@@ -234,7 +234,7 @@ class Sm
     /** Stable backing store for in-flight entries: deque growth never
      *  moves existing entries, and freed ones recycle through
      *  flightFree_, so the steady-state pipeline allocates nothing and
-     *  moves pointers instead of ~400-byte InFlight payloads. */
+     *  moves pointers instead of InFlight payloads. */
     std::deque<InFlight> flightSlab_;
     std::vector<InFlight *> flightFree_;
     /** Each scheduler's may-be-ready mask blocks a slot while it is

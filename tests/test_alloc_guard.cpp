@@ -1,10 +1,12 @@
 /**
  * @file
  * Heap-allocation regression guard for the simulator hot loop. Replaces
- * the global operator new/delete with counting versions, drives one Sm
- * into steady state, and asserts that a window of cycles with no CTA
- * launch or completion performs zero heap allocations. Built as its own
- * test binary so the replaced allocator does not wrap the main suite.
+ * the global operator new/delete with versions that count calls and
+ * bytes, drives one Sm into steady state, and asserts that a window of
+ * cycles with no CTA launch or completion performs zero heap
+ * allocations; it also bounds the bytes one Sm allocates when it is
+ * built. Built as its own test binary so the replaced allocator does
+ * not wrap the main suite.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 namespace {
 
 std::atomic<unsigned long long> g_allocations{0};
+std::atomic<unsigned long long> g_allocatedBytes{0};
 
 } // namespace
 
@@ -31,6 +34,7 @@ void *
 operator new(std::size_t size)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocatedBytes.fetch_add(size, std::memory_order_relaxed);
     if (void *p = std::malloc(size == 0 ? 1 : size))
         return p;
     throw std::bad_alloc{};
@@ -140,6 +144,26 @@ measureSteadyState(const SmParams &sp, ObsRun *obs = nullptr,
                               "window; lengthen the spin loop";
     EXPECT_EQ(sm.ctasCompleted(), 0u);
     return after - before;
+}
+
+TEST(AllocGuard, DefaultSmAllocatesUnder32KiB)
+{
+    // Register values live once, in the warps; the register file keeps
+    // bank state and a per-register indicator, not a second, encoded
+    // copy of every value. Gpu::run builds one Sm per SM per launch, and
+    // run-ahead threads move SM state between cores, so the footprint
+    // is a hot-path cost too.
+    SmParams sp;
+    sp.applyScheme();
+    GlobalMemory gmem(1 << 20);
+    ConstantMemory cmem(64);
+    const Kernel kernel = spinKernel();
+    const auto before = g_allocatedBytes.load(std::memory_order_relaxed);
+    const Sm sm(sp, EnergyParams{}, gmem, cmem, kernel, LaunchDims{256, 1});
+    const auto bytes =
+        g_allocatedBytes.load(std::memory_order_relaxed) - before;
+    EXPECT_LT(bytes, 32u * 1024u)
+        << "constructing a default Sm allocated " << bytes << " bytes";
 }
 
 TEST(AllocGuard, SteadyStateCycleLoopIsAllocationFree)

@@ -228,6 +228,23 @@ TEST_P(BdiRoundtripSweep, RoundtripsExactly)
     }
 }
 
+TEST_P(BdiRoundtripSweep, ChooseMakesTheDecisionCompressEncodes)
+{
+    const auto [base, stride] = GetParam();
+    const WarpRegValue v = makeValue(base, stride);
+    const DeltaFits fits4 = scanLanes(v).fits4;
+    for (auto cands : {warpedCandidates(), fullBdiCandidates()}) {
+        const BdiEncoded enc = bdiCompress(toBytes(v), cands);
+        const BdiChoice choice = bdiChoose(regBytes(v), cands, fits4);
+        EXPECT_EQ(choice.compressed, enc.compressed);
+        EXPECT_EQ(choice.params, enc.params);
+        EXPECT_EQ(choice.sizeBytes, enc.sizeBytes());
+        if (choice.compressed) {
+            EXPECT_EQ(choice.sizeBytes, bdiCompressedSize(choice.params));
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Structured, BdiRoundtripSweep,
     ::testing::Combine(

@@ -41,13 +41,7 @@ TEST(Drowsy, AccessWakesOneBank)
     ASSERT_TRUE(rf.allocate(0, 1, 0));
     // Write at cycle 100 refreshes the 8 banks of the register's
     // cluster (baseline footprint).
-    WarpRegValue v{};
-    v.fill(1);
-    BdiEncoded enc;
-    enc.compressed = false;
-    const auto img = toBytes(v);
-    enc.bytes.assign(img);
-    rf.recordWrite(0, 0, enc, 100);
+    rf.recordWrite(0, 0, BdiChoice{}, 100);     // stored uncompressed
 
     const auto act = rf.bankActivity(105);
     EXPECT_EQ(act.active, 8u);

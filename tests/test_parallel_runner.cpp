@@ -141,23 +141,20 @@ TEST(ParallelRunner, SeedSaltChangesInputsDeterministically)
     EXPECT_FALSE(identical);
 }
 
-TEST(ParallelRunner, GridWithMoreJobsThanThreads)
+/** runGrid(@p schemes x @p workloads) on @p threads matches the nested
+ *  serial loops exactly. */
+void
+expectGridMatchesSerial(std::initializer_list<CompressionScheme> schemes,
+                        const std::vector<std::string> &workloads,
+                        u32 threads)
 {
-    // 4 configs x 5 workloads = 20 jobs on 2 threads: each thread
-    // pulls many jobs, and the grid must still match the nested serial
-    // loops exactly.
     std::vector<ExperimentConfig> configs;
-    for (CompressionScheme s :
-         {CompressionScheme::None, CompressionScheme::Warped,
-          CompressionScheme::Fixed40, CompressionScheme::FullBdi}) {
+    for (CompressionScheme s : schemes) {
         ExperimentConfig cfg = smallConfig();
         cfg.scheme = s;
         configs.push_back(cfg);
     }
-    const std::vector<std::string> workloads = {"nw", "lud", "stencil",
-                                                "pathfinder", "lib"};
-
-    const auto grid = runGrid(configs, workloads, 2);
+    const auto grid = runGrid(configs, workloads, threads);
     ASSERT_EQ(grid.size(), configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
         ASSERT_EQ(grid[c].size(), workloads.size());
@@ -165,6 +162,26 @@ TEST(ParallelRunner, GridWithMoreJobsThanThreads)
             expectRunsEqual(runWorkload(workloads[w], configs[c]),
                             grid[c][w]);
     }
+}
+
+TEST(ParallelRunner, GridWithMoreJobsThanThreads)
+{
+    // 4 configs x 5 workloads = 20 jobs on 2 threads: each thread
+    // pulls many jobs, and the grid must still match the nested serial
+    // loops exactly.
+    expectGridMatchesSerial(
+        {CompressionScheme::None, CompressionScheme::Warped,
+         CompressionScheme::Fixed40, CompressionScheme::FullBdi},
+        {"nw", "lud", "stencil", "pathfinder", "lib"}, 2);
+}
+
+TEST(ParallelRunner, SmallGridOnFourThreads)
+{
+    // 6 jobs on 4 threads, small enough to run under ThreadSanitizer,
+    // where the suite-sized cases above take minutes each.
+    expectGridMatchesSerial(
+        {CompressionScheme::None, CompressionScheme::Warped},
+        {"nw", "gaussian", "bfs"}, 4);
 }
 
 TEST(ParallelFor, RunsEveryIndexExactlyOnce)

@@ -12,31 +12,48 @@
 namespace warpcomp {
 namespace {
 
-BdiEncoded
-encodeUniform(u32 value)
+WarpRegValue
+uniformValue(u32 value)
 {
     WarpRegValue v{};
     v.fill(value);
-    return bdiCompress(toBytes(v), warpedCandidates());
+    return v;
 }
 
-BdiEncoded
-encodeStride(u32 base, u32 stride)
+WarpRegValue
+strideValue(u32 base, u32 stride)
 {
     WarpRegValue v{};
     for (u32 i = 0; i < kWarpSize; ++i)
         v[i] = base + stride * i;
-    return bdiCompress(toBytes(v), warpedCandidates());
+    return v;
 }
 
-BdiEncoded
-encodeRandomish()
+WarpRegValue
+randomishValue()
 {
     WarpRegValue v{};
     for (u32 i = 0; i < kWarpSize; ++i)
         v[i] = i * 0x9E3779B9u;
-    return bdiCompress(toBytes(v), warpedCandidates());
+    return v;
 }
+
+/** The write decision of @p v under the Warped scheme. */
+BdiChoice
+choose(const WarpRegValue &v)
+{
+    return bdiChoose(regBytes(v), warpedCandidates(), scanLanes(v).fits4);
+}
+
+BdiChoice encodeUniform(u32 value) { return choose(uniformValue(value)); }
+
+BdiChoice
+encodeStride(u32 base, u32 stride)
+{
+    return choose(strideValue(base, stride));
+}
+
+BdiChoice encodeRandomish() { return choose(randomishValue()); }
 
 TEST(PowerGate, DisabledNeverGates)
 {
@@ -275,11 +292,12 @@ TEST_F(RegFileTest, CompressedWriteShrinksFootprint)
     EXPECT_EQ(acc.numBanks, 1u);
     EXPECT_TRUE(acc.compressed);
     EXPECT_GE(ready, 100u);             // wakeup may defer completion
-    EXPECT_EQ(rf.indicator(0, 0), RangeIndicator::Base40);
 
+    // The <4,0> indicator: one bank, four payload bytes.
     const RegAccess r = rf.readAccess(0, 0);
+    EXPECT_TRUE(r.compressed);
     EXPECT_EQ(r.numBanks, 1u);
-    EXPECT_EQ(r.bytes, 4u);
+    EXPECT_EQ(r.bytes, indicatorBytes(RangeIndicator::Base40));
 }
 
 TEST_F(RegFileTest, UncompressedOverwriteGrowsThenShrinks)
@@ -365,24 +383,81 @@ TEST_F(RegFileTest, WriteCountersPerBank)
     EXPECT_EQ(writes, acc.numBanks);
 }
 
-TEST_F(RegFileTest, StoredEncodingRoundTrips)
+TEST_F(RegFileTest, StoredImageIsWhatTheWriteStored)
 {
+    // The banks' bytes are re-derived from the register value and the
+    // indicator (storedImage), which is what the SEU read path flips
+    // and decodes. For every kind of value they must equal the
+    // encoding the write path chose, fill the extent the write
+    // recorded, and decode back to the value.
     RegisterFile rf(wcParams());
-    ASSERT_TRUE(rf.allocate(0, 2, 0));
-    const BdiEncoded enc = encodeStride(100, 3);
-    rf.recordWrite(0, 0, enc, 0);
-    const BdiEncoded back = rf.storedEncoding(0, 0);
-    EXPECT_EQ(back.compressed, enc.compressed);
-    EXPECT_EQ(back.params, enc.params);
-    EXPECT_TRUE(back.bytes == enc.bytes);
-    EXPECT_EQ(bdiDecompress(back), bdiDecompress(enc));
+    ASSERT_TRUE(rf.allocate(0, 3, 0));
+    const WarpRegValue values[] = {uniformValue(7), strideValue(100, 3),
+                                   strideValue(5, 700), randomishValue()};
+    for (const WarpRegValue &v : values) {
+        for (u32 reg = 0; reg < 3; ++reg) {
+            const BdiEncoded written =
+                bdiCompress(toBytes(v), warpedCandidates());
+            rf.recordWrite(0, reg, choose(v), 10);
+            const BdiEncoded stored = storedImage(
+                v, rf.isCompressed(0, reg), CompressionScheme::Warped);
+            EXPECT_EQ(stored.compressed, written.compressed);
+            EXPECT_EQ(stored.params, written.params);
+            EXPECT_TRUE(stored.bytes == written.bytes);
+            EXPECT_EQ(stored.sizeBytes(), rf.readAccess(0, reg).bytes);
+            const RegSlot s = rf.locate(0, reg);
+            EXPECT_EQ(stored.sizeBytes(),
+                      rf.entryExtent(s.cluster, s.entry).bytes);
+            EXPECT_EQ(fromBytes(bdiDecompress(stored)), v);
+        }
+    }
+}
 
-    // An overwrite replaces the stored row wholesale.
-    const BdiEncoded enc2 = encodeRandomish();
-    rf.recordWrite(0, 0, enc2, 10);
-    const BdiEncoded back2 = rf.storedEncoding(0, 0);
-    EXPECT_FALSE(back2.compressed);
-    EXPECT_TRUE(back2.bytes == enc2.bytes);
+TEST_F(RegFileTest, CorruptedCompressedWriteIsStoredRawUnderItsIndicator)
+{
+    // Policy None: stuck cells corrupt a <4,1> write's encoded bytes,
+    // and the decoded value becomes architectural. Here a corrupted
+    // base or delta pushes some lane past INT32_MAX, so the value no
+    // longer compresses. The indicator still records the compressed
+    // write (its footprint and SEU extent stay 3 banks, 35 bytes),
+    // while the bytes the SEU read path sees are the raw image of the
+    // corrupted value, and decode to it.
+    const WarpRegValue v = strideValue(0x7FFFFFE0u, 1);
+    const BdiEncoded written = bdiCompress(toBytes(v), warpedCandidates());
+    ASSERT_TRUE(written.compressed);
+    ASSERT_EQ(written.params, (BdiParams{4, 1}));
+
+    const RegFileParams rp = wcParams();
+    const FaultMap faults(rp.numBanks, rp.entriesPerBank, 0.02, 17);
+    const BdiChoice choice = choose(v);
+    bool found = false;
+    for (u32 entry = 0; entry < rp.entriesPerBank && !found; ++entry) {
+        BdiEncoded image = written;
+        if (!faults.corrupt(0, entry, image.bytes.data(),
+                            image.bytes.size()))
+            continue;
+        const WarpRegValue corrupted = fromBytes(bdiDecompress(image));
+        if (bdiCompress(toBytes(corrupted), warpedCandidates()).compressed)
+            continue;
+        found = true;
+
+        RegisterFile rf(rp);
+        ASSERT_TRUE(rf.allocate(0, 1, 0));
+        rf.recordWrite(0, 0, choice, 0);
+        EXPECT_TRUE(rf.isCompressed(0, 0));
+        const RegSlot s = rf.locate(0, 0);
+        const RegisterFile::EntryExtent ext =
+            rf.entryExtent(s.cluster, s.entry);
+        EXPECT_TRUE(ext.compressed);
+        EXPECT_EQ(ext.bytes, indicatorBytes(RangeIndicator::Base41));
+
+        const BdiEncoded stored = storedImage(
+            corrupted, rf.isCompressed(0, 0), CompressionScheme::Warped);
+        EXPECT_FALSE(stored.compressed);
+        EXPECT_EQ(stored.sizeBytes(), kWarpRegBytes);
+        EXPECT_EQ(fromBytes(bdiDecompress(stored)), corrupted);
+    }
+    EXPECT_TRUE(found) << "no stuck-at pattern made the value raw";
 }
 
 TEST_F(RegFileTest, DoubleAllocateSameSlotDies)

@@ -60,28 +60,28 @@ TEST(Schemes, IndicatorBytesFitInIndicatedBanks)
 
 TEST(Schemes, IndicatorForEncodings)
 {
+    const auto choose = [](const WarpRegValue &v) {
+        return bdiChoose(regBytes(v), warpedCandidates(),
+                         scanLanes(v).fits4);
+    };
     WarpRegValue same{};
     same.fill(9);
-    auto enc = bdiCompress(toBytes(same), warpedCandidates());
-    EXPECT_EQ(indicatorFor(enc), RangeIndicator::Base40);
+    EXPECT_EQ(indicatorFor(choose(same)), RangeIndicator::Base40);
 
     WarpRegValue stride{};
     for (u32 i = 0; i < kWarpSize; ++i)
         stride[i] = 100 + i;
-    enc = bdiCompress(toBytes(stride), warpedCandidates());
-    EXPECT_EQ(indicatorFor(enc), RangeIndicator::Base41);
+    EXPECT_EQ(indicatorFor(choose(stride)), RangeIndicator::Base41);
 
     WarpRegValue wide{};
     for (u32 i = 0; i < kWarpSize; ++i)
         wide[i] = 100 + 500 * i;
-    enc = bdiCompress(toBytes(wide), warpedCandidates());
-    EXPECT_EQ(indicatorFor(enc), RangeIndicator::Base42);
+    EXPECT_EQ(indicatorFor(choose(wide)), RangeIndicator::Base42);
 
     WarpRegValue rnd{};
     for (u32 i = 0; i < kWarpSize; ++i)
         rnd[i] = i * 0x9E3779B9u;
-    enc = bdiCompress(toBytes(rnd), warpedCandidates());
-    EXPECT_EQ(indicatorFor(enc), RangeIndicator::Uncompressed);
+    EXPECT_EQ(indicatorFor(choose(rnd)), RangeIndicator::Uncompressed);
 }
 
 TEST(Schemes, Names)

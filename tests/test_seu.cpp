@@ -83,13 +83,14 @@ struct EngineFixture
 
     /** Lane-id ramp: deltas overflow every BDI candidate, so the
      *  stored image is the full uncompressed stripe. */
-    static BdiEncoded
+    static BdiChoice
     encodeLaneIds()
     {
         WarpRegValue v{};
         for (u32 lane = 0; lane < kWarpSize; ++lane)
             v[lane] = lane * 0x01010101u;
-        return bdiCompress(toBytes(v), warpedCandidates());
+        return bdiChoose(regBytes(v), warpedCandidates(),
+                         scanLanes(v).fits4);
     }
 };
 
