@@ -122,9 +122,7 @@ runSelected(const HarnessOptions &opt, ExperimentConfig cfg,
         rec.numSms = cfg.numSms;
         rec.scale = cfg.scale;
         rec.seedSalt = cfg.seedSalt;
-        for (const ExperimentResult &r : results)
-            rec.rows.push_back({r.workload, r.run, r.frontend,
-                                r.imageSha});
+        rec.rows = results;
         statsRecorder().addSuite(std::move(rec));
     }
 

@@ -1,5 +1,7 @@
 #include "obs/stats_json.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <ostream>
@@ -8,12 +10,7 @@
 #include "analysis/similarity.hpp"
 #include "common/log.hpp"
 #include "obs/obs.hpp"
-
-// The build stamps this file with the checkout's short SHA (see
-// src/CMakeLists.txt); keep non-CMake builds compiling.
-#ifndef WC_GIT_SHA
-#define WC_GIT_SHA "unknown"
-#endif
+#include "obs/trace_stream.hpp"
 
 namespace warpcomp {
 
@@ -231,6 +228,31 @@ writeRunStatsJson(JsonWriter &w, const RunResult &run, u32 num_sms)
     w.endObject();
 }
 
+void
+writeStatsRow(JsonWriter &w, const ExperimentResult &row, u32 num_sms,
+              bool exact_energy)
+{
+    w.beginObject();
+    w.field("workload", row.workload);
+    w.field("frontend", row.frontend);
+    if (!row.imageSha.empty())
+        w.field("image_sha256", row.imageSha);
+    if (exact_energy) {
+        const double pj = row.run.meter.breakdown().totalPj();
+        w.key("energy_pj");
+        if (std::isfinite(pj)) {
+            char buf[32];
+            const char *end = std::to_chars(buf, buf + sizeof buf, pj).ptr;
+            w.rawValue({buf, static_cast<std::size_t>(end - buf)});
+        } else {
+            w.valueNull();
+        }
+    }
+    w.key("run");
+    writeRunStatsJson(w, row.run, num_sms);
+    w.endObject();
+}
+
 StatsRecorder::~StatsRecorder()
 {
     flush();
@@ -260,7 +282,7 @@ StatsRecorder::writeJson(std::ostream &os) const
     JsonWriter w(os);
     w.beginObject();
     w.field("bench", benchName_);
-    w.field("git_sha", WC_GIT_SHA);
+    w.field("git_sha", traceStreamGitSha());
     w.key("suites");
     w.beginArray();
     for (const StatsSuiteRecord &suite : suites_) {
@@ -271,16 +293,8 @@ StatsRecorder::writeJson(std::ostream &os) const
         w.field("seed_salt", suite.seedSalt);
         w.key("workloads");
         w.beginArray();
-        for (const StatsRunRow &row : suite.rows) {
-            w.beginObject();
-            w.field("workload", row.workload);
-            w.field("frontend", row.frontend);
-            if (!row.imageSha.empty())
-                w.field("image_sha256", row.imageSha);
-            w.key("run");
-            writeRunStatsJson(w, row.run, suite.numSms);
-            w.endObject();
-        }
+        for (const ExperimentResult &row : suite.rows)
+            writeStatsRow(w, row, suite.numSms);
         w.endArray();
         w.endObject();
     }

@@ -21,7 +21,7 @@
 
 #include "common/json_writer.hpp"
 #include "common/stats.hpp"
-#include "sim/gpu.hpp"
+#include "harness/experiment.hpp"
 
 namespace warpcomp {
 
@@ -40,8 +40,9 @@ struct CensusField
     u64 Stats::*field;
 };
 
-/** The fault census's keys, in document order. The sweep's PointStats
- *  record reads back what writeJson(FaultStats) writes through it. */
+/** The fault census's keys, in document order. writeJson(FaultStats)
+ *  writes through it, and the sweep's pointStatsFromJson reads a
+ *  child's `run.fault` back through it. */
 inline constexpr CensusField<FaultStats> kFaultCensus[] = {
     {"total_regs", &FaultStats::totalRegs},
     {"usable_regs", &FaultStats::usableRegs},
@@ -84,17 +85,16 @@ void writeJson(JsonWriter &w, const SeuStats &s);
  */
 void writeRunStatsJson(JsonWriter &w, const RunResult &run, u32 num_sms);
 
-/** One workload's run inside a recorded suite. */
-struct StatsRunRow
-{
-    std::string workload;
-    RunResult run;
-    /** Frontend provenance: "dsl" or "rv32" (binary image). */
-    std::string frontend = "dsl";
-    /** SHA-256 of the binary image for "rv32" rows; empty for DSL.
-     *  Content-addressed, so it keeps the document deterministic. */
-    std::string imageSha;
-};
+/**
+ * Serialize one workload row: `workload`, `frontend`, `image_sha256`
+ * (binary images only; content-addressed, so deterministic) and `run`
+ * (writeRunStatsJson). With @p exact_energy the row also carries
+ * `energy_pj`, the run's total energy as the shortest text that parses
+ * back as the same double: a sweep child's result, which the parent
+ * sums exactly where `run`'s 12-digit figures would round.
+ */
+void writeStatsRow(JsonWriter &w, const ExperimentResult &row,
+                   u32 num_sms, bool exact_energy = false);
 
 /** One suite recorded for the stats dump. */
 struct StatsSuiteRecord
@@ -103,7 +103,7 @@ struct StatsSuiteRecord
     u32 numSms = 0;
     u32 scale = 1;
     u64 seedSalt = 0;
-    std::vector<StatsRunRow> rows;
+    std::vector<ExperimentResult> rows;
 };
 
 /**

@@ -149,7 +149,8 @@ struct TraceDump
 std::optional<TraceDump> loadTraceDump(const std::string &path,
                                        TraceDumpError *err);
 
-/** The git SHA dumps are stamped with (build-time constant). */
+/** The build's git SHA (a build-time constant): the one stamp of trace
+ *  dumps, --stats-json documents and sweep journals and reports. */
 const char *traceStreamGitSha();
 
 } // namespace warpcomp

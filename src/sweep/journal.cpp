@@ -7,17 +7,44 @@
 #include <unistd.h>
 
 #include "common/log.hpp"
-
-#ifndef WC_GIT_SHA
-#define WC_GIT_SHA "unknown"
-#endif
+#include "obs/trace_stream.hpp"
 
 namespace warpcomp {
 
-const char *
-sweepGitSha()
+namespace {
+
+/** The line format; lines of any other `v` load as skipped lines.
+ *  Version 2: an ok point's `stats` is its --stats-json row. */
+constexpr u64 kJournalVersion = 2;
+
+} // namespace
+
+void
+writePointOutcome(JsonWriter &w, const PointOutcome &out, bool journal)
 {
-    return WC_GIT_SHA;
+    w.beginObject();
+    if (journal) {
+        w.field("v", kJournalVersion);
+        w.field("git_sha", traceStreamGitSha());
+    }
+    w.field("workload", out.point.workload);
+    w.field("config", configToSpec(out.point.cfg));
+    w.field("key", out.key);
+    w.field("status", out.status);
+    // Attempt counts are supervision detail: on an ok point they vary
+    // with chaos/retries and would break the report's byte-identity
+    // across clean and resumed runs, so a report shows them only
+    // beside a failure (where the run is nondeterministic anyway).
+    if (journal || !out.ok())
+        w.field("attempts", out.attempts);
+    if (out.ok()) {
+        WC_ASSERT(out.payload.has_value(), "an ok point needs its payload");
+        w.key("stats");
+        writeJson(w, *out.payload);
+    } else {
+        w.field("reason", out.reason);
+    }
+    w.endObject();
 }
 
 SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
@@ -32,30 +59,16 @@ SweepJournal::~SweepJournal()
 }
 
 std::string
-journalLine(const JournalRecord &record)
+journalLine(const PointOutcome &out)
 {
     std::ostringstream ss;
     JsonWriter w(ss, JsonWriter::Style::Compact);
-    w.beginObject();
-    w.field("v", static_cast<u64>(1));
-    w.field("key", record.key);
-    w.field("git_sha", sweepGitSha());
-    w.field("workload", record.workload);
-    w.field("config", record.configSpec);
-    w.field("status", record.status);
-    w.field("attempts", record.attempts);
-    if (!record.reason.empty())
-        w.field("reason", record.reason);
-    if (record.stats.has_value()) {
-        w.key("stats");
-        writeJson(w, *record.stats);
-    }
-    w.endObject();
+    writePointOutcome(w, out, true);
     return ss.str();
 }
 
 void
-SweepJournal::append(const JournalRecord &record)
+SweepJournal::append(const PointOutcome &out)
 {
     if (fd_ < 0) {
         fd_ = ::open(path_.c_str(),
@@ -63,7 +76,7 @@ SweepJournal::append(const JournalRecord &record)
         if (fd_ < 0)
             WC_FATAL("cannot open sweep journal '" << path_ << "'");
     }
-    const std::string line = journalLine(record) + "\n";
+    const std::string line = journalLine(out) + "\n";
     // One write(2) for the whole line: appends from concurrent sweeps
     // on the same journal interleave at line granularity, and a torn
     // tail can only be the final line (which the loader drops).
@@ -79,33 +92,36 @@ SweepJournal::append(const JournalRecord &record)
         WC_FATAL("cannot fsync sweep journal '" << path_ << "'");
 }
 
-std::optional<JournalRecord>
-journalRecordFromLine(const std::string &line)
+std::optional<PointOutcome>
+parseJournalLine(const std::string &line, std::string *git_sha)
 {
     const JsonParseOutcome parsed = parseJson(line);
-    if (!parsed.ok() || !parsed.value->isObject())
+    if (!parsed.ok())
         return std::nullopt;
     const JsonValue &v = *parsed.value;
 
     const JsonValue *version = v.find("v");
-    if (version == nullptr || version->asU64() != std::optional<u64>(1))
+    if (version == nullptr ||
+        version->asU64() != std::optional<u64>(kJournalVersion))
         return std::nullopt;
 
-    JournalRecord rec;
-    auto str = [&](const char *key, std::string *out) {
+    PointOutcome out;
+    auto str = [&](const char *key, std::string *dst) {
         const JsonValue *f = v.find(key);
         if (f == nullptr || f->asString() == nullptr)
             return false;
-        *out = *f->asString();
+        *dst = *f->asString();
         return true;
     };
-    std::string git_sha;
-    if (!str("key", &rec.key) || !str("git_sha", &git_sha) ||
-        !str("workload", &rec.workload) ||
-        !str("config", &rec.configSpec) || !str("status", &rec.status))
+    std::string config;
+    if (!str("git_sha", git_sha) || !str("workload", &out.point.workload) ||
+        !str("config", &config) || !str("key", &out.key) ||
+        !str("status", &out.status))
         return std::nullopt;
-    if (rec.status != "ok" && rec.status != "failed")
+    const auto cfg = configFromSpec(config, nullptr);
+    if (!cfg.has_value())
         return std::nullopt;
+    out.point.cfg = *cfg;
 
     const JsonValue *attempts = v.find("attempts");
     const auto attempts_v =
@@ -113,29 +129,18 @@ journalRecordFromLine(const std::string &line)
     if (!attempts_v.has_value() || *attempts_v < 1 ||
         *attempts_v > 0xFFFFFFFFull)
         return std::nullopt;
-    rec.attempts = static_cast<u32>(*attempts_v);
+    out.attempts = static_cast<u32>(*attempts_v);
 
-    if (const JsonValue *reason = v.find("reason")) {
-        if (reason->asString() == nullptr)
+    if (out.ok()) {
+        // A successful point must carry its payload.
+        const JsonValue *stats = v.find("stats");
+        if (stats == nullptr || !stats->isObject())
             return std::nullopt;
-        rec.reason = *reason->asString();
+        out.payload = *stats;
+    } else if (out.status != "failed" || !str("reason", &out.reason)) {
+        return std::nullopt;
     }
-    if (const JsonValue *stats = v.find("stats")) {
-        if (!stats->isObject())
-            return std::nullopt;
-        rec.stats = *stats;
-    }
-    if (rec.ok() && !rec.stats.has_value())
-        return std::nullopt;    // a successful point must carry stats
-
-    // Stale-cache guard: a record minted by a different source revision
-    // may describe different simulator behaviour. Encode the mismatch
-    // in-band so the caller can count it as stale rather than garbage.
-    if (git_sha != sweepGitSha()) {
-        rec.status = "stale";
-        return rec;
-    }
-    return rec;
+    return out;
 }
 
 std::optional<JournalIndex>
@@ -163,18 +168,21 @@ loadJournal(const std::string &path, std::string *error)
         pos = nl + 1;
         if (line.empty())
             continue;
-        const auto rec = journalRecordFromLine(line);
+        std::string git_sha;
+        auto rec = parseJournalLine(line, &git_sha);
         if (!rec.has_value()) {
             ++index.skippedLines;
             continue;
         }
-        if (rec->status == "stale") {
+        // Stale-cache guard: a record minted by a different source
+        // revision may describe different simulator behaviour.
+        if (git_sha != traceStreamGitSha()) {
             ++index.staleRecords;
             continue;
         }
         // Later records win: a re-run may have replaced an earlier
         // failure with a success.
-        index.byKey[rec->key] = *rec;
+        index.byKey[rec->key] = std::move(*rec);
     }
     return index;
 }

@@ -7,12 +7,14 @@
  * points from it, so re-running an interrupted grid is incremental and
  * the journal doubles as a result cache (repeated points are free).
  *
- * The loader is deliberately forgiving about the file's tail and
- * hostile about its content: a line without a trailing newline (a
- * SIGKILL landed mid-write) or an unparseable line is skipped and
- * counted, never fatal; a record whose git SHA differs from the
- * running binary is stale and skipped (the simulator may have changed
- * behaviour).
+ * A line is a settled point's report entry (writePointOutcome) plus
+ * the journal-only `v`, `git_sha` and `attempts`. The loader is
+ * deliberately forgiving about the file's tail and hostile about its
+ * content: a line without a trailing newline (a SIGKILL landed
+ * mid-write), an unparseable line or a line of another version `v` is
+ * skipped and counted, never fatal; a record whose git SHA differs
+ * from the running binary is stale and skipped (the simulator may have
+ * changed behaviour).
  */
 
 #ifndef WARPCOMP_SWEEP_JOURNAL_HPP
@@ -23,41 +25,52 @@
 #include <string>
 
 #include "common/json_parse.hpp"
+#include "common/json_writer.hpp"
+#include "sweep/point.hpp"
 
 namespace warpcomp {
 
-/** One journaled point outcome. */
-struct JournalRecord
+/** One settled grid point: a journal line and a report entry. */
+struct PointOutcome
 {
-    std::string key;        ///< pointKey()
-    std::string workload;
-    std::string configSpec; ///< configToSpec() (for humans/tools)
-    std::string status;     ///< "ok" | "failed"
-    u32 attempts = 1;
+    SweepPoint point;
+    std::string key;        ///< pointKey(point)
+    std::string status;     ///< "ok" | "failed"; empty until settled
+    u32 attempts = 0;
     std::string reason;     ///< failure taxonomy; empty when ok
-    /** Parsed PointStats payload; absent for failed points. */
-    std::optional<JsonValue> stats;
+    /** The child's payload (ok points). */
+    std::optional<JsonValue> payload;
+    /** The selection of it the curves read (ok points; not written). */
+    std::optional<PointStats> stats;
+    /** Served from the journal/cache: no child was spawned. */
+    bool fromCache = false;
 
     bool ok() const { return status == "ok"; }
 };
 
+/**
+ * Serialize @p out as one object: workload, config spec, key, status,
+ * then the payload as `stats` (ok) or `reason` (failed). A failed entry
+ * carries `attempts`; @p journal writes it for every point and adds the
+ * line's `v` and `git_sha`.
+ */
+void writePointOutcome(JsonWriter &w, const PointOutcome &out,
+                       bool journal);
+
 /** Journal loaded into memory, keyed for cache lookups. */
 struct JournalIndex
 {
-    std::map<std::string, JournalRecord> byKey;
+    std::map<std::string, PointOutcome> byKey;
     u64 skippedLines = 0;   ///< truncated/garbage lines tolerated
     u64 staleRecords = 0;   ///< records from another git SHA
 
-    const JournalRecord *
+    const PointOutcome *
     find(const std::string &key) const
     {
         const auto it = byKey.find(key);
         return it == byKey.end() ? nullptr : &it->second;
     }
 };
-
-/** The git SHA journal records are stamped and validated with. */
-const char *sweepGitSha();
 
 /**
  * Append-only journal writer. Opens lazily on first append (creating
@@ -78,7 +91,7 @@ class SweepJournal
 
     /** Append one completed point; fatal on I/O errors (a sweep that
      *  cannot checkpoint should fail loudly, not silently). */
-    void append(const JournalRecord &record);
+    void append(const PointOutcome &out);
 
   private:
     std::string path_;
@@ -93,11 +106,13 @@ class SweepJournal
 std::optional<JournalIndex> loadJournal(const std::string &path,
                                         std::string *error);
 
-/** Serialize one record as a single compact JSON line (no newline). */
-std::string journalLine(const JournalRecord &record);
+/** Serialize one outcome as a single compact JSON line (no newline). */
+std::string journalLine(const PointOutcome &out);
 
-/** Parse one journal line; nullopt on malformed input. */
-std::optional<JournalRecord> journalRecordFromLine(const std::string &line);
+/** Parse one journal line and its stamp into @p git_sha; nullopt on
+ *  malformed input or another line version. */
+std::optional<PointOutcome> parseJournalLine(const std::string &line,
+                                             std::string *git_sha);
 
 } // namespace warpcomp
 

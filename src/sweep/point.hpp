@@ -13,10 +13,11 @@
  *     SHA-256 over (config spec, workload name). Together with the git
  *     SHA it keys the journal/result cache, so repeated sweep points
  *     are free and stale checkouts never serve cached results;
- *   - a flat, fully deterministic per-point stats record (`PointStats`)
- *     — the child's entire output. It excludes wall clock and host
- *     state by construction, which is what makes resumed and clean
- *     sweeps byte-identical.
+ *   - a payload: the child's entire output is its `--stats-json`
+ *     workload row plus `energy_pj` (writeStatsRow, obs/stats_json.hpp),
+ *     and `PointStats` is the selection of it the curves read. It
+ *     excludes wall clock and host state by construction, which is what
+ *     makes resumed and clean sweeps byte-identical.
  */
 
 #ifndef WARPCOMP_SWEEP_POINT_HPP
@@ -26,7 +27,6 @@
 #include <string>
 
 #include "common/json_parse.hpp"
-#include "common/json_writer.hpp"
 #include "harness/config_spec.hpp"
 
 namespace warpcomp {
@@ -53,35 +53,26 @@ std::string pointToSpec(const SweepPoint &point);
 std::string pointKey(const SweepPoint &point);
 
 /**
- * Flat deterministic result record of one executed point — everything
- * the sweep benches aggregate (cycles, energy, fault + SEU counters),
- * nothing host-dependent.
+ * The fields of a point's payload the sweep's curves read (cycles,
+ * energy, fault + SEU censuses), nothing host-dependent.
  */
 struct PointStats
 {
     u64 cycles = 0;
-    u64 ctas = 0;
     bool hung = false;
     bool unschedulable = false;
-    /** Total register-file energy under the config's EnergyParams. */
+    /** Total register-file energy, read exactly from `energy_pj`. */
     double energyPj = 0.0;
     FaultStats fault;
     SeuStats seu;
-    std::string frontend = "dsl";
-    std::string imageSha;
 };
 
-/** Build the flat record from a completed in-process run. */
-PointStats makePointStats(const ExperimentResult &result,
-                          const EnergyParams &energy);
-
-/** Serialize as one JSON object (caller positions the writer); the
- *  `fault` and `seu` objects are the --stats-json census writers'. */
-void writeJson(JsonWriter &w, const PointStats &stats);
-
-/** Parse the object written by writeJson; nullopt + @p error when a
- *  required field is missing or mistyped. */
-std::optional<PointStats> pointStatsFromJson(const JsonValue &v,
+/**
+ * Read the selection from a payload: `energy_pj` and `run`'s cycles,
+ * flags and censuses (through kFaultCensus/kSeuCensus). nullopt +
+ * @p error naming the first missing or mistyped field.
+ */
+std::optional<PointStats> pointStatsFromJson(const JsonValue &payload,
                                              std::string *error);
 
 } // namespace warpcomp

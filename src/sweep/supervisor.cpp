@@ -25,14 +25,6 @@ using Clock = std::chrono::steady_clock;
 /** How a child attempt ended. */
 enum class AttemptFailure { None, Crash, Timeout, BadPayload };
 
-/** One deduplicated grid point and its settling state. */
-struct UniquePoint
-{
-    SweepPoint point;
-    std::string key;
-    std::optional<PointOutcome> outcome;
-};
-
 /** A retry waiting out its backoff. */
 struct PendingAttempt
 {
@@ -83,12 +75,12 @@ makeWorkDir(const SweepJournal *journal)
 }
 
 pid_t
-spawnChild(const SupervisorOptions &opts, const UniquePoint &up,
+spawnChild(const SupervisorOptions &opts, const SweepPoint &point,
            u32 attempt, const std::string &out_path)
 {
     std::vector<std::string> args;
     args.push_back(opts.selfPath);
-    args.push_back("--point=" + pointToSpec(up.point));
+    args.push_back("--point=" + pointToSpec(point));
     args.push_back("--point-out=" + out_path);
     args.push_back("--attempt=" + std::to_string(attempt));
     args.push_back("--threads=" + std::to_string(opts.childThreads));
@@ -134,8 +126,9 @@ runSupervised(const std::vector<SweepPoint> &points,
     SweepCounters &ctr = counters != nullptr ? *counters : local;
     ctr.points += points.size();
 
-    // Deduplicate: identical (workload, config) points run once.
-    std::vector<UniquePoint> unique;
+    // Deduplicate: identical (workload, config) points run once, each
+    // settling in place (its status set) exactly once.
+    std::vector<PointOutcome> unique;
     std::map<std::string, size_t> unique_of_key;
     std::vector<size_t> unique_of_input;
     std::vector<bool> input_is_dup;
@@ -152,26 +145,20 @@ runSupervised(const std::vector<SweepPoint> &points,
         unique_of_key[key] = unique.size();
         unique_of_input.push_back(unique.size());
         input_is_dup.push_back(false);
-        unique.push_back(UniquePoint{p, key, std::nullopt});
+        PointOutcome out;
+        out.point = p;
+        out.key = key;
+        unique.push_back(std::move(out));
     }
 
     u32 journaled = 0;
-    auto settle = [&](size_t idx, PointOutcome outcome) {
-        UniquePoint &up = unique[idx];
-        if (outcome.ok())
+    auto settle = [&](const PointOutcome &out) {
+        if (out.ok())
             ++ctr.okPoints;
         else
             ++ctr.failedPoints;
-        if (journal != nullptr && !outcome.fromCache) {
-            JournalRecord rec;
-            rec.key = up.key;
-            rec.workload = up.point.workload;
-            rec.configSpec = configToSpec(up.point.cfg);
-            rec.status = outcome.status;
-            rec.attempts = outcome.attempts;
-            rec.reason = outcome.reason;
-            rec.stats = outcome.statsJson;
-            journal->append(rec);
+        if (journal != nullptr && !out.fromCache) {
+            journal->append(out);
             ++journaled;
             if (opts.dieAfterPoints != 0 &&
                 journaled >= opts.dieAfterPoints) {
@@ -180,34 +167,26 @@ runSupervised(const std::vector<SweepPoint> &points,
                 _exit(3);
             }
         }
-        up.outcome = std::move(outcome);
     };
 
     // Serve journal/cache hits before spawning anything.
     std::vector<PendingAttempt> pending;
     for (size_t i = 0; i < unique.size(); ++i) {
-        const JournalRecord *rec =
+        const PointOutcome *rec =
             cache != nullptr ? cache->find(unique[i].key) : nullptr;
         if (rec != nullptr) {
-            PointOutcome out;
-            out.point = unique[i].point;
-            out.key = unique[i].key;
-            out.status = rec->status;
-            out.attempts = rec->attempts;
-            out.reason = rec->reason;
-            out.statsJson = rec->stats;
-            if (rec->stats.has_value()) {
+            PointOutcome &out = unique[i];
+            out = *rec;
+            if (out.ok()) {
                 std::string err;
-                const auto stats =
-                    pointStatsFromJson(*rec->stats, &err);
-                if (!stats.has_value())
-                    WC_FATAL("journal record for point " << unique[i].key
+                out.stats = pointStatsFromJson(*out.payload, &err);
+                if (!out.stats.has_value())
+                    WC_FATAL("journal record for point " << out.key
                              << " has a bad stats payload: " << err);
-                out.stats = stats;
             }
             out.fromCache = true;
             ++ctr.cacheHits;
-            settle(i, std::move(out));
+            settle(out);
             continue;
         }
         pending.push_back(
@@ -222,7 +201,6 @@ runSupervised(const std::vector<SweepPoint> &points,
     auto handleAttemptEnd = [&](const RunningChild &child,
                                 AttemptFailure failure,
                                 const std::string &detail) {
-        UniquePoint &up = unique[child.unique];
         if (failure == AttemptFailure::None) {
             ::unlink(child.outPath.c_str());
             return;
@@ -243,14 +221,12 @@ runSupervised(const std::vector<SweepPoint> &points,
                 Clock::now() + backoff});
             return;
         }
-        PointOutcome out;
-        out.point = up.point;
-        out.key = up.key;
+        PointOutcome &out = unique[child.unique];
         out.status = "failed";
         out.attempts = child.attempt;
         out.reason = detail + " after " +
                      std::to_string(child.attempt) + " attempts";
-        settle(child.unique, std::move(out));
+        settle(out);
     };
 
     auto collectChild = [&](const RunningChild &child, int wait_status) {
@@ -279,15 +255,13 @@ runSupervised(const std::vector<SweepPoint> &points,
                              "unreadable result payload");
             return;
         }
-        PointOutcome out;
-        out.point = unique[child.unique].point;
-        out.key = unique[child.unique].key;
+        handleAttemptEnd(child, AttemptFailure::None, "");
+        PointOutcome &out = unique[child.unique];
         out.status = "ok";
         out.attempts = child.attempt;
-        out.statsJson = std::move(*parsed.value);
+        out.payload = std::move(*parsed.value);
         out.stats = std::move(stats);
-        handleAttemptEnd(child, AttemptFailure::None, "");
-        settle(child.unique, std::move(out));
+        settle(out);
     };
 
     while (!pending.empty() || !running.empty()) {
@@ -302,12 +276,12 @@ runSupervised(const std::vector<SweepPoint> &points,
                 break;
             const PendingAttempt attempt = *it;
             pending.erase(it);
-            const UniquePoint &up = unique[attempt.unique];
+            const PointOutcome &target = unique[attempt.unique];
             const std::string out_path =
-                work_dir + "/p" + up.key + "-a" +
+                work_dir + "/p" + target.key + "-a" +
                 std::to_string(attempt.attempt) + ".json";
             const pid_t pid =
-                spawnChild(opts, up, attempt.attempt, out_path);
+                spawnChild(opts, target.point, attempt.attempt, out_path);
             if (pid < 0) {
                 // fork failed (resource pressure): treat like a crash
                 // of this attempt so the backoff machinery applies.
@@ -370,9 +344,8 @@ runSupervised(const std::vector<SweepPoint> &points,
     std::vector<PointOutcome> outcomes;
     outcomes.reserve(points.size());
     for (size_t i = 0; i < points.size(); ++i) {
-        const auto &slot = unique[unique_of_input[i]].outcome;
-        WC_ASSERT(slot.has_value(), "unsettled sweep point");
-        PointOutcome out = *slot;
+        PointOutcome out = unique[unique_of_input[i]];
+        WC_ASSERT(!out.status.empty(), "unsettled sweep point");
         if (input_is_dup[i])
             out.fromCache = true;
         outcomes.push_back(std::move(out));

@@ -32,7 +32,6 @@
 
 #include "sweep/chaos.hpp"
 #include "sweep/journal.hpp"
-#include "sweep/point.hpp"
 
 namespace warpcomp {
 
@@ -59,24 +58,6 @@ struct SupervisorOptions
      * deterministic mid-grid death without racy external SIGKILLs.
      */
     u32 dieAfterPoints = 0;
-};
-
-/** Outcome of one grid point, in submission order. */
-struct PointOutcome
-{
-    SweepPoint point;
-    std::string key;
-    std::string status;     ///< "ok" | "failed"
-    u32 attempts = 0;
-    std::string reason;     ///< deterministic failure taxonomy
-    /** Raw stats payload (ok points). */
-    std::optional<JsonValue> statsJson;
-    /** Parsed flat record (ok points). */
-    std::optional<PointStats> stats;
-    /** Served from the journal/cache — no child was spawned. */
-    bool fromCache = false;
-
-    bool ok() const { return status == "ok"; }
 };
 
 /** Supervision counters (reported out-of-band, never in the merged

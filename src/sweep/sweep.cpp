@@ -8,6 +8,8 @@
 
 #include "common/host_threads.hpp"
 #include "common/log.hpp"
+#include "obs/stats_json.hpp"
+#include "obs/trace_stream.hpp"
 
 namespace warpcomp {
 
@@ -117,14 +119,13 @@ runSweepChildPoint(const SweepOptions &opt, u32 host_threads)
 
     const ExperimentResult result =
         runWorkload(point->workload, point->cfg, host_threads);
-    const PointStats stats = makePointStats(result, point->cfg.energy);
 
     std::ofstream os(opt.pointOut, std::ios::binary);
     if (!os)
         WC_FATAL("cannot write point result to '" << opt.pointOut
                  << "'");
     JsonWriter w(os);
-    writeJson(w, stats);
+    writeStatsRow(w, result, point->cfg.numSms, true);
     os.flush();
     return os ? 0 : 1;
 }
@@ -194,28 +195,11 @@ writeSweepReport(std::ostream &os, const std::string &bench,
     w.beginObject();
     w.field("bench", bench);
     w.field("grid", grid);
-    w.field("git_sha", sweepGitSha());
+    w.field("git_sha", traceStreamGitSha());
     w.key("points");
     w.beginArray();
-    for (const PointOutcome &out : outcomes) {
-        w.beginObject();
-        w.field("workload", out.point.workload);
-        w.field("config", configToSpec(out.point.cfg));
-        w.field("key", out.key);
-        w.field("status", out.status);
-        if (!out.ok()) {
-            // Attempt counts are supervision detail: on an ok point
-            // they vary with chaos/retries and would break the
-            // byte-identity contract, so they only appear alongside a
-            // failure (where the run is nondeterministic anyway).
-            w.field("attempts", out.attempts);
-            w.field("reason", out.reason);
-        } else {
-            w.key("stats");
-            writeJson(w, *out.statsJson);
-        }
-        w.endObject();
-    }
+    for (const PointOutcome &out : outcomes)
+        writePointOutcome(w, out, false);
     w.endArray();
     w.endObject();
 }

@@ -7,8 +7,9 @@
  * A driver hands parseSweepArgs the arguments parseHarnessArgs left
  * unclaimed (its `rest` argv), then:
  *   - child mode (`--point=` present): runSweepChildPoint simulates
- *     exactly one point and writes its PointStats JSON to
- *     `--point-out`; chaos injection (if armed) happens here;
+ *     exactly one point and writes its payload, the `--stats-json`
+ *     workload row plus `energy_pj`, to `--point-out`; chaos injection
+ *     (if armed) happens here;
  *   - parent mode: runResilientSweep supervises the whole grid —
  *     journal loading (`--resume`), cache lookups, per-point child
  *     processes with watchdog/retry/backoff, checkpoint appends
@@ -76,8 +77,8 @@ SweepOptions parseSweepArgs(int argc, char **argv);
 /**
  * Child mode: run the one point in @p opt (applying chaos first when
  * armed) on @p host_threads host threads (the child's --threads, its
- * share of the parent's budget) and write its PointStats JSON to
- * opt.pointOut. Returns the process exit code.
+ * share of the parent's budget) and write its payload (writeStatsRow
+ * with `energy_pj`) to opt.pointOut. Returns the process exit code.
  */
 int runSweepChildPoint(const SweepOptions &opt, u32 host_threads);
 
@@ -95,9 +96,8 @@ runResilientSweep(const std::string &self_path,
                   const SweepOptions &opt, u32 threads);
 
 /**
- * Write the merged report: one object per point in grid order with
- * workload, config spec, key, status, attempts, reason (failed) and
- * the stats payload (ok). Deterministic by construction.
+ * Write the merged report: one writePointOutcome entry per point in
+ * grid order. Deterministic by construction.
  */
 void writeSweepReport(std::ostream &os, const std::string &bench,
                       const std::string &grid,

@@ -3,9 +3,9 @@
  * Unit tests for the resilient sweep runner's building blocks: the
  * canonical point/config spec grammar, cache keys, deterministic chaos
  * injection, journal records (including torn tails and stale git
- * SHAs), the PointStats JSON round trip, and the strict sweep-flag
- * parser. End-to-end supervision (real child processes) lives in
- * test_sweep_process.cpp.
+ * SHAs), the child's payload (the --stats-json row) and its reader,
+ * and the strict sweep-flag parser. End-to-end supervision (real child
+ * processes) lives in test_sweep_process.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "common/sha256.hpp"
+#include "obs/stats_json.hpp"
+#include "obs/trace_stream.hpp"
 #include "sweep/sweep.hpp"
 
 namespace warpcomp {
@@ -276,72 +278,104 @@ TEST(SweepChaos, RetriesEventuallyEscapeInjury)
     }
 }
 
+/** Parse @p text, failing the test on a parse error. */
 JsonValue
-sampleStatsJson()
+parsed(const std::string &text)
+{
+    const JsonParseOutcome out = parseJson(text);
+    EXPECT_TRUE(out.ok()) << out.error;
+    return out.value.value_or(JsonValue{});
+}
+
+/** A child's payload for @p row, as runSweepChildPoint writes it. */
+std::string
+payloadText(const ExperimentResult &row)
 {
     std::ostringstream ss;
     JsonWriter w(ss, JsonWriter::Style::Compact);
-    writeJson(w, PointStats{});
-    const JsonParseOutcome parsed = parseJson(ss.str());
-    EXPECT_TRUE(parsed.ok()) << parsed.error;
-    return *parsed.value;
+    writeStatsRow(w, row, 2, true);
+    return ss.str();
 }
 
-JournalRecord
+PointOutcome
 sampleRecord(const std::string &key, const std::string &status)
 {
-    JournalRecord rec;
-    rec.key = key;
-    rec.workload = "nw";
-    rec.configSpec = configToSpec(ExperimentConfig{});
-    rec.status = status;
-    rec.attempts = 2;
+    PointOutcome out;
+    out.point = {"nw", ExperimentConfig{}};
+    out.key = key;
+    out.status = status;
+    out.attempts = 2;
     if (status == "ok")
-        rec.stats = sampleStatsJson();
+        out.payload = parsed(payloadText(
+            {"nw", RunResult(EnergyParams{}), "dsl", ""}));
     else
-        rec.reason = "exit code 66 after 3 attempts";
-    return rec;
+        out.reason = "exit code 66 after 3 attempts";
+    return out;
 }
 
 TEST(SweepJournal, RecordRoundTripsThroughOneLine)
 {
     for (const char *status : {"ok", "failed"}) {
-        const JournalRecord rec = sampleRecord("k1", status);
+        const PointOutcome rec = sampleRecord("k1", status);
         const std::string line = journalLine(rec);
         EXPECT_EQ(line.find('\n'), std::string::npos);
-        const auto back = journalRecordFromLine(line);
+        std::string sha;
+        const auto back = parseJournalLine(line, &sha);
         ASSERT_TRUE(back.has_value()) << line;
+        EXPECT_EQ(sha, traceStreamGitSha());
         EXPECT_EQ(back->key, rec.key);
-        EXPECT_EQ(back->workload, rec.workload);
-        EXPECT_EQ(back->configSpec, rec.configSpec);
+        EXPECT_EQ(pointToSpec(back->point), pointToSpec(rec.point));
         EXPECT_EQ(back->status, rec.status);
         EXPECT_EQ(back->attempts, rec.attempts);
         EXPECT_EQ(back->reason, rec.reason);
-        EXPECT_EQ(back->stats.has_value(), rec.stats.has_value());
+        EXPECT_EQ(back->payload.has_value(), rec.payload.has_value());
+        EXPECT_EQ(journalLine(*back), line);
     }
 }
 
 TEST(SweepJournal, RejectsGarbageAndIncompleteRecords)
 {
-    EXPECT_FALSE(journalRecordFromLine("").has_value());
-    EXPECT_FALSE(journalRecordFromLine("not json").has_value());
-    EXPECT_FALSE(journalRecordFromLine("{\"v\":2}").has_value());
-    // An "ok" record must carry its stats payload.
-    JournalRecord rec = sampleRecord("k1", "ok");
-    rec.stats.reset();
-    EXPECT_FALSE(journalRecordFromLine(journalLine(rec)).has_value());
+    std::string sha;
+    EXPECT_FALSE(parseJournalLine("", &sha).has_value());
+    EXPECT_FALSE(parseJournalLine("not json", &sha).has_value());
+    EXPECT_FALSE(parseJournalLine("{\"v\":2}", &sha).has_value());
+    // An "ok" record must carry its payload (`stats`, the last field)
+    // and a "failed" one its reason.
+    const std::string ok = journalLine(sampleRecord("k1", "ok"));
+    const size_t stats = ok.find(",\"stats\":");
+    ASSERT_NE(stats, std::string::npos);
+    EXPECT_FALSE(
+        parseJournalLine(ok.substr(0, stats) + "}", &sha).has_value());
+    const std::string failed = journalLine(sampleRecord("k1", "failed"));
+    const size_t reason = failed.find(",\"reason\":");
+    ASSERT_NE(reason, std::string::npos);
+    EXPECT_FALSE(
+        parseJournalLine(failed.substr(0, reason) + "}", &sha).has_value());
+    // A line of version 1 (whose payload was not the --stats-json row)
+    // is skipped, whatever its SHA.
+    std::string v1 = ok;
+    ASSERT_EQ(v1.rfind("{\"v\":2,", 0), 0u);
+    v1.replace(0, 7, "{\"v\":1,");
+    EXPECT_FALSE(parseJournalLine(v1, &sha).has_value());
 }
 
 TEST(SweepJournal, StaleGitShaIsFlaggedNotServed)
 {
-    std::string line = journalLine(sampleRecord("k1", "ok"));
-    const std::string sha = sweepGitSha();
-    const size_t at = line.find(sha);
+    const std::string current = journalLine(sampleRecord("k1", "ok"));
+    std::string stale = journalLine(sampleRecord("k2", "ok"));
+    const std::string sha = traceStreamGitSha();
+    const size_t at = stale.find("\"" + sha + "\"");
     ASSERT_NE(at, std::string::npos);
-    line.replace(at, sha.size(), "cafecafecafe");
-    const auto rec = journalRecordFromLine(line);
-    ASSERT_TRUE(rec.has_value());
-    EXPECT_EQ(rec->status, "stale");
+    stale.replace(at + 1, sha.size(), "cafecafecafe");
+    const std::string path = writeTemp("sweep_journal_stale.jsonl",
+                                       current + "\n" + stale + "\n");
+    std::string err;
+    const auto index = loadJournal(path, &err);
+    ASSERT_TRUE(index.has_value()) << err;
+    EXPECT_EQ(index->staleRecords, 1u);
+    EXPECT_EQ(index->skippedLines, 0u);
+    EXPECT_NE(index->find("k1"), nullptr);
+    EXPECT_EQ(index->find("k2"), nullptr);
 }
 
 TEST(SweepJournal, LoadToleratesTornTailAndGarbage)
@@ -406,54 +440,140 @@ TEST(SweepJournal, AppendedFileLoadsBack)
 
 TEST(SweepPointStats, JsonRoundTrip)
 {
-    PointStats s;
-    s.cycles = 0xFFFFFFFFFFFFFFFFull;   // above 2^53: literal fidelity
-    s.ctas = 17;
-    s.hung = true;
-    s.energyPj = 123.456;
-    s.fault.totalRegs = 1024;
-    s.fault.usableRegs = 1000;
-    s.seu.flips = 5;
-    s.seu.corruptedReads = 2;
-    s.frontend = "rv32";
-    s.imageSha = "abc123";
+    // Energy 0.1 + 0.2: a meter whose only energy is one RFC access at
+    // 0.1 pJ and one remap access at 0.2 pJ.
+    EnergyParams energy;
+    energy.rfcAccessPj = 0.1;
+    energy.remapTablePj = 0.2;
+    ExperimentResult row{"nw", RunResult(energy), "rv32", "abc123"};
+    row.run.meter.addRfcAccesses(1);
+    row.run.meter.addRemapAccesses(1);
+    row.run.cycles = 0xFFFFFFFFFFFFFFFFull; // above 2^53: literal fidelity
+    row.run.ctas = 17;
+    row.run.hung = true;
+    row.run.fault.totalRegs = 1024;
+    row.run.fault.usableRegs = 1000;
+    row.run.seu.flips = 5;
+    row.run.seu.corruptedReads = 2;
+    ASSERT_EQ(row.run.meter.breakdown().totalPj(), 0.1 + 0.2);
 
-    std::ostringstream ss;
-    JsonWriter w(ss, JsonWriter::Style::Compact);
-    writeJson(w, s);
-    const JsonParseOutcome parsed = parseJson(ss.str());
-    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const JsonValue payload = parsed(payloadText(row));
     std::string err;
-    const auto back = pointStatsFromJson(*parsed.value, &err);
+    const auto back = pointStatsFromJson(payload, &err);
     ASSERT_TRUE(back.has_value()) << err;
-    EXPECT_EQ(back->cycles, s.cycles);
-    EXPECT_EQ(back->ctas, s.ctas);
+    EXPECT_EQ(back->cycles, row.run.cycles);
     EXPECT_TRUE(back->hung);
     EXPECT_FALSE(back->unschedulable);
-    EXPECT_DOUBLE_EQ(back->energyPj, s.energyPj);
-    EXPECT_EQ(back->fault.totalRegs, s.fault.totalRegs);
-    EXPECT_EQ(back->fault.usableRegs, s.fault.usableRegs);
-    EXPECT_EQ(back->seu.flips, s.seu.flips);
-    EXPECT_EQ(back->seu.corruptedReads, s.seu.corruptedReads);
-    EXPECT_EQ(back->frontend, "rv32");
-    EXPECT_EQ(back->imageSha, "abc123");
-
     // 0.1 + 0.2 needs 17 significant digits: the parent must read back
     // the exact double the child measured, not a 12-digit rounding.
-    s.energyPj = 0.1 + 0.2;
-    std::ostringstream exact;
-    JsonWriter we(exact, JsonWriter::Style::Compact);
-    writeJson(we, s);
-    const JsonParseOutcome reparsed = parseJson(exact.str());
-    ASSERT_TRUE(reparsed.ok()) << reparsed.error;
-    const auto exact_back = pointStatsFromJson(*reparsed.value, &err);
-    ASSERT_TRUE(exact_back.has_value()) << err;
-    EXPECT_EQ(exact_back->energyPj, 0.1 + 0.2);
+    EXPECT_EQ(back->energyPj, 0.1 + 0.2);
+    EXPECT_EQ(back->fault.totalRegs, row.run.fault.totalRegs);
+    EXPECT_EQ(back->fault.usableRegs, row.run.fault.usableRegs);
+    EXPECT_EQ(back->seu.flips, row.run.seu.flips);
+    EXPECT_EQ(back->seu.corruptedReads, row.run.seu.corruptedReads);
+    // Fields the curves do not read stay in the document.
+    EXPECT_EQ(*payload.find("frontend")->asString(), "rv32");
+    EXPECT_EQ(*payload.find("image_sha256")->asString(), "abc123");
+    EXPECT_EQ(payload.find("run")->find("ctas")->asU64(),
+              std::optional<u64>(17));
 
     std::string err2;
-    EXPECT_FALSE(
-        pointStatsFromJson(*parseJson("{}").value, &err2).has_value());
+    EXPECT_FALSE(pointStatsFromJson(parsed("{}"), &err2).has_value());
     EXPECT_FALSE(err2.empty());
+}
+
+/** The member at dotted @p path of @p v (every step must exist). */
+std::pair<std::string, JsonValue> *
+memberAt(JsonValue &v, const std::string &path)
+{
+    JsonValue *obj = &v;
+    std::pair<std::string, JsonValue> *member = nullptr;
+    size_t from = 0;
+    while (true) {
+        const size_t dot = path.find('.', from);
+        const std::string key = path.substr(from, dot - from);
+        member = nullptr;
+        for (auto &m : obj->members)
+            if (m.first == key)
+                member = &m;
+        if (member == nullptr || dot == std::string::npos)
+            return member;
+        obj = &member->second;
+        from = dot + 1;
+    }
+}
+
+TEST(SweepPointStats, ReaderNamesTheMissingOrMistypedField)
+{
+    const JsonValue good = parsed(
+        payloadText({"nw", RunResult(EnergyParams{}), "dsl", ""}));
+    std::string err;
+    ASSERT_TRUE(pointStatsFromJson(good, &err).has_value()) << err;
+    for (const char *path :
+         {"energy_pj", "run.cycles", "run.hung",
+          "run.fault.usable_regs", "run.seu.ecc_corrected_reads"}) {
+        JsonValue missing = good;
+        std::pair<std::string, JsonValue> *m = memberAt(missing, path);
+        ASSERT_NE(m, nullptr) << path;
+        m->first = "renamed";
+        EXPECT_FALSE(pointStatsFromJson(missing, &err).has_value());
+        EXPECT_NE(err.find(std::string("`") + path + "`"),
+                  std::string::npos)
+            << path << ": " << err;
+
+        JsonValue mistyped = good;
+        memberAt(mistyped, path)->second = parsed("\"x\"");
+        err.clear();
+        EXPECT_FALSE(pointStatsFromJson(mistyped, &err).has_value());
+        EXPECT_NE(err.find(std::string("`") + path + "`"),
+                  std::string::npos)
+            << path << ": " << err;
+    }
+}
+
+TEST(SweepPointStats, PayloadIsTheStatsJsonRow)
+{
+    // Both censuses nonzero: stuck-at faults under CompressRemap and an
+    // EccScrub SEU stream.
+    ExperimentConfig cfg;
+    cfg.numSms = 2;
+    cfg.faults.ber = 1e-3;
+    cfg.faults.policy = FaultPolicy::CompressRemap;
+    cfg.seu.flipsPerCycle = 1e-3;
+    cfg.seu.scheme = SeuScheme::EccScrub;
+    SweepOptions opt;
+    opt.pointSpec = pointToSpec({"nw", cfg});
+    opt.pointOut = ::testing::TempDir() + "sweep_point_payload.json";
+    ASSERT_EQ(runSweepChildPoint(opt, 1), 0);
+
+    std::ifstream in(opt.pointOut, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const JsonValue payload = parsed(text.str());
+    const JsonValue *run = payload.find("run");
+    ASSERT_NE(run, nullptr);
+
+    const ExperimentResult result = runWorkload("nw", cfg, 1);
+    auto compact = [](auto write) {
+        std::ostringstream ss;
+        JsonWriter w(ss, JsonWriter::Style::Compact);
+        write(w);
+        return ss.str();
+    };
+    EXPECT_EQ(compact([&](JsonWriter &w) { writeJson(w, *run); }),
+              compact([&](JsonWriter &w) {
+                  writeRunStatsJson(w, result.run, cfg.numSms);
+              }));
+    EXPECT_EQ(payload.find("energy_pj")->asDouble(),
+              std::optional<double>(
+                  result.run.meter.breakdown().totalPj()));
+
+    std::string err;
+    const auto stats = pointStatsFromJson(payload, &err);
+    ASSERT_TRUE(stats.has_value()) << err;
+    EXPECT_GT(stats->fault.remapWrites, 0u);
+    EXPECT_GT(stats->seu.flips, 0u);
+    EXPECT_GT(stats->seu.scrubWrites, 0u);
 }
 
 /** Run parseSweepArgs on one flag (death-test helper). */

@@ -8,7 +8,8 @@
  *     the merged report is byte-identical to an injury-free run;
  *   - a mid-grid death (--die-after) plus --resume yields the same
  *     bytes as an uninterrupted run, with cached points doing no
- *     simulation work (spawned == 0 on a fully-warm journal);
+ *     simulation work (spawned == 0 on a fully-warm journal), and a
+ *     cached payload the curves cannot read is fatal, naming its point;
  *   - worker count (--threads) never changes the report;
  *   - points that exhaust their attempts degrade to "failed" records
  *     while the process still exits 0;
@@ -29,6 +30,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -187,6 +189,49 @@ TEST(SweepProcess, ResumeAfterMidGridDeathIsByteIdentical)
     EXPECT_EQ(slurp(warm_report), slurp(clean_report));
     EXPECT_EQ(statsCounter(warm_stats, "spawned"), 0u);
     EXPECT_EQ(statsCounter(warm_stats, "cache_hits"), 3u);
+}
+
+TEST(SweepProcess, ResumeRejectsACachedPayloadWithoutRun)
+{
+    // Checkpoint one point, then strip `run` from its payload: the
+    // record still parses (current version and SHA, ok with a stats
+    // object), so only the cache-hit path can refuse it.
+    const std::string journal = tempPath("bad_payload.jsonl");
+    std::remove(journal.c_str());
+    const std::string err = tempPath("bad_payload.err");
+    const std::string report = tempPath("bad_payload.json");
+    ASSERT_EQ(runSweep("--report=" + report + " --journal=" + journal +
+                           " --die-after=1 --threads=1",
+                       err),
+              3);
+    std::string line = slurp(journal);
+    ASSERT_FALSE(line.empty());
+    line.pop_back();    // the newline
+    JsonParseOutcome parsed = parseJson(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    JsonValue &record = *parsed.value;
+    const std::string key = *record.find("key")->asString();
+    // The payload is the record's last member, `stats`.
+    ASSERT_EQ(record.members.back().first, "stats");
+    EXPECT_EQ(std::erase_if(record.members.back().second.members,
+                            [](const auto &m) { return m.first == "run"; }),
+              1u);
+    {
+        std::ofstream os(journal, std::ios::binary | std::ios::trunc);
+        JsonWriter w(os, JsonWriter::Style::Compact);
+        writeJson(w, record);
+        w.flush();
+        os << "\n";
+    }
+
+    EXPECT_EQ(runSweep("--report=" + report + " --resume=" + journal, err),
+              1);
+    const std::string text = slurp(err);
+    EXPECT_NE(text.find("journal record for point " + key +
+                        " has a bad stats payload"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("`run`"), std::string::npos) << text;
 }
 
 TEST(SweepProcess, ThreadCountNeverChangesTheReport)
