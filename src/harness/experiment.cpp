@@ -207,6 +207,8 @@ parseHarnessArgs(int argc, char **argv, std::vector<char *> *rest)
                 kU32Max));
         } else if (std::strncmp(arg, "--only=", 7) == 0) {
             opt.only = arg + 7;
+            if (opt.only.empty())
+                WC_FATAL("--only needs a workload name");
         } else if (std::strncmp(arg, "--kernel=", 9) == 0) {
             const char *spec = arg + 9;
             const char *comma = std::strchr(spec, ',');

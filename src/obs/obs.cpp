@@ -1,5 +1,7 @@
 #include "obs/obs.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 #include "obs/trace_stream.hpp"
 
@@ -27,22 +29,25 @@ traceEventName(TraceEventKind kind)
 }
 
 void
+ObsWindows::onCycleSpan(Cycle from, Cycle to, u32 gated_banks,
+                        u32 total_banks)
+{
+    while (from < to) {
+        WindowRow &r = rowAt(from);
+        const Cycle window_end = (from / interval_ + 1) * interval_;
+        const u64 n = std::min(to, window_end) - from;
+        r.gatedBankCycles += n * gated_banks;
+        r.bankCycles += n * total_banks;
+        r.smCycles += n;
+        from += n;
+    }
+}
+
+void
 ObsRun::streamEvent(const TraceEvent &ev)
 {
     cfg_.sink->push(ev);
     ++streamedEvents_;
-}
-
-StatGroup
-ObsRun::statGroup() const
-{
-    StatGroup g("obs");
-    g.counter("events_recorded") += ring_.size();
-    g.counter("events_dropped") += ring_.dropped();
-    g.counter("events_offered") += ring_.pushed();
-    g.counter("events_streamed") += streamedEvents_;
-    g.counter("windows") += windows_.rows().size();
-    return g;
 }
 
 } // namespace warpcomp

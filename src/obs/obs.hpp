@@ -24,9 +24,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace warpcomp {
@@ -186,30 +186,12 @@ class ObsWindows
     u32 interval() const { return interval_; }
     const std::vector<WindowRow> &rows() const { return rows_; }
 
-    void
-    onCycle(Cycle now, u32 gated_banks, u32 total_banks)
-    {
-        WindowRow &r = rowAt(now);
-        r.gatedBankCycles += gated_banks;
-        r.bankCycles += total_banks;
-        ++r.smCycles;
-    }
-
-    /** Bulk equivalent of onCycle over [from, to) with a per-cycle
-     *  constant census, splitting exactly across window boundaries. */
-    void
-    onCycleSpan(Cycle from, Cycle to, u32 gated_banks, u32 total_banks)
-    {
-        while (from < to) {
-            WindowRow &r = rowAt(from);
-            const Cycle window_end = (from / interval_ + 1) * interval_;
-            const u64 n = std::min(to, window_end) - from;
-            r.gatedBankCycles += n * gated_banks;
-            r.bankCycles += n * total_banks;
-            r.smCycles += n;
-            from += n;
-        }
-    }
+    /** Add one SM's cycles [from, to), each with @p gated_banks of
+     *  @p total_banks gated, splitting exactly across window
+     *  boundaries. Out of line (obs.cpp): only observed runs call
+     *  it, and the accounting every SM-cycle runs stays small. */
+    void onCycleSpan(Cycle from, Cycle to, u32 gated_banks,
+                     u32 total_banks);
 
     void
     onIssue(Cycle now, bool dummy)
@@ -268,10 +250,6 @@ class ObsRun
      *  Tracked here, not read back from the sink, so the counter stays
      *  valid after the harness closes the dump file. */
     u64 streamedEvents() const { return streamedEvents_; }
-
-    /** Counter snapshot (events recorded/dropped, windows) as a
-     *  StatGroup, for the structured-stats dump. */
-    StatGroup statGroup() const;
 
     // ---- hook points (called behind `if (obs_ != nullptr)`) ----
 
@@ -362,16 +340,9 @@ class ObsRun
         emit({now, warp, 0, sm, bank, TraceEventKind::BankConflict});
     }
 
-    void
-    onCycle(u16 /*sm*/, u32 gated_banks, u32 total_banks, Cycle now)
-    {
-        if (windowsOn_)
-            windows_.onCycle(now, gated_banks, total_banks);
-    }
-
-    /** Idle-skip bulk hook: account [from, to) cycles during which the
-     *  bank census provably cannot change (no issues, writebacks, or
-     *  scrub visits occur inside a skipped span). */
+    /** Bank census of SM cycles [from, to), during which it provably
+     *  cannot change: one stepped cycle, or a skipped span in which
+     *  nothing issues, writes back, or scrubs. */
     void
     onCycleSpan(u16 /*sm*/, u32 gated_banks, u32 total_banks, Cycle from,
                 Cycle to)

@@ -162,15 +162,6 @@ writeJson(JsonWriter &w, const SeuStats &s)
 }
 
 void
-writeJson(JsonWriter &w, const StatGroup &group)
-{
-    w.beginObject();
-    for (const auto &[name, counter] : group.counters())
-        w.field(name, counter.value());
-    w.endObject();
-}
-
-void
 writeJson(JsonWriter &w, const EnergyBreakdown &e)
 {
     w.beginObject();
@@ -218,11 +209,18 @@ writeRunStatsJson(JsonWriter &w, const RunResult &run, u32 num_sms)
     w.key("seu");
     writeJson(w, run.seu);
     if (run.obs) {
+        const ObsRun &obs = *run.obs;
         w.key("obs");
-        writeJson(w, run.obs->statGroup());
-        if (run.obs->windows().interval() > 0) {
+        w.beginObject();
+        w.field("events_dropped", obs.ring().dropped());
+        w.field("events_offered", obs.ring().pushed());
+        w.field("events_recorded", static_cast<u64>(obs.ring().size()));
+        w.field("events_streamed", obs.streamedEvents());
+        w.field("windows", static_cast<u64>(obs.windows().rows().size()));
+        w.endObject();
+        if (obs.windows().interval() > 0) {
             w.key("timelines");
-            writeTimelinesJson(w, run.obs->windows(), num_sms);
+            writeTimelinesJson(w, obs.windows(), num_sms);
         }
     }
     w.endObject();

@@ -20,14 +20,9 @@
 #include <vector>
 
 #include "common/json_writer.hpp"
-#include "common/stats.hpp"
 #include "harness/experiment.hpp"
 
 namespace warpcomp {
-
-/** Serialize a StatGroup as an object of its counters (sorted by name,
- *  map order). Caller positions the writer (key or array slot). */
-void writeJson(JsonWriter &w, const StatGroup &group);
 
 /** Serialize an EnergyBreakdown with its derived totals. */
 void writeJson(JsonWriter &w, const EnergyBreakdown &e);

@@ -49,16 +49,12 @@ BankSet::drowsyActivity(Cycle now, u32 drowsy_after) const
 }
 
 void
-BankSet::activitySpan(Cycle from, Cycle to, bool drowsy_enabled,
-                      u32 drowsy_after, u64 &active, u64 &drowsy) const
+BankSet::drowsySpan(Cycle from, Cycle to, u32 drowsy_after, u64 &active,
+                    u64 &drowsy) const
 {
     WC_ASSERT(to >= from, "inverted census span");
     const u64 span = to - from;
     const u32 n = numBanks();
-    if (!drowsy_enabled) {
-        active += span * (n - offCount_);
-        return;
-    }
     for (u32 b = 0; b < n; ++b) {
         if (gates_[b].isOff(from))
             continue;

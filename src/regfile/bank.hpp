@@ -152,7 +152,27 @@ class BankSet
      *  setValid/wake, so this is a plain counter, not a scan. */
     u32 offCount() const { return offCount_; }
 
-    /** Per-cycle leakage census. */
+    /**
+     * Closed-form census over the span [from, to): no gate or
+     * access-timestamp transition occurs inside it, so each bank
+     * contributes a contiguous active prefix up to its drowsy threshold
+     * and drowsy cycles after. Accumulates into @p active / @p drowsy
+     * exactly what per-cycle activity() calls would have summed; O(1)
+     * without drowsy mode.
+     */
+    void
+    activitySpan(Cycle from, Cycle to, bool drowsy_enabled,
+                 u32 drowsy_after, u64 &active, u64 &drowsy) const
+    {
+        if (!drowsy_enabled) {
+            active += (to - from) * (numBanks() - offCount_);
+            return;
+        }
+        drowsySpan(from, to, drowsy_after, active, drowsy);
+    }
+
+    /** One cycle's census, the per-cycle reference activitySpan is
+     *  tested against. */
     struct Activity
     {
         u32 active = 0;     ///< powered and recently accessed
@@ -168,18 +188,10 @@ class BankSet
         return drowsyActivity(now, drowsy_after);
     }
 
-    /**
-     * Closed-form census over the uneventful span [from, to): no gate
-     * or access-timestamp transition can occur inside a skipped span
-     * (nothing issues, writes, or releases), so each bank contributes
-     * a contiguous active prefix up to its drowsy threshold and drowsy
-     * cycles after. Accumulates into @p active / @p drowsy exactly what
-     * per-cycle activity() calls would have summed.
-     */
-    void activitySpan(Cycle from, Cycle to, bool drowsy_enabled,
-                      u32 drowsy_after, u64 &active, u64 &drowsy) const;
-
   private:
+    /** activitySpan with the drowsy comparator on. */
+    void drowsySpan(Cycle from, Cycle to, u32 drowsy_after, u64 &active,
+                    u64 &drowsy) const;
     /** activity() with the drowsy comparator on. */
     Activity drowsyActivity(Cycle now, u32 drowsy_after) const;
 

@@ -351,14 +351,6 @@ RegisterFile::entryExtent(u32 cluster, u32 entry) const
     return {};
 }
 
-void
-RegisterFile::activitySpan(Cycle from, Cycle to, u64 &active,
-                           u64 &drowsy) const
-{
-    banks_.activitySpan(from, to, params_.drowsyEnabled,
-                        params_.drowsyAfterCycles, active, drowsy);
-}
-
 u64
 RegisterFile::gatedCycles(u32 bank, Cycle now) const
 {

@@ -37,10 +37,9 @@ struct Ending
 /**
  * Advance @p sm by one step from cycle @p now toward @p to and return
  * the cycle it reached. With @p skip, an SM whose next event lies
- * ahead bulk-accounts the span up to it (skipCycles), as lockstep
- * skipping does for all SMs at once; otherwise it steps cycle @p now,
- * after @p stores regains room for one cycle's stores (@p headroom),
- * so Sm::cycle never grows it.
+ * ahead bulk-accounts the span up to it (skipCycles); otherwise it
+ * steps cycle @p now, after @p stores regains room for one cycle's
+ * stores (@p headroom), so Sm::cycle never grows it.
  */
 Cycle
 advance(Sm &sm, Cycle now, Cycle to, bool skip, GlobalStoreBuffer &stores,
@@ -97,15 +96,22 @@ commitInCycleOrder(std::vector<PaddedStores> &stores, GlobalMemory &gmem)
 
 /**
  * The serial reference: in every cycle, each SM with room may accept
- * one CTA, in SM order, then every SM steps the cycle and the cycle's
- * global stores commit in SM order, so every SM of a cycle reads
- * memory as it was before that cycle. Obs-armed runs, runs with
+ * one CTA, in SM order, then every SM advances through the cycle and
+ * the cycle's global stores commit in SM order, so every SM of a cycle
+ * reads memory as it was before that cycle. Obs-armed runs, runs with
  * GpuParams::runAhead off and run-ahead fallbacks step this way.
+ *
+ * Event-driven idle skipping: while some SM is busy and no SM can take
+ * a CTA (none is pending, or every SM is launchBlocked, which only a
+ * stepped cycle's CTA completion lifts), the step ends at the lowest
+ * cached next event across SMs instead, so the cycles before it are
+ * bulk-accounted on every SM.
  */
 Ending
 stepLockstep(std::vector<std::unique_ptr<Sm>> &sms,
              std::vector<PaddedStores> &stores, GlobalMemory &gmem,
-             u32 grid, Cycle hang_budget, bool skip, const Kernel &kernel)
+             u32 grid, Cycle hang_budget, bool skip, u32 headroom,
+             const Kernel &kernel)
 {
     Ending end;
     u32 next_cta = 0;
@@ -116,29 +122,42 @@ stepLockstep(std::vector<std::unique_ptr<Sm>> &sms,
         // timestamps valid bits and power-gate wakeups, and later
         // waves launch at now > 0.
         bool launched = false;
-        for (u32 i = 0; i < sms.size() && next_cta < grid; ++i) {
-            if (sms[i]->tryLaunchCta(next_cta, now)) {
+        bool can_launch = false;
+        bool sm_busy = false;
+        for (u32 i = 0; i < sms.size(); ++i) {
+            if (next_cta < grid && sms[i]->tryLaunchCta(next_cta, now)) {
                 ++next_cta;
                 launched = true;
             }
+            can_launch = can_launch || !sms[i]->launchBlocked();
+            sm_busy = sm_busy || sms[i]->busy();
         }
 
-        bool sm_busy = false;
-        bool cta_completed = false;
-        Cycle ev = Sm::kNoEvent;
-        for (auto &sm : sms) {
-            const u64 done_before = sm->ctasCompleted();
-            sm->cycle(now);
-            sm_busy = sm_busy || sm->busy();
-            cta_completed = cta_completed ||
-                sm->ctasCompleted() != done_before;
-            ev = std::min(ev, sm->cachedNextEvent());
+        Cycle to = now + 1;
+        if (skip && sm_busy && (next_cta >= grid || !can_launch)) {
+            Cycle ev = Sm::kNoEvent;
+            for (auto &sm : sms)
+                ev = std::min(ev, sm->cachedNextEvent());
+            WC_ASSERT(ev != Sm::kNoEvent,
+                      "busy GPU reported no future event");
+            WC_ASSERT(ev < kMaxCycles,
+                      "next event beyond the deadlock guard in kernel "
+                      << kernel.name());
+            if (hang_budget != 0)
+                ev = std::min(ev, hang_budget);
+            to = std::max(to, ev);
+        }
+
+        sm_busy = false;
+        for (u32 i = 0; i < sms.size(); ++i) {
+            advance(*sms[i], now, to, skip, stores[i].buffer, headroom);
+            sm_busy = sm_busy || sms[i]->busy();
         }
         for (PaddedStores &s : stores) {
             if (!s.buffer.empty())
                 s.buffer.commit(gmem);
         }
-        ++now;
+        now = to;
         if (next_cta >= grid && !sm_busy)
             break;
         if (hang_budget != 0 && now >= hang_budget) {
@@ -155,33 +174,6 @@ stepLockstep(std::vector<std::unique_ptr<Sm>> &sms,
             }
         } else {
             stalled_cycles = 0;
-        }
-        // Event-driven idle skipping: when every SM is provably
-        // uneventful until some future cycle (all warps stalled on
-        // memory, power-gate wakes, or barriers), jump straight there,
-        // bulk-accounting the gap. Launch attempts gate the skip: with
-        // CTAs still pending, a launch this cycle or a completion last
-        // cycle could make the next launch attempt succeed, so those
-        // boundaries step normally.
-        if (skip && sm_busy &&
-            (next_cta >= grid || (!launched && !cta_completed))) {
-            WC_ASSERT(ev != Sm::kNoEvent,
-                      "busy GPU reported no future event");
-            if (ev > now) {
-                WC_ASSERT(ev < kMaxCycles,
-                          "next event beyond the deadlock guard in "
-                          "kernel " << kernel.name());
-                Cycle skip_to = ev;
-                if (hang_budget != 0 && skip_to >= hang_budget)
-                    skip_to = hang_budget;
-                for (auto &sm : sms)
-                    sm->skipCycles(now, skip_to);
-                now = skip_to;
-                if (hang_budget != 0 && now >= hang_budget) {
-                    end.hung = true;
-                    break;
-                }
-            }
         }
         WC_ASSERT(now < kMaxCycles,
                   "simulation exceeded " << kMaxCycles
@@ -577,7 +569,7 @@ Gpu::launch(const Kernel &kernel, const LaunchDims &dims,
     Ending end;
     if (!run_ahead) {
         end = stepLockstep(sms, stores, gmem_, dims.gridDim, hang_budget,
-                           skip, kernel);
+                           skip, headroom, kernel);
     } else {
         // No budget means the deadlock guard; a budget past the guard
         // hits the guard first, as in lockstep.

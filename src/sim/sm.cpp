@@ -197,37 +197,47 @@ Sm::busy() const
     return false;
 }
 
+inline void
+Sm::accountSpan(Cycle from, Cycle to)
+{
+    meter_.addCycles(to - from);
+    // The bank state is constant over the span: a stepped cycle
+    // accounts after its own accesses and gate transitions, and nothing
+    // touches a bank inside a skipped span, so the closed form is
+    // exact. A bank is gated when it is neither active nor drowsy.
+    u64 active = 0;
+    u64 drowsy = 0;
+    rf_.activitySpan(from, to, active, drowsy);
+    meter_.addAwakeBankCycles(active);
+    meter_.addDrowsyBankCycles(drowsy);
+    if (obs_ != nullptr) {
+        const u32 total = params_.regfile.numBanks;
+        obs_->onCycleSpan(obsSmId_, total - rf_.awakeBanks(from), total,
+                          from, to);
+    }
+}
+
 void
 Sm::cycle(Cycle now)
 {
-    // Light path for cached-uneventful cycles: the pipeline walk is a
-    // provable no-op (nothing ready, nothing issuable, no collector in
-    // flight), so only the per-cycle streams run — the SEU flip draw
-    // and the energy/census/obs accounting. nextEventCycle caps the
-    // cache at scrub ticks, so scrubTick work never lands here.
+    // A cycle below the cached next event is provably uneventful
+    // (nothing ready, nothing issuable, no collector in flight): only
+    // the per-cycle streams run. nextEventCycle caps the cache at scrub
+    // ticks, so scrubTick work never lands here.
     if (now < nextEvent_) {
-        if (SeuEngine *e = rf_.seu())
-            e->sampleCycle(now);
-    } else {
-        if (SeuEngine *e = rf_.seu())
-            stepSeu(*e, now);
-        if (busy()) {
-            arbiter_.newCycle();
-            stepWritebackAndExec(now);
-            stepCollect(now);
-            stepIssue(now);
-        }
-        nextEvent_ = nextEventCycle(now + 1);
+        skipCycles(now, now + 1);
+        return;
     }
-    meter_.addCycles(1);
-    const RegisterFile::BankActivity act = rf_.bankActivity(now);
-    meter_.addAwakeBankCycles(act.active);
-    meter_.addDrowsyBankCycles(act.drowsy);
-    if (obs_ != nullptr) {
-        const u32 total = params_.regfile.numBanks;
-        obs_->onCycle(obsSmId_, total - act.active - act.drowsy, total,
-                      now);
+    if (SeuEngine *e = rf_.seu())
+        stepSeu(*e, now);
+    if (busy()) {
+        arbiter_.newCycle();
+        stepWritebackAndExec(now);
+        stepCollect(now);
+        stepIssue(now);
     }
+    nextEvent_ = nextEventCycle(now + 1);
+    accountSpan(now, now + 1);
 }
 
 Cycle
@@ -280,18 +290,6 @@ void
 Sm::skipCycles(Cycle from, Cycle to)
 {
     WC_ASSERT(to >= from, "skip span runs backwards");
-    if (to == from)
-        return;
-    meter_.addCycles(to - from);
-
-    // No writes, reads, gate transitions, or scrub visits happen inside
-    // a skipped span, so the census evolves in closed form.
-    u64 active = 0;
-    u64 drowsy = 0;
-    rf_.activitySpan(from, to, active, drowsy);
-    meter_.addAwakeBankCycles(active);
-    meter_.addDrowsyBankCycles(drowsy);
-
     // The flip stream is a per-cycle function of (seed, cycle): replay
     // it so pending flips accumulate bit-identically to per-cycle
     // stepping. Scrub ticks never fall inside a span (nextEventCycle
@@ -300,13 +298,7 @@ Sm::skipCycles(Cycle from, Cycle to)
         for (Cycle c = from; c < to; ++c)
             e->sampleCycle(c);
     }
-
-    if (obs_ != nullptr) {
-        const u32 total = params_.regfile.numBanks;
-        const u32 gated =
-            static_cast<u32>(total - rf_.awakeBanks(from));
-        obs_->onCycleSpan(obsSmId_, gated, total, from, to);
-    }
+    accountSpan(from, to);
 }
 
 void
@@ -722,6 +714,19 @@ Sm::recordWriteStats(const Warp &warp, const Instruction &inst,
 }
 
 void
+Sm::setupRead(InFlight &f, u32 op, u32 slot, u32 reg)
+{
+    RegAccess &acc = f.ops[op].acc;
+    acc = rf_.readAccess(slot, reg);
+    if (acc.compressed)
+        ++f.compressedSrcs;
+    if (acc.remapped) {
+        rf_.noteRemapRead();
+        meter_.addRemapAccesses(1);
+    }
+}
+
+void
 Sm::issueDummyMov(u32 slot, u8 dst, Cycle now)
 {
     Warp &w = warps_[slot];
@@ -751,13 +756,7 @@ Sm::issueDummyMov(u32 slot, u8 dst, Cycle now)
     f.divergentWrite = true;
     f.writesBack = true;
     f.numOps = 1;
-    f.ops[0].acc = rf_.readAccess(slot, dst);
-    if (f.ops[0].acc.compressed)
-        f.compressedSrcs = 1;
-    if (f.ops[0].acc.remapped) {
-        rf_.noteRemapRead();
-        meter_.addRemapAccesses(1);
-    }
+    setupRead(f, 0, slot, dst);
 
     f.choice = BdiChoice{};
 
@@ -866,13 +865,7 @@ Sm::issueFrom(u32 slot, Cycle now)
             meter_.addRfcAccesses(1);
             continue;           // acc stays zero-bank
         }
-        f.ops[i].acc = rf_.readAccess(slot, inst.regSource(i));
-        if (f.ops[i].acc.compressed)
-            ++f.compressedSrcs;
-        if (f.ops[i].acc.remapped) {
-            rf_.noteRemapRead();
-            meter_.addRemapAccesses(1);
-        }
+        setupRead(f, i, slot, inst.regSource(i));
     }
 
     // MergeRecompress: a divergent write also fetches the destination's
@@ -887,16 +880,8 @@ Sm::issueFrom(u32 slot, Cycle now)
             if (inst.regSource(i) == inst.dst)
                 dup = true;
         }
-        if (!dup && rf_.isWritten(slot, inst.dst)) {
-            f.ops[f.numOps].acc = rf_.readAccess(slot, inst.dst);
-            if (f.ops[f.numOps].acc.compressed)
-                ++f.compressedSrcs;
-            if (f.ops[f.numOps].acc.remapped) {
-                rf_.noteRemapRead();
-                meter_.addRemapAccesses(1);
-            }
-            ++f.numOps;
-        }
+        if (!dup && rf_.isWritten(slot, inst.dst))
+            setupRead(f, f.numOps++, slot, inst.dst);
     }
 
     if (inst.isMemory()) {

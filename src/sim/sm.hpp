@@ -91,7 +91,11 @@ class Sm
      */
     bool tryLaunchCta(u32 cta_id, Cycle now);
 
-    /** Simulate one cycle at global time @p now. */
+    /**
+     * Simulate one cycle at global time @p now. A cycle below
+     * cachedNextEvent is provably uneventful and is accounted as
+     * skipCycles(now, now + 1); any other cycle steps the pipeline.
+     */
     void cycle(Cycle now);
 
     /** Returned by nextEventCycle when the SM has no future event at
@@ -112,18 +116,17 @@ class Sm
 
     /**
      * The cached next-event cycle maintained by cycle()/tryLaunchCta:
-     * cycles strictly before it are uneventful for this SM (they take
-     * the light path inside cycle(), and the GPU may bulk-skip to the
-     * minimum across SMs). 0 until the first cycle executes.
+     * cycles strictly before it are uneventful for this SM (cycle()
+     * only accounts them, and the GPU may bulk-skip to the minimum
+     * across SMs). 0 until the first cycle executes.
      */
     Cycle cachedNextEvent() const { return nextEvent_; }
 
     /**
-     * Bulk-account the uneventful span [@p from, @p to): energy-meter
-     * cycles, the bank activity census (closed form), the per-cycle SEU
-     * flip stream (replayed cycle by cycle so pending flips accumulate
-     * bit-identically), and observability windows. Only valid for spans
-     * nextEventCycle declared event-free.
+     * Bulk-account the uneventful span [@p from, @p to): the per-cycle
+     * SEU flip stream (replayed cycle by cycle so pending flips
+     * accumulate bit-identically), then accountSpan. Only valid for
+     * spans nextEventCycle declared event-free.
      */
     void skipCycles(Cycle from, Cycle to);
 
@@ -189,6 +192,10 @@ class Sm
     InFlight *allocFlight();
     void freeFlight(InFlight *f);
 
+    /** Account the cycles [@p from, @p to) whose bank state is the
+     *  current one: energy-meter cycles, the active/drowsy bank census
+     *  and the obs window row. Every cycle passes through here once. */
+    void accountSpan(Cycle from, Cycle to);
     void stepWritebackAndExec(Cycle now);
     void stepCollect(Cycle now);
     void stepIssue(Cycle now);
@@ -207,6 +214,9 @@ class Sm
         return schedulers_[slot % params_.numSchedulers];
     }
     void issueFrom(u32 slot, Cycle now);
+    /** Set up operand @p op of @p f as a read of (slot, reg): its bank
+     *  footprint, the compressed-source count and remap accounting. */
+    void setupRead(InFlight &f, u32 op, u32 slot, u32 reg);
     void issueDummyMov(u32 slot, u8 dst, Cycle now);
     void finishInFlight(InFlight &f, Cycle now);
     void recordWriteStats(const Warp &warp, const Instruction &inst,

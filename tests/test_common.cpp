@@ -14,7 +14,6 @@
 #include "common/bitops.hpp"
 #include "common/key_index.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "power/report.hpp"
 
 namespace warpcomp {
@@ -170,27 +169,6 @@ TEST(KeyIndex, CollidingKeysStayDistinct)
     for (const u32 i : index.sortedIndices())
         sorted.push_back(index.keys()[i]);
     EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
-}
-
-TEST(Stats, CounterBasics)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 10;
-    EXPECT_EQ(c.value(), 11u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, GroupLookup)
-{
-    StatGroup g("sm0");
-    g.counter("issued") += 5;
-    EXPECT_EQ(g.get("issued"), 5u);
-    EXPECT_EQ(g.get("absent"), 0u);
-    g.reset();
-    EXPECT_EQ(g.get("issued"), 0u);
 }
 
 TEST(Report, TableAlignment)

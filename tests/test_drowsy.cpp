@@ -24,13 +24,28 @@ drowsyParams(u32 after = 10)
     return p;
 }
 
+/** One cycle's leakage census at @p now. */
+struct Census
+{
+    u64 active = 0;
+    u64 drowsy = 0;
+};
+
+Census
+censusAt(const RegisterFile &rf, Cycle now)
+{
+    Census c;
+    rf.activitySpan(now, now + 1, c.active, c.drowsy);
+    return c;
+}
+
 TEST(Drowsy, BanksStartActiveThenDrowse)
 {
     RegisterFile rf(drowsyParams(10));
-    const auto at0 = rf.bankActivity(5);
+    const auto at0 = censusAt(rf, 5);
     EXPECT_EQ(at0.active, 32u);
     EXPECT_EQ(at0.drowsy, 0u);
-    const auto at20 = rf.bankActivity(20);
+    const auto at20 = censusAt(rf, 20);
     EXPECT_EQ(at20.active, 0u);
     EXPECT_EQ(at20.drowsy, 32u);
 }
@@ -43,11 +58,11 @@ TEST(Drowsy, AccessWakesOneBank)
     // cluster (baseline footprint).
     rf.recordWrite(0, 0, BdiChoice{}, 100);     // stored uncompressed
 
-    const auto act = rf.bankActivity(105);
+    const auto act = censusAt(rf, 105);
     EXPECT_EQ(act.active, 8u);
     EXPECT_EQ(act.drowsy, 24u);
     // Past the threshold everything drowses again.
-    const auto later = rf.bankActivity(200);
+    const auto later = censusAt(rf, 200);
     EXPECT_EQ(later.active, 0u);
     EXPECT_EQ(later.drowsy, 32u);
 }
@@ -58,7 +73,7 @@ TEST(Drowsy, DisabledMeansAllActive)
     p.gatingEnabled = false;
     p.validAtAlloc = true;
     RegisterFile rf(p);
-    const auto act = rf.bankActivity(1'000'000);
+    const auto act = censusAt(rf, 1'000'000);
     EXPECT_EQ(act.active, 32u);
     EXPECT_EQ(act.drowsy, 0u);
 }
@@ -72,7 +87,7 @@ TEST(Drowsy, GatedBanksAreNeitherActiveNorDrowsy)
     p.drowsyAfterCycles = 10;
     RegisterFile rf(p);
     // All banks start gated in the compressed design.
-    const auto act = rf.bankActivity(100);
+    const auto act = censusAt(rf, 100);
     EXPECT_EQ(act.active, 0u);
     EXPECT_EQ(act.drowsy, 0u);
 }

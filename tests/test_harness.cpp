@@ -341,6 +341,8 @@ TEST(HarnessDeathTest, MalformedTraceRangeExitsNonzero)
                 ::testing::ExitedWithCode(1), "needs a file path");
     EXPECT_EXIT(parseOne("--trace-out="),
                 ::testing::ExitedWithCode(1), "needs a file path");
+    EXPECT_EXIT(parseOne("--only="),
+                ::testing::ExitedWithCode(1), "--only needs a workload name");
 }
 
 TEST(HarnessDeathTest, MalformedFaultSpecsExitNonzero)

@@ -62,11 +62,11 @@ TEST(TraceRing, ZeroCapacityCountsOffersWithoutStoring)
 TEST(ObsWindows, AccumulatesIntoIntervalRows)
 {
     ObsWindows win(100);
-    win.onCycle(0, 2, 8);
+    win.onCycleSpan(0, 1, 2, 8);
     win.onIssue(5, false);
     win.onIssue(7, true);          // dummy MOV counts as an issue too
     win.onWrite(10, 32);
-    win.onCycle(150, 4, 8);        // second window
+    win.onCycleSpan(150, 151, 4, 8);    // second window
     ASSERT_EQ(win.rows().size(), 2u);
 
     const WindowRow &r0 = win.rows()[0];

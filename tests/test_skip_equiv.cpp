@@ -29,6 +29,7 @@ struct RunImage
     std::string statsJson;      ///< full structured-stats document
     std::vector<u8> gmem;       ///< final global-memory image
     Cycle cycles = 0;
+    bool ranAhead = false;
 };
 
 std::string
@@ -51,12 +52,13 @@ runImage(const std::string &name, ExperimentConfig cfg)
     const auto img = wl.gmem->bytes();
     out.gmem.assign(img.begin(), img.end());
     out.cycles = run.cycles;
+    out.ranAhead = run.stepping.ranAhead;
     return out;
 }
 
-/** Run @p name under @p cfg with skipping on and off and require the
- *  two runs to be indistinguishable. */
-void
+/** Run @p name under @p cfg with skipping on and off, require the two
+ *  runs to be indistinguishable, and return the skipping one. */
+RunImage
 expectSkipInvisible(const std::string &name, ExperimentConfig cfg,
                     const char *what)
 {
@@ -70,6 +72,7 @@ expectSkipInvisible(const std::string &name, ExperimentConfig cfg,
         << what << ": structured stats diverge";
     EXPECT_TRUE(on.gmem == off.gmem)
         << what << ": final memory image diverges";
+    return on;
 }
 
 class SkipEquiv : public ::testing::TestWithParam<std::string>
@@ -105,6 +108,19 @@ TEST_P(SkipEquiv, SkipMatchesUnderStuckAtFaults)
     cfg.faults.ber = 1e-5;
     cfg.faults.policy = FaultPolicy::DisableEntry;
     expectSkipInvisible(GetParam(), cfg, "stuck-at faults");
+}
+
+TEST_P(SkipEquiv, SkipMatchesInObservedDrowsyLockstep)
+{
+    // Armed obs steps a run in lockstep, so this compares lockstep's
+    // skip with per-cycle stepping; the drowsy census and the window
+    // timelines in the stats document must both come out the same.
+    ExperimentConfig cfg;
+    cfg.numSms = 2;
+    cfg.drowsy = true;
+    cfg.obs.windowInterval = 250;
+    EXPECT_FALSE(expectSkipInvisible(GetParam(), cfg,
+                                     "observed drowsy lockstep").ranAhead);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, SkipEquiv,

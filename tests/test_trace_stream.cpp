@@ -465,7 +465,7 @@ TEST(TraceStream, FooterCyclesMustMatchWindowRows)
         meta.numSms = 1;
         meta.numBanks = 4;
         ObsWindows windows(500);
-        windows.onCycle(0, 0, 4);
+        windows.onCycleSpan(0, 1, 0, 4);
         {
             TraceStreamSink sink(path, meta);
             sink.finalize(1, windows);
@@ -480,13 +480,11 @@ TEST(TraceStream, StatsGroupCountsStreamedEvents)
 {
     const StreamedRun &run = streamedRun();
     ASSERT_NE(run.result.run.obs, nullptr);
-    const StatGroup g = run.result.run.obs->statGroup();
-    EXPECT_EQ(g.get("events_streamed"),
-              run.result.run.obs->streamedEvents());
-    EXPECT_GT(g.get("events_streamed"), 0u);
+    const ObsRun &obs = *run.result.run.obs;
+    EXPECT_GT(obs.streamedEvents(), 0u);
     // Streaming + ring together: nothing dropped, both complete.
-    EXPECT_EQ(g.get("events_dropped"), 0u);
-    EXPECT_EQ(g.get("events_offered"), g.get("events_streamed"));
+    EXPECT_EQ(obs.ring().dropped(), 0u);
+    EXPECT_EQ(obs.ring().pushed(), obs.streamedEvents());
 }
 
 } // namespace
