@@ -84,7 +84,7 @@ class GlobalMemory
  * One SM's held-back global stores, each stamped with its issue cycle.
  * Gpu::run arms one per SM, and uses it two ways:
  *
- * - Lockstep (obs-armed runs, runAhead off, fallbacks): the buffer
+ * - Lockstep (runAhead off, fallbacks): the buffer
  *   holds one cycle's stores so every SM of a cycle reads the memory
  *   image from before that cycle, and is committed in SM order at the
  *   cycle's end. The higher-index SM's value wins a same-cycle race on

@@ -12,18 +12,27 @@
  * its reserved 4096 rows, i.e. beyond 4M traced cycles at the default
  * interval).
  *
- * All SMs of one run share a single ObsRun: the GPU steps its SMs in
- * lockstep on one thread, so no synchronization is needed, and events
- * arrive in deterministic (cycle, SM, program) order — trace files and
- * timelines are byte-identical run over run and across harness thread
- * counts.
+ * All SMs of one run share a single ObsRun, and every event reaches
+ * its ring and sink in lockstep's order: (cycle, phase, SM, program
+ * order), where a cycle's CTA-launch phase comes before every SM's
+ * step. An SM stepped in lockstep writes straight through, so its
+ * events arrive in that order by construction. When the SMs run ahead
+ * of each other on host threads, Gpu::run arms one ObsLog per SM
+ * instead (armLogs): each SM appends to its own log and window rows,
+ * and drainLogs merges the logs in that order, one drain at a time,
+ * up to the lowest cycle any SM can still log at. Either way the
+ * ring, the dump and the window rows are byte-identical run over run
+ * and across host-thread counts.
  */
 
 #ifndef WARPCOMP_OBS_OBS_HPP
 #define WARPCOMP_OBS_OBS_HPP
 
 #include <algorithm>
+#include <deque>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -125,12 +134,12 @@ class TraceRing
     void
     push(const TraceEvent &ev)
     {
-        if (buf_.empty()) {
-            ++pushed_;
-            return;
-        }
-        buf_[static_cast<std::size_t>(pushed_ % buf_.size())] = ev;
         ++pushed_;
+        if (buf_.empty())
+            return;
+        buf_[next_] = ev;
+        if (++next_ == buf_.size())
+            next_ = 0;
     }
 
     /** Events currently held (≤ capacity). */
@@ -158,6 +167,8 @@ class TraceRing
   private:
     std::vector<TraceEvent> buf_;
     u64 pushed_ = 0;
+    /** The slot the next push fills: pushed_ modulo the capacity. */
+    std::size_t next_ = 0;
 };
 
 /** Raw per-window accumulators; derived metrics (IPC, compression
@@ -172,15 +183,31 @@ struct WindowRow
     u64 gatedBankCycles = 0; ///< Σ over SM-cycles of gated banks
     u64 bankCycles = 0;      ///< Σ over SM-cycles of total banks
     u64 smCycles = 0;        ///< SM-cycle samples (numSms per cycle)
+
+    WindowRow &
+    operator+=(const WindowRow &o)
+    {
+        issued += o.issued;
+        dummyMovs += o.dummyMovs;
+        regWrites += o.regWrites;
+        storedBytes += o.storedBytes;
+        rawBytes += o.rawBytes;
+        gatedBankCycles += o.gatedBankCycles;
+        bankCycles += o.bankCycles;
+        smCycles += o.smCycles;
+        return *this;
+    }
 };
 
 /** Windowed counters: one row per `interval` cycles. */
 class ObsWindows
 {
   public:
-    explicit ObsWindows(u32 interval) : interval_(interval)
+    /** Rows for @p reserved_rows windows are reserved up front. */
+    explicit ObsWindows(u32 interval, std::size_t reserved_rows = 4096)
+        : interval_(interval)
     {
-        rows_.reserve(interval > 0 ? 4096 : 0);
+        rows_.reserve(interval > 0 ? reserved_rows : 0);
     }
 
     u32 interval() const { return interval_; }
@@ -211,6 +238,20 @@ class ObsWindows
         r.rawBytes += kWarpRegBytes;
     }
 
+    /** Make room for the row of cycle @p now (amortized doubling). */
+    void
+    reserveThrough(Cycle now)
+    {
+        if (interval_ == 0)
+            return;
+        const std::size_t idx = static_cast<std::size_t>(now / interval_);
+        if (rows_.capacity() <= idx)
+            rows_.reserve(std::max(2 * rows_.capacity(), idx + 1));
+    }
+
+    /** Add @p other's rows to these, row by row. */
+    void merge(const ObsWindows &other);
+
   private:
     WindowRow &
     rowAt(Cycle now)
@@ -227,9 +268,101 @@ class ObsWindows
 };
 
 /**
+ * One SM's events and window rows while the SMs of an observed launch
+ * run ahead of each other (ObsRun::armLogs). The host thread stepping
+ * the SM appends to its open chunk; seal() hands that chunk to
+ * ObsRun::drainLogs, which reads sealed chunks only, under the log's
+ * own lock, so it may drain a log while its SM steps on or is sealed.
+ * Like a run-ahead store log, the open chunk and the window rows grow
+ * for as long as the SM steps, so its owner restores headroom for one
+ * step outside Sm::cycle (reserveHeadroom), and logging never
+ * allocates inside it.
+ */
+class alignas(64) ObsLog
+{
+  public:
+    /** A log with room for @p headroom events per step; 0 when the
+     *  run records no events (window rows only). */
+    ObsLog(u32 window_interval, u32 headroom)
+        : windows_(window_interval, 0), headroom_(headroom)
+    {
+        open_.reserve(headroom);
+    }
+
+    /** Make room for the events and the window row of one step at
+     *  cycle @p now (amortized doubling). */
+    void
+    reserveHeadroom(Cycle now)
+    {
+        if (open_.capacity() - open_.size() < headroom_)
+            open_.reserve(std::max(2 * open_.capacity(),
+                                   open_.size() + headroom_));
+        windows_.reserveThrough(now);
+    }
+
+    /** Log the events that follow in the cycle's CTA-launch phase,
+     *  which lockstep runs before every SM's step (true), or in the
+     *  step phase (false, the default). */
+    void setLaunchPhase(bool launch) { launch_ = launch; }
+
+    /** Hand every event logged so far to drainLogs. Call while no
+     *  thread steps the SM. */
+    void seal();
+
+    /** Events logged and not yet drained; call while no thread steps,
+     *  seals or drains the log. */
+    std::size_t size() const;
+
+  private:
+    friend class ObsRun;
+
+    /** A logged event. Its cycle field holds its key in lockstep's
+     *  order within one SM, 2 x cycle plus 1 in the step phase (cycles
+     *  stay below 2^32), so each log is already in key order. */
+    using Entry = TraceEvent;
+
+    void
+    push(const TraceEvent &ev)
+    {
+        open_.push_back(ev);
+        open_.back().cycle = 2 * ev.cycle + (launch_ ? 0 : 1);
+    }
+
+    /** Key of the first sealed event not yet drained; ~0 when none. */
+    u64
+    headKey() const
+    {
+        return sealed_.empty() ? ~u64{0} : sealed_.front()[drained_].cycle;
+    }
+
+    /** Drop the drained front chunk, keeping it for reuse. */
+    void retireFront();
+
+    /** Appended to by the SM's host thread only. */
+    std::vector<Entry> open_;
+    /** Guards the members below it. */
+    std::mutex sealMutex_;
+    /** Each non-empty, oldest first. */
+    std::deque<std::vector<Entry>> sealed_;
+    /** Entries of sealed_.front() already drained. */
+    std::size_t drained_ = 0;
+    /** Emptied chunks, with their capacity, for seal() to reopen. */
+    std::vector<std::vector<Entry>> spare_;
+    /** Written by the SM's host thread only; read by closeLogs. */
+    ObsWindows windows_;
+    u32 headroom_;
+    bool launch_ = false;
+};
+
+/**
  * Per-run observability state. Gpu::run creates one when ObsParams is
  * enabled, attaches it to every SM (and their register files), and
- * hands it to the RunResult for export.
+ * hands it to the RunResult for export. Without armed logs every hook
+ * writes through to the ring, the sink and the window rows, in the
+ * order the hooks run: one thread, stepping SMs in lockstep (as
+ * Gpu::run's lockstep and perfbench's replay do). With armed logs
+ * (armLogs) each hook writes to its SM's log, which may be on any host
+ * thread, and drainLogs/closeLogs pass the events on.
  */
 class ObsRun
 {
@@ -251,13 +384,43 @@ class ObsRun
      *  valid after the harness closes the dump file. */
     u64 streamedEvents() const { return streamedEvents_; }
 
+    // ---- per-SM logs (SMs running ahead) ----
+
+    /** Give each of @p num_sms SMs its own event log and window rows,
+     *  each with room for @p headroom events per step. Call before any
+     *  hook runs. */
+    void armLogs(u32 num_sms, u32 headroom);
+
+    /** SM @p sm's log; null when no logs are armed. Stable until
+     *  closeLogs. */
+    ObsLog *
+    log(u16 sm)
+    {
+        return logs_.empty() ? nullptr : logs_[sm].get();
+    }
+
+    /**
+     * Pass every sealed event below cycle @p floor to the ring and the
+     * sink, in lockstep's order: by cycle, launch phase before step
+     * phase, then by SM, then in the order each SM logged them. The
+     * caller guarantees that every event below @p floor was sealed
+     * before the call, and that one thread drains at a time; seals may
+     * run meanwhile.
+     */
+    void drainLogs(Cycle floor);
+
+    /** Seal and drain every log, add every SM's window rows to the
+     *  run's, and drop the logs: from here on the hooks write through.
+     *  No thread may step an SM meanwhile. */
+    void closeLogs();
+
     // ---- hook points (called behind `if (obs_ != nullptr)`) ----
 
     void
     onWarpIssue(u16 sm, u16 warp, u32 pc, u32 lanes, Cycle now)
     {
         if (windowsOn_)
-            windows_.onIssue(now, false);
+            windowsOf(sm).onIssue(now, false);
         emit({now, pc, lanes, sm, warp, TraceEventKind::WarpIssue});
     }
 
@@ -265,7 +428,7 @@ class ObsRun
     onDummyMov(u16 sm, u16 warp, u32 dst, Cycle now)
     {
         if (windowsOn_)
-            windows_.onIssue(now, true);
+            windowsOf(sm).onIssue(now, true);
         emit({now, dst, 0, sm, warp, TraceEventKind::DummyMov});
     }
 
@@ -274,7 +437,7 @@ class ObsRun
                        u32 stored_bytes, u16 dst_reg, Cycle now)
     {
         if (windowsOn_)
-            windows_.onWrite(now, stored_bytes);
+            windowsOf(sm).onWrite(now, stored_bytes);
         emit({now, achieved_bytes, stored_bytes, sm, warp,
               TraceEventKind::CompressDecision, dst_reg});
     }
@@ -340,24 +503,42 @@ class ObsRun
         emit({now, warp, 0, sm, bank, TraceEventKind::BankConflict});
     }
 
-    /** Bank census of SM cycles [from, to), during which it provably
-     *  cannot change: one stepped cycle, or a skipped span in which
-     *  nothing issues, writes back, or scrubs. */
+    /** Bank census of SM @p sm's cycles [from, to), during which it
+     *  provably cannot change: one stepped cycle, or a skipped span in
+     *  which nothing issues, writes back, or scrubs. */
     void
-    onCycleSpan(u16 /*sm*/, u32 gated_banks, u32 total_banks, Cycle from,
+    onCycleSpan(u16 sm, u32 gated_banks, u32 total_banks, Cycle from,
                 Cycle to)
     {
         if (windowsOn_)
-            windows_.onCycleSpan(from, to, gated_banks, total_banks);
+            windowsOf(sm).onCycleSpan(from, to, gated_banks, total_banks);
     }
 
   private:
+    /** The window rows SM @p sm counts into: its own while logs are
+     *  armed, else the run's. */
+    ObsWindows &
+    windowsOf(u16 sm)
+    {
+        return logs_.empty() ? windows_ : logs_[sm]->windows_;
+    }
+
     void
     emit(const TraceEvent &ev)
     {
         if (!recording_ || ev.cycle < cfg_.traceStart ||
             ev.cycle >= cfg_.traceEnd)
             return;
+        if (!logs_.empty()) {
+            logs_[ev.sm]->push(ev);
+            return;
+        }
+        record(ev);
+    }
+
+    void
+    record(const TraceEvent &ev)
+    {
         // The ring only counts when --trace asked for it: a
         // streaming-only run keeps events_offered/dropped at zero
         // (nothing is lost — the sink has every event).
@@ -371,9 +552,17 @@ class ObsRun
      *  trace_stream dependency and the no-sink path stays a branch. */
     void streamEvent(const TraceEvent &ev);
 
+    /** Record @p log's sealed events of key @p key from its head on,
+     *  and return its new head key. */
+    u64 drainKey(ObsLog &log, u64 key);
+
     ObsParams cfg_;
     TraceRing ring_;
     ObsWindows windows_;
+    /** One per SM while they run ahead; empty otherwise. */
+    std::vector<std::unique_ptr<ObsLog>> logs_;
+    /** drainLogs' scratch: each log's head key. */
+    std::vector<u64> headKeys_;
     bool windowsOn_;
     bool recording_;
     u64 streamedEvents_ = 0;

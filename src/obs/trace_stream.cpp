@@ -186,6 +186,7 @@ TraceStreamSink::TraceStreamSink(std::string path,
     put32(header.data() + 12, static_cast<u32>(json.size()));
     std::memcpy(header.data() + 16, json.data(), json.size());
     writeAll(header.data(), header.size());
+    headerBytes_ = header.size();
 
     buf_.resize(kBatchHeaderBytes +
                 static_cast<std::size_t>(kBatchEvents) *
@@ -229,6 +230,17 @@ TraceStreamSink::push(const TraceEvent &ev)
     ++events_;
     if (bufEvents_ == kBatchEvents)
         flushEvents();
+}
+
+void
+TraceStreamSink::rewind()
+{
+    WC_ASSERT(!finalized_, "rewind after finalize on trace dump");
+    const off_t end = static_cast<off_t>(headerBytes_);
+    if (::lseek(fd_, end, SEEK_SET) != end || ::ftruncate(fd_, end) != 0)
+        WC_FATAL("cannot rewind trace dump '" << path_ << "'");
+    bufEvents_ = 0;
+    events_ = 0;
 }
 
 void

@@ -1,7 +1,9 @@
 /**
  * @file
  * Streaming trace export (--trace-out=FILE): spills every in-window
- * trace event to disk as it is emitted, in a compact, versioned,
+ * trace event to disk as it reaches the run's ObsRun in lockstep's
+ * order (as it is emitted, or as the per-SM logs of SMs running ahead
+ * are drained), in a compact, versioned,
  * self-describing binary record format, so full-run traces exist
  * without rerunning the simulator and memory stays bounded regardless
  * of run length (the drop-oldest ring is optional while streaming).
@@ -104,6 +106,11 @@ class TraceStreamSink
     /** Append one event (buffered; no allocation). */
     void push(const TraceEvent &ev);
 
+    /** Drop every event appended so far: the dump is its header again.
+     *  Gpu::run calls it before it reruns a launch whose run-ahead
+     *  attempt had already streamed events. */
+    void rewind();
+
     /** Flush events, append window rows + footer, fsync, close. */
     void finalize(Cycle cycles, const ObsWindows &windows);
 
@@ -113,6 +120,8 @@ class TraceStreamSink
 
     std::string path_;
     int fd_ = -1;
+    /** Bytes of the magic, version and header JSON. */
+    std::size_t headerBytes_ = 0;
     /** Batch buffer: [type u8][len u32][count u32][events...]. */
     std::vector<u8> buf_;
     u32 bufEvents_ = 0;

@@ -228,7 +228,7 @@ class RegisterFile
     }
 
     /** Banks currently not fully gated (for leakage integration). */
-    u32 awakeBanks(Cycle) const
+    u32 awakeBanks() const
     {
         return banks_.numBanks() - banks_.offCount();
     }

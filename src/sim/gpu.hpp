@@ -1,9 +1,9 @@
 /**
  * @file
  * Whole-GPU simulation: a set of SMs fed from a global CTA queue in
- * (cycle, SM) order, each running ahead on its own clock, or all in
- * lockstep when observed. Produces the merged energy / statistics
- * results every experiment consumes.
+ * (cycle, SM) order, each running ahead on its own clock (or all in
+ * lockstep, the serial reference). Produces the merged energy /
+ * statistics results every experiment consumes.
  */
 
 #ifndef WARPCOMP_SIM_GPU_HPP
@@ -99,7 +99,8 @@ class Gpu
      * Simulate the launch once: with @p run_ahead, every SM runs ahead
      * on its own clock, else all SMs step in lockstep. Returns nothing
      * when the run-ahead detector found a conflict; global memory then
-     * still holds its image from before the launch.
+     * still holds its image from before the launch, and the streaming
+     * sink, if any, holds what was drained before the conflict.
      */
     std::optional<RunResult> launch(const Kernel &kernel,
                                     const LaunchDims &dims,

@@ -119,8 +119,8 @@ struct GpuParams
     /**
      * Host threads that run one launch's SMs ahead of each other
      * (Gpu::run), the caller included. 0 means the CPUs in the
-     * affinity mask. Capped at min(numSms, gridDim); unused while obs
-     * is enabled or runAhead is off, which step serially in lockstep.
+     * affinity mask. Capped at min(numSms, gridDim); unused while
+     * runAhead is off, which steps serially in lockstep.
      * Not result-shaping: every result is byte-identical for any
      * value, so it is neither a config spec key nor part of the stats
      * document.
@@ -131,8 +131,9 @@ struct GpuParams
      * in (cycle, SM) order, instead of stepping all SMs cycle by cycle
      * in lockstep (Gpu::run). A load of a word stored at an earlier
      * cycle makes the launch rerun in lockstep, so results are
-     * byte-identical either way; obs-armed runs always step in
-     * lockstep. Not result-shaping, like hostThreads: no flag, no spec
+     * byte-identical either way, obs-armed runs included: their events
+     * and window rows are merged in lockstep's order. Not
+     * result-shaping, like hostThreads: no flag, no spec
      * key, not in the stats document. Tests turn it off to pin
      * run-ahead against lockstep.
      */

@@ -212,8 +212,8 @@ Sm::accountSpan(Cycle from, Cycle to)
     meter_.addDrowsyBankCycles(drowsy);
     if (obs_ != nullptr) {
         const u32 total = params_.regfile.numBanks;
-        obs_->onCycleSpan(obsSmId_, total - rf_.awakeBanks(from), total,
-                          from, to);
+        obs_->onCycleSpan(obsSmId_, total - rf_.awakeBanks(), total, from,
+                          to);
     }
 }
 

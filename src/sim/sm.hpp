@@ -65,6 +65,21 @@ struct SimStats
     }
 };
 
+/**
+ * A bound on the trace events one Sm step, a launch attempt or a
+ * cycle, can emit: the headroom of a run-ahead event log (ObsLog). It
+ * covers every bank gating and waking, every collector operand
+ * conflicting or decompressing, and every scheduler issuing; the 19
+ * workloads emit at most 22 in a cycle. A burst beyond it would grow
+ * the log inside Sm::cycle, which costs an allocation, not a result.
+ */
+inline u32
+stepEventBound(const SmParams &p)
+{
+    return 2 * p.regfile.numBanks + 4 * p.numCollectors +
+           4 * p.numSchedulers + 8;
+}
+
 /** One streaming multiprocessor executing one kernel launch. */
 class Sm
 {

@@ -323,6 +323,47 @@ TEST(AllocGuard, RunAheadDetectorArmedCycleIsAllocationFree)
     EXPECT_FALSE(detector.conflict());
 }
 
+TEST(AllocGuard, ObsLogArmedCycleIsAllocationFree)
+{
+    // While an observed launch's SMs run ahead, each SM's events and
+    // window rows go to its own log, which grows until they are
+    // drained. Gpu::run restores the log's headroom before each cycle,
+    // outside Sm::cycle; inside it, logging never allocates.
+    SmParams sp;
+    sp.applyScheme();
+    GlobalMemory gmem(1 << 20);
+    ConstantMemory cmem(64);
+    const Kernel kernel = spinKernel();
+    Sm sm(sp, EnergyParams{}, gmem, cmem, kernel, LaunchDims{256, 1});
+    ObsParams op;
+    op.trace = true;
+    op.ringCapacity = 1u << 16;
+    op.windowInterval = 256;
+    ObsRun obs(op);
+    obs.armLogs(1, stepEventBound(sp));
+    sm.attachObs(&obs, 0);
+    ObsLog &log = *obs.log(0);
+    EXPECT_TRUE(sm.tryLaunchCta(0, 0));
+
+    unsigned long long in_cycle = 0;
+    for (Cycle now = 0; now < 12000; ++now) {
+        log.reserveHeadroom(now);
+        const auto before = g_allocations.load(std::memory_order_relaxed);
+        sm.cycle(now);
+        if (now >= 2000)
+            in_cycle += g_allocations.load(std::memory_order_relaxed) -
+                before;
+    }
+    EXPECT_TRUE(sm.busy()) << "kernel finished inside the measured "
+                              "window; lengthen the spin loop";
+    EXPECT_EQ(in_cycle, 0u)
+        << "Sm::cycle allocated with its event log armed";
+    EXPECT_GT(log.size(), 10'000u)
+        << "the log should hold every event of the window";
+    EXPECT_EQ(obs.ring().pushed(), 0u)
+        << "nothing reaches the ring before the log is drained";
+}
+
 TEST(AllocGuard, SeuEccScrubPathIsAllocationFree)
 {
     // ECC resolution plus the background scrubber (one row visit every

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "isa/builder.hpp"
@@ -82,6 +84,76 @@ TEST(ObsWindows, AccumulatesIntoIntervalRows)
     const WindowRow &r1 = win.rows()[1];
     EXPECT_EQ(r1.gatedBankCycles, 4u);
     EXPECT_EQ(r1.issued, 0u);
+}
+
+// ---------------------------------------------------------- per-SM logs
+
+/** Every field of every event in @p ring, in ring order. */
+std::vector<std::array<u64, 6>>
+ringFields(const TraceRing &ring)
+{
+    std::vector<std::array<u64, 6>> out;
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+        const TraceEvent &ev = ring.at(i);
+        out.push_back({ev.cycle, ev.a, ev.b, ev.sm, ev.lane,
+                       static_cast<u64>(ev.kind)});
+    }
+    return out;
+}
+
+TEST(ObsRunLogs, DrainMergesInLockstepOrder)
+{
+    // Lockstep runs a cycle's CTA launches, SM by SM, before any SM
+    // steps the cycle: SM 2's launch gates a bank ahead of SM 0's
+    // step. The drain emits only sealed events below its floor.
+    ObsParams p;
+    p.trace = true;
+    p.windowInterval = 10;
+    ObsRun logged(p);
+    logged.armLogs(3, 8);
+    logged.onWarpIssue(1, 0, 0x10, 32, 4);
+    logged.onWarpIssue(1, 0, 0x40, 32, 5);
+    logged.onWarpIssue(1, 0, 0x50, 32, 6);
+    logged.onWarpIssue(0, 0, 0x20, 32, 5);
+    logged.onWriteback(0, 0, 8, false, 5);
+    logged.log(2)->setLaunchPhase(true);
+    logged.onGateOff(2, 7, 5);
+    logged.log(2)->setLaunchPhase(false);
+    logged.onWarpIssue(2, 1, 0x30, 32, 5);
+    logged.onCycleSpan(0, 4, 32, 0, 15);
+    logged.onCycleSpan(2, 8, 32, 3, 12);
+    for (u16 sm = 0; sm < 3; ++sm)
+        logged.log(sm)->seal();
+
+    logged.drainLogs(5);
+    ASSERT_EQ(logged.ring().size(), 1u);
+    EXPECT_EQ(logged.ring().at(0).a, 0x10u);
+    logged.closeLogs();
+    EXPECT_EQ(logged.log(0), nullptr);
+
+    // The same hooks in lockstep's order, written through.
+    ObsRun direct(p);
+    direct.onWarpIssue(1, 0, 0x10, 32, 4);
+    direct.onGateOff(2, 7, 5);
+    direct.onWarpIssue(0, 0, 0x20, 32, 5);
+    direct.onWriteback(0, 0, 8, false, 5);
+    direct.onWarpIssue(1, 0, 0x40, 32, 5);
+    direct.onWarpIssue(2, 1, 0x30, 32, 5);
+    direct.onWarpIssue(1, 0, 0x50, 32, 6);
+    direct.onCycleSpan(0, 4, 32, 0, 15);
+    direct.onCycleSpan(2, 8, 32, 3, 12);
+
+    EXPECT_EQ(ringFields(logged.ring()), ringFields(direct.ring()));
+    ASSERT_EQ(logged.windows().rows().size(), 2u);
+    ASSERT_EQ(direct.windows().rows().size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const WindowRow &a = logged.windows().rows()[i];
+        const WindowRow &b = direct.windows().rows()[i];
+        EXPECT_EQ(a.issued, b.issued) << "window " << i;
+        EXPECT_EQ(a.gatedBankCycles, b.gatedBankCycles) << "window " << i;
+        EXPECT_EQ(a.bankCycles, b.bankCycles) << "window " << i;
+        EXPECT_EQ(a.smCycles, b.smCycles) << "window " << i;
+    }
 }
 
 TEST(ObsRun, TraceWindowFiltersEvents)

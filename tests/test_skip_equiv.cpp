@@ -42,10 +42,12 @@ toStatsJson(const RunResult &run, u32 num_sms)
 }
 
 RunImage
-runImage(const std::string &name, ExperimentConfig cfg)
+runImage(const std::string &name, ExperimentConfig cfg, bool run_ahead)
 {
     WorkloadInstance wl = makeWorkload(name, cfg.scale, cfg.seedSalt);
-    Gpu gpu(makeGpuParams(cfg), *wl.gmem, *wl.cmem);
+    GpuParams gp = makeGpuParams(cfg);
+    gp.runAhead = run_ahead;
+    Gpu gpu(gp, *wl.gmem, *wl.cmem);
     const RunResult run = gpu.run(wl.kernel, wl.dims);
     RunImage out;
     out.statsJson = toStatsJson(run, cfg.numSms);
@@ -60,12 +62,12 @@ runImage(const std::string &name, ExperimentConfig cfg)
  *  runs to be indistinguishable, and return the skipping one. */
 RunImage
 expectSkipInvisible(const std::string &name, ExperimentConfig cfg,
-                    const char *what)
+                    const char *what, bool run_ahead = true)
 {
     cfg.skipIdle = true;
-    const RunImage on = runImage(name, cfg);
+    const RunImage on = runImage(name, cfg, run_ahead);
     cfg.skipIdle = false;
-    const RunImage off = runImage(name, cfg);
+    const RunImage off = runImage(name, cfg, run_ahead);
 
     EXPECT_EQ(on.cycles, off.cycles) << what << ": cycle count differs";
     EXPECT_EQ(on.statsJson, off.statsJson)
@@ -112,15 +114,17 @@ TEST_P(SkipEquiv, SkipMatchesUnderStuckAtFaults)
 
 TEST_P(SkipEquiv, SkipMatchesInObservedDrowsyLockstep)
 {
-    // Armed obs steps a run in lockstep, so this compares lockstep's
-    // skip with per-cycle stepping; the drowsy census and the window
-    // timelines in the stats document must both come out the same.
+    // Lockstep's skip against per-cycle stepping, with obs armed: the
+    // drowsy census and the window timelines in the stats document
+    // must both come out the same. (Observed run-ahead is pinned to
+    // observed lockstep in test_stepping.)
     ExperimentConfig cfg;
     cfg.numSms = 2;
     cfg.drowsy = true;
     cfg.obs.windowInterval = 250;
     EXPECT_FALSE(expectSkipInvisible(GetParam(), cfg,
-                                     "observed drowsy lockstep").ranAhead);
+                                     "observed drowsy lockstep", false)
+                     .ranAhead);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, SkipEquiv,
