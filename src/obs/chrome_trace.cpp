@@ -326,7 +326,7 @@ struct BlockBytes
  */
 struct EventBlocks
 {
-    const std::vector<TraceEvent> &events;
+    std::span<const TraceEvent> events;
     /** Start of the "gated" interval each GateWake closes, in event
      *  order. */
     std::vector<Cycle> wakeOffAt;
@@ -539,7 +539,7 @@ void
 writeChromeTrace(std::ostream &os, const ChromeTraceView &view,
                  const ChromeTraceMeta &meta)
 {
-    const std::vector<TraceEvent> &events = view.events;
+    const std::span<const TraceEvent> events = view.events;
     // Gate intervals are clamped to the traced window; a wake with no
     // recorded gate-off means the bank was gated since before the
     // window opened (banks reset gated in the compressed design).
@@ -691,10 +691,15 @@ writeChromeTrace(std::ostream &os, const ObsRun &obs,
                  const ChromeTraceMeta &meta)
 {
     const TraceRing &ring = obs.ring();
-    std::vector<TraceEvent> events;
-    events.reserve(ring.size());
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        events.push_back(ring.at(i));
+    // Until the ring wraps its slots are in order: no copy.
+    std::span<const TraceEvent> events = ring.slots();
+    std::vector<TraceEvent> unrolled;
+    if (ring.dropped() > 0) {
+        unrolled.reserve(ring.size());
+        for (std::size_t i = 0; i < ring.size(); ++i)
+            unrolled.push_back(ring.at(i));
+        events = unrolled;
+    }
     const ChromeTraceView view{events,
                                obs.windows().rows(),
                                obs.windows().interval(),

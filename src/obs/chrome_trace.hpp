@@ -20,6 +20,7 @@
 #define WARPCOMP_OBS_CHROME_TRACE_HPP
 
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,7 @@ inline constexpr std::size_t kChromeBlockEvents = 1024;
  *  the window table, however they were obtained. Non-owning. */
 struct ChromeTraceView
 {
-    const std::vector<TraceEvent> &events;
+    std::span<const TraceEvent> events;
     const std::vector<WindowRow> &windows;
     u32 windowInterval = 0;
     Cycle traceStart = 0;
@@ -61,7 +62,8 @@ struct ChromeTraceView
 void writeChromeTrace(std::ostream &os, const ChromeTraceView &view,
                       const ChromeTraceMeta &meta);
 
-/** Live-run convenience wrapper: snapshots the ring and serializes. */
+/** Live-run convenience wrapper: serializes the ring in place, or a
+ *  chronological copy of it once it has wrapped. */
 void writeChromeTrace(std::ostream &os, const ObsRun &obs,
                       const ChromeTraceMeta &meta);
 

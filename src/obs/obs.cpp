@@ -58,7 +58,7 @@ ObsRun::armLogs(u32 num_sms, u32 headroom)
 {
     WC_ASSERT(logs_.empty(), "event logs armed twice");
     logs_.reserve(num_sms);
-    headKeys_.resize(num_sms);
+    heads_.resize(num_sms);
     for (u32 i = 0; i < num_sms; ++i)
         logs_.push_back(std::make_unique<ObsLog>(cfg_.windowInterval,
                                                  recording_ ? headroom : 0));
@@ -67,13 +67,13 @@ ObsRun::armLogs(u32 num_sms, u32 headroom)
 void
 ObsLog::seal()
 {
-    if (open_.empty())
+    if (open_.events.empty())
         return;
     std::lock_guard<std::mutex> lock(sealMutex_);
     sealed_.push_back(std::move(open_));
     open_.clear();
     if (!spare_.empty()) {
-        open_.swap(spare_.back());
+        std::swap(open_, spare_.back());
         spare_.pop_back();
     }
 }
@@ -81,62 +81,71 @@ ObsLog::seal()
 std::size_t
 ObsLog::size() const
 {
-    std::size_t n = open_.size();
-    for (const std::vector<Entry> &chunk : sealed_)
-        n += chunk.size();
-    return n - drained_;
-}
-
-void
-ObsLog::retireFront()
-{
-    spare_.push_back(std::move(sealed_.front()));
-    spare_.back().clear();
-    sealed_.pop_front();
-    drained_ = 0;
-}
-
-u64
-ObsRun::drainKey(ObsLog &log, u64 key)
-{
-    std::lock_guard<std::mutex> lock(log.sealMutex_);
-    while (!log.sealed_.empty()) {
-        std::vector<ObsLog::Entry> &chunk = log.sealed_.front();
-        std::size_t i = log.drained_;
-        for (; i < chunk.size() && chunk[i].cycle == key; ++i) {
-            chunk[i].cycle /= 2;
-            record(chunk[i]);
-        }
-        log.drained_ = i;
-        if (i < chunk.size())
-            return chunk[i].cycle;
-        log.retireFront();
-    }
-    return ~u64{0};
+    std::size_t n = open_.events.size();
+    for (const Chunk &chunk : sealed_)
+        n += chunk.events.size();
+    return n - drainedEvents_;
 }
 
 void
 ObsRun::drainLogs(Cycle floor)
 {
-    // A k-way merge over the logs' head keys: the lowest key below the
-    // floor's, the lowest SM on a tie, then that SM's run of events
-    // with that key.
     if (logs_.empty())
         return;
     const u64 below = floor >= (Cycle{1} << 62) ? ~u64{0} : 2 * floor;
     for (std::size_t i = 0; i < logs_.size(); ++i) {
-        std::lock_guard<std::mutex> lock(logs_[i]->sealMutex_);
-        headKeys_[i] = logs_[i]->headKey();
+        ObsLog &log = *logs_[i];
+        DrainHead &head = heads_[i];
+        head.chunks.clear();
+        {
+            std::lock_guard<std::mutex> lock(log.sealMutex_);
+            for (const ObsLog::Chunk &chunk : log.sealed_)
+                head.chunks.push_back(&chunk);
+            head.run = log.drainedRuns_;
+            head.event = log.drainedEvents_;
+        }
+        head.chunk = 0;
+        head.key = head.chunks.empty()
+            ? ~u64{0} : head.chunks[0]->runs[head.run].key;
     }
+
+    // A k-way merge over the logs' head runs: the lowest key below the
+    // floor's, the lowest SM on a tie, then that run, whole.
     while (true) {
         std::size_t next = 0;
-        for (std::size_t i = 1; i < headKeys_.size(); ++i) {
-            if (headKeys_[i] < headKeys_[next])
+        for (std::size_t i = 1; i < heads_.size(); ++i) {
+            if (heads_[i].key < heads_[next].key)
                 next = i;
         }
-        if (headKeys_[next] >= below)
+        DrainHead &head = heads_[next];
+        if (head.key >= below)
             break;
-        headKeys_[next] = drainKey(*logs_[next], headKeys_[next]);
+        const ObsLog::Chunk &chunk = *head.chunks[head.chunk];
+        const u32 count = chunk.runs[head.run].count;
+        recordRun(chunk.events.data() + head.event, count);
+        head.event += count;
+        if (++head.run == chunk.runs.size()) {
+            ++head.chunk;
+            head.run = 0;
+            head.event = 0;
+        }
+        head.key = head.chunk < head.chunks.size()
+            ? head.chunks[head.chunk]->runs[head.run].key : ~u64{0};
+    }
+
+    for (std::size_t i = 0; i < logs_.size(); ++i) {
+        ObsLog &log = *logs_[i];
+        const DrainHead &head = heads_[i];
+        if (head.chunks.empty())
+            continue;
+        std::lock_guard<std::mutex> lock(log.sealMutex_);
+        for (std::size_t k = 0; k < head.chunk; ++k) {
+            log.spare_.push_back(std::move(log.sealed_.front()));
+            log.spare_.back().clear();
+            log.sealed_.pop_front();
+        }
+        log.drainedRuns_ = head.run;
+        log.drainedEvents_ = head.event;
     }
 }
 
@@ -150,14 +159,14 @@ ObsRun::closeLogs()
         windows_.merge(log->windows_);
     logs_.clear();
     logs_.shrink_to_fit();
-    headKeys_.clear();
+    heads_.clear();
 }
 
 void
-ObsRun::streamEvent(const TraceEvent &ev)
+ObsRun::streamRun(const TraceEvent *ev, std::size_t n)
 {
-    cfg_.sink->push(ev);
-    ++streamedEvents_;
+    cfg_.sink->pushRun(ev, n);
+    streamedEvents_ += n;
 }
 
 } // namespace warpcomp

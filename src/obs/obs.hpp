@@ -7,10 +7,10 @@
  * hook site is a branch on that pointer, so a run without observability
  * attached executes the exact instruction stream it did before the
  * subsystem existed (alloc-guard and differential tested). When on, all
- * storage is preallocated at attach time — emitting an event or bumping
- * a window counter never allocates (the window table grows only past
- * its reserved 4096 rows, i.e. beyond 4M traced cycles at the default
- * interval).
+ * storage is reserved at attach time — emitting an event or bumping a
+ * window counter never allocates (the window table grows only past its
+ * reserved 4096 rows, i.e. beyond 4M traced cycles at the default
+ * interval), and the ring's pages are touched only as events fill it.
  *
  * All SMs of one run share a single ObsRun, and every event reaches
  * its ring and sink in lockstep's order: (cycle, phase, SM, program
@@ -20,9 +20,11 @@
  * of each other on host threads, Gpu::run arms one ObsLog per SM
  * instead (armLogs): each SM appends to its own log and window rows,
  * and drainLogs merges the logs in that order, one drain at a time,
- * up to the lowest cycle any SM can still log at. Either way the
- * ring, the dump and the window rows are byte-identical run over run
- * and across host-thread counts.
+ * up to the lowest cycle any SM can still log at. A log indexes its
+ * events by runs of one (cycle, phase) key, so the drain takes each
+ * log's lock twice, merges the logs run by run without locks, and
+ * copies each run whole. Either way the ring, the dump and the window
+ * rows are byte-identical run over run and across host-thread counts.
  */
 
 #ifndef WARPCOMP_OBS_OBS_HPP
@@ -33,6 +35,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -124,31 +127,58 @@ struct TraceEvent
 /**
  * Fixed-capacity event ring: when full, the oldest events are
  * overwritten (Chrome tracing semantics — the most recent window of
- * activity survives). push() never allocates.
+ * activity survives). Its storage is reserved at construction but not
+ * filled: a slot is first written when an event lands in it, so a run
+ * that records less than the capacity never touches the rest. push()
+ * and pushRun() never allocate.
  */
 class TraceRing
 {
   public:
-    explicit TraceRing(u32 capacity) : buf_(capacity) {}
+    explicit TraceRing(u32 capacity) : capacity_(capacity)
+    {
+        buf_.reserve(capacity);
+    }
 
     void
     push(const TraceEvent &ev)
     {
         ++pushed_;
-        if (buf_.empty())
+        if (buf_.size() < capacity_) {
+            buf_.push_back(ev);
+        } else if (capacity_ > 0) {
+            buf_[next_] = ev;
+            if (++next_ == capacity_)
+                next_ = 0;
+        }
+    }
+
+    /** push() each of the @p n events at @p ev, in order, copying
+     *  whole spans: the free slots first, then over the oldest. */
+    void
+    pushRun(const TraceEvent *ev, std::size_t n)
+    {
+        pushed_ += n;
+        const std::size_t fill = std::min(n, capacity_ - buf_.size());
+        buf_.insert(buf_.end(), ev, ev + fill);
+        ev += fill;
+        n -= fill;
+        if (n == 0 || capacity_ == 0)
             return;
-        buf_[next_] = ev;
-        if (++next_ == buf_.size())
-            next_ = 0;
+        if (n > capacity_) {
+            // Only the last capacity_ events survive.
+            next_ = (next_ + (n - capacity_)) % capacity_;
+            ev += n - capacity_;
+            n = capacity_;
+        }
+        const std::size_t head = std::min(n, capacity_ - next_);
+        std::copy_n(ev, head, buf_.begin() + next_);
+        std::copy_n(ev + head, n - head, buf_.begin());
+        next_ = (next_ + n) % capacity_;
     }
 
     /** Events currently held (≤ capacity). */
-    std::size_t
-    size() const
-    {
-        return static_cast<std::size_t>(
-            pushed_ < buf_.size() ? pushed_ : buf_.size());
-    }
+    std::size_t size() const { return buf_.size(); }
 
     /** Total events offered, including overwritten ones. */
     u64 pushed() const { return pushed_; }
@@ -161,13 +191,20 @@ class TraceRing
     at(std::size_t i) const
     {
         const u64 start = pushed_ - size();
-        return buf_[static_cast<std::size_t>((start + i) % buf_.size())];
+        return buf_[static_cast<std::size_t>((start + i) % capacity_)];
     }
 
+    /** The held events in slot order, which is chronological order
+     *  while dropped() is 0. */
+    std::span<const TraceEvent> slots() const { return buf_; }
+
   private:
+    std::size_t capacity_;
+    /** The slots filled so far; never reallocates. */
     std::vector<TraceEvent> buf_;
     u64 pushed_ = 0;
-    /** The slot the next push fills: pushed_ modulo the capacity. */
+    /** Once every slot is filled, the slot the next event overwrites:
+     *  pushed_ modulo the capacity. */
     std::size_t next_ = 0;
 };
 
@@ -271,12 +308,12 @@ class ObsWindows
  * One SM's events and window rows while the SMs of an observed launch
  * run ahead of each other (ObsRun::armLogs). The host thread stepping
  * the SM appends to its open chunk; seal() hands that chunk to
- * ObsRun::drainLogs, which reads sealed chunks only, under the log's
- * own lock, so it may drain a log while its SM steps on or is sealed.
- * Like a run-ahead store log, the open chunk and the window rows grow
- * for as long as the SM steps, so its owner restores headroom for one
- * step outside Sm::cycle (reserveHeadroom), and logging never
- * allocates inside it.
+ * ObsRun::drainLogs, which may drain the log while its SM steps on or
+ * is sealed. Each chunk indexes its events by runs of equal key, the
+ * unit the drain merges and copies. Like a run-ahead store log, the
+ * open chunk and the window rows grow for as long as the SM steps, so
+ * its owner restores headroom for one step outside Sm::cycle
+ * (reserveHeadroom), and logging never allocates inside it.
  */
 class alignas(64) ObsLog
 {
@@ -294,9 +331,7 @@ class alignas(64) ObsLog
     void
     reserveHeadroom(Cycle now)
     {
-        if (open_.capacity() - open_.size() < headroom_)
-            open_.reserve(std::max(2 * open_.capacity(),
-                                   open_.size() + headroom_));
+        open_.reserve(headroom_);
         windows_.reserveThrough(now);
     }
 
@@ -316,38 +351,70 @@ class alignas(64) ObsLog
   private:
     friend class ObsRun;
 
-    /** A logged event. Its cycle field holds its key in lockstep's
-     *  order within one SM, 2 x cycle plus 1 in the step phase (cycles
-     *  stay below 2^32), so each log is already in key order. */
-    using Entry = TraceEvent;
+    /** Consecutive events of one key, lockstep's order within one SM:
+     *  2 x cycle, plus 1 in the step phase (cycles stay below 2^32).
+     *  Each log is in key order. */
+    struct Run
+    {
+        u64 key;
+        u32 count;
+    };
+
+    /** Events, with their real cycles, and their runs. */
+    struct Chunk
+    {
+        std::vector<TraceEvent> events;
+        std::vector<Run> runs;
+
+        /** Room for @p n more events, and as many runs (amortized
+         *  doubling). */
+        void
+        reserve(std::size_t n)
+        {
+            if (events.capacity() - events.size() < n)
+                events.reserve(std::max(2 * events.capacity(),
+                                        events.size() + n));
+            if (runs.capacity() - runs.size() < n)
+                runs.reserve(std::max(2 * runs.capacity(),
+                                      runs.size() + n));
+        }
+
+        void
+        clear()
+        {
+            events.clear();
+            runs.clear();
+        }
+    };
 
     void
     push(const TraceEvent &ev)
     {
-        open_.push_back(ev);
-        open_.back().cycle = 2 * ev.cycle + (launch_ ? 0 : 1);
+        const u64 key = 2 * ev.cycle + (launch_ ? 0 : 1);
+        open_.events.push_back(ev);
+        if (!open_.runs.empty() && open_.runs.back().key == key)
+            ++open_.runs.back().count;
+        else
+            open_.runs.push_back({key, 1});
     }
-
-    /** Key of the first sealed event not yet drained; ~0 when none. */
-    u64
-    headKey() const
-    {
-        return sealed_.empty() ? ~u64{0} : sealed_.front()[drained_].cycle;
-    }
-
-    /** Drop the drained front chunk, keeping it for reuse. */
-    void retireFront();
 
     /** Appended to by the SM's host thread only. */
-    std::vector<Entry> open_;
+    Chunk open_;
     /** Guards the members below it. */
     std::mutex sealMutex_;
-    /** Each non-empty, oldest first. */
-    std::deque<std::vector<Entry>> sealed_;
-    /** Entries of sealed_.front() already drained. */
-    std::size_t drained_ = 0;
+    /**
+     * Each non-empty, oldest first. seal() only appends, and only
+     * drainLogs removes, so a drain may read the chunks it listed
+     * under the lock after releasing it: a deque's push_back moves no
+     * element.
+     */
+    std::deque<Chunk> sealed_;
+    /** Where the drain stopped in sealed_.front(): runs and events
+     *  already drained. */
+    std::size_t drainedRuns_ = 0;
+    std::size_t drainedEvents_ = 0;
     /** Emptied chunks, with their capacity, for seal() to reopen. */
-    std::vector<std::vector<Entry>> spare_;
+    std::vector<Chunk> spare_;
     /** Written by the SM's host thread only; read by closeLogs. */
     ObsWindows windows_;
     u32 headroom_;
@@ -405,7 +472,10 @@ class ObsRun
      * phase, then by SM, then in the order each SM logged them. The
      * caller guarantees that every event below @p floor was sealed
      * before the call, and that one thread drains at a time; seals may
-     * run meanwhile.
+     * run meanwhile. Each log's lock is taken at most twice: once to
+     * list its sealed chunks, and once to retire the chunks drained
+     * and store where the drain stopped. The merge in between reads
+     * the listed chunks without it, a run of equal key at a time.
      */
     void drainLogs(Cycle floor);
 
@@ -545,24 +615,42 @@ class ObsRun
         if (cfg_.trace)
             ring_.push(ev);
         if (cfg_.sink != nullptr)
-            streamEvent(ev);
+            streamRun(&ev, 1);
+    }
+
+    /** record() each of the @p n events at @p ev, in order. */
+    void
+    recordRun(const TraceEvent *ev, std::size_t n)
+    {
+        if (cfg_.trace)
+            ring_.pushRun(ev, n);
+        if (cfg_.sink != nullptr)
+            streamRun(ev, n);
     }
 
     /** Out-of-line sink append (obs.cpp), so this header needs no
      *  trace_stream dependency and the no-sink path stays a branch. */
-    void streamEvent(const TraceEvent &ev);
+    void streamRun(const TraceEvent *ev, std::size_t n);
 
-    /** Record @p log's sealed events of key @p key from its head on,
-     *  and return its new head key. */
-    u64 drainKey(ObsLog &log, u64 key);
+    /** drainLogs' view of one log: the sealed chunks it listed, and
+     *  where its merge stands in them. */
+    struct DrainHead
+    {
+        /** Key of the next run; ~0 when the listed chunks are done. */
+        u64 key = ~u64{0};
+        std::vector<const ObsLog::Chunk *> chunks;
+        std::size_t chunk = 0;
+        std::size_t run = 0;
+        std::size_t event = 0;
+    };
 
     ObsParams cfg_;
     TraceRing ring_;
     ObsWindows windows_;
     /** One per SM while they run ahead; empty otherwise. */
     std::vector<std::unique_ptr<ObsLog>> logs_;
-    /** drainLogs' scratch: each log's head key. */
-    std::vector<u64> headKeys_;
+    /** drainLogs' scratch, one per log. */
+    std::vector<DrainHead> heads_;
     bool windowsOn_;
     bool recording_;
     u64 streamedEvents_ = 0;

@@ -1,5 +1,6 @@
 #include "obs/trace_stream.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -214,22 +215,31 @@ TraceStreamSink::writeAll(const u8 *data, std::size_t n)
 }
 
 void
-TraceStreamSink::push(const TraceEvent &ev)
+TraceStreamSink::pushRun(const TraceEvent *ev, std::size_t n)
 {
     WC_ASSERT(!finalized_, "push after finalize on trace dump");
-    u8 *p = buf_.data() + kBatchHeaderBytes +
-            static_cast<std::size_t>(bufEvents_) * kPackedEventBytes;
-    put64(p, ev.cycle);
-    put32(p + 8, ev.a);
-    put32(p + 12, ev.b);
-    put16(p + 16, ev.sm);
-    put16(p + 18, ev.lane);
-    put16(p + 20, ev.c);
-    p[22] = static_cast<u8>(ev.kind);
-    ++bufEvents_;
-    ++events_;
-    if (bufEvents_ == kBatchEvents)
-        flushEvents();
+    events_ += n;
+    while (n > 0) {
+        // Up to the end of the batch in the buffer.
+        const std::size_t k =
+            std::min<std::size_t>(n, kBatchEvents - bufEvents_);
+        u8 *p = buf_.data() + kBatchHeaderBytes +
+                static_cast<std::size_t>(bufEvents_) * kPackedEventBytes;
+        for (const TraceEvent *end = ev + k; ev != end;
+             ++ev, p += kPackedEventBytes) {
+            put64(p, ev->cycle);
+            put32(p + 8, ev->a);
+            put32(p + 12, ev->b);
+            put16(p + 16, ev->sm);
+            put16(p + 18, ev->lane);
+            put16(p + 20, ev->c);
+            p[22] = static_cast<u8>(ev->kind);
+        }
+        n -= k;
+        bufEvents_ += static_cast<u32>(k);
+        if (bufEvents_ == kBatchEvents)
+            flushEvents();
+    }
 }
 
 void

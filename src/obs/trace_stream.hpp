@@ -104,7 +104,11 @@ class TraceStreamSink
     u64 eventsWritten() const { return events_; }
 
     /** Append one event (buffered; no allocation). */
-    void push(const TraceEvent &ev);
+    void push(const TraceEvent &ev) { pushRun(&ev, 1); }
+
+    /** Append the @p n events at @p ev, in order: push() each, packed
+     *  a batch's worth at a time. */
+    void pushRun(const TraceEvent *ev, std::size_t n);
 
     /** Drop every event appended so far: the dump is its header again.
      *  Gpu::run calls it before it reruns a launch whose run-ahead

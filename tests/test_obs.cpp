@@ -59,6 +59,48 @@ TEST(TraceRing, ZeroCapacityCountsOffersWithoutStoring)
     EXPECT_EQ(ring.dropped(), 1u);
 }
 
+/** Feed each run of @p runs (event counts) to one ring of @p capacity
+ *  by pushRun and to another event by event, and check that both hold
+ *  the same events after every run. */
+void
+expectPushRunMatchesPush(u32 capacity, std::vector<std::size_t> runs)
+{
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    TraceRing by_event(capacity);
+    TraceRing by_run(capacity);
+    u32 next = 0;
+    for (std::size_t n : runs) {
+        SCOPED_TRACE("after a run of " + std::to_string(n));
+        std::vector<TraceEvent> run;
+        for (std::size_t i = 0; i < n; ++i, ++next)
+            run.push_back({next, next, 0, 0, 0, TraceEventKind::WarpIssue});
+        for (const TraceEvent &ev : run)
+            by_event.push(ev);
+        by_run.pushRun(run.data(), run.size());
+        ASSERT_EQ(by_run.pushed(), by_event.pushed());
+        ASSERT_EQ(by_run.dropped(), by_event.dropped());
+        ASSERT_EQ(by_run.size(), by_event.size());
+        for (std::size_t i = 0; i < by_run.size(); ++i) {
+            EXPECT_EQ(by_run.at(i).cycle, by_event.at(i).cycle) << i;
+            EXPECT_EQ(by_run.at(i).a, by_event.at(i).a) << i;
+        }
+        if (by_run.dropped() == 0) {
+            ASSERT_EQ(by_run.slots().size(), by_run.size());
+            for (std::size_t i = 0; i < by_run.size(); ++i)
+                EXPECT_EQ(by_run.slots()[i].cycle, by_run.at(i).cycle);
+        }
+    }
+}
+
+TEST(TraceRing, PushRunMatchesPerEventPush)
+{
+    expectPushRunMatchesPush(4, {4});             // fills the ring
+    expectPushRunMatchesPush(4, {3, 3, 1});       // straddles the capacity
+    expectPushRunMatchesPush(4, {1, 11, 2, 9});   // wraps more than once
+    expectPushRunMatchesPush(5, {0, 2, 5, 0, 8, 3, 10});
+    expectPushRunMatchesPush(0, {0, 3, 5});       // stores nothing
+}
+
 // ------------------------------------------------------------- windows
 
 TEST(ObsWindows, AccumulatesIntoIntervalRows)
@@ -154,6 +196,102 @@ TEST(ObsRunLogs, DrainMergesInLockstepOrder)
         EXPECT_EQ(a.bankCycles, b.bankCycles) << "window " << i;
         EXPECT_EQ(a.smCycles, b.smCycles) << "window " << i;
     }
+}
+
+TEST(ObsRunLogs, KeySplitAcrossSealedChunksDrainsInOrder)
+{
+    // A seal between two hooks of one cycle leaves that cycle's run of
+    // SM 0 in two chunks. The drain takes both parts before SM 1's
+    // events of the same cycle, and stops at the floor in between.
+    ObsParams p;
+    p.trace = true;
+    ObsRun logged(p);
+    logged.armLogs(2, 8);
+    logged.onWarpIssue(0, 0, 0x01, 32, 3);
+    logged.onWarpIssue(0, 1, 0x02, 32, 3);
+    logged.log(0)->seal();
+    logged.onWarpIssue(0, 2, 0x03, 32, 3);
+    logged.onWarpIssue(0, 0, 0x04, 32, 4);
+    logged.onWarpIssue(1, 0, 0x11, 32, 3);
+    logged.onWarpIssue(1, 0, 0x12, 32, 4);
+    for (u16 sm = 0; sm < 2; ++sm)
+        logged.log(sm)->seal();
+
+    ObsRun direct(p);
+    direct.onWarpIssue(0, 0, 0x01, 32, 3);
+    direct.onWarpIssue(0, 1, 0x02, 32, 3);
+    direct.onWarpIssue(0, 2, 0x03, 32, 3);
+    direct.onWarpIssue(1, 0, 0x11, 32, 3);
+    direct.onWarpIssue(0, 0, 0x04, 32, 4);
+    direct.onWarpIssue(1, 0, 0x12, 32, 4);
+    const auto expected = ringFields(direct.ring());
+
+    logged.drainLogs(4);
+    EXPECT_EQ(ringFields(logged.ring()),
+              decltype(expected)(expected.begin(), expected.begin() + 4));
+    EXPECT_EQ(logged.log(0)->size(), 1u);
+    EXPECT_EQ(logged.log(1)->size(), 1u);
+    logged.closeLogs();
+    EXPECT_EQ(ringFields(logged.ring()), expected);
+}
+
+TEST(ObsRunLogs, FloorInsideChunkDrainsOverTwoCalls)
+{
+    // Each SM seals one chunk spanning several cycles; two drains stop
+    // inside it, and SM 0 seals a second chunk between them.
+    ObsParams p;
+    p.trace = true;
+    ObsRun logged(p);
+    logged.armLogs(2, 8);
+    logged.onWarpIssue(0, 0, 0x01, 32, 1);
+    logged.onWarpIssue(0, 1, 0x02, 32, 1);
+    logged.onWarpIssue(0, 0, 0x03, 32, 2);
+    logged.onWarpIssue(0, 0, 0x04, 32, 3);
+    logged.onWarpIssue(0, 0, 0x05, 32, 4);
+    logged.onWarpIssue(0, 0, 0x06, 32, 5);
+    logged.log(1)->setLaunchPhase(true);
+    logged.onWarpIssue(1, 0, 0x11, 32, 2);
+    logged.log(1)->setLaunchPhase(false);
+    logged.onWarpIssue(1, 0, 0x12, 32, 2);
+    logged.onWarpIssue(1, 0, 0x13, 32, 4);
+    for (u16 sm = 0; sm < 2; ++sm)
+        logged.log(sm)->seal();
+
+    // Lockstep's order: SM 1's launch at cycle 2 comes before SM 0's
+    // step at cycle 2.
+    ObsRun direct(p);
+    direct.onWarpIssue(0, 0, 0x01, 32, 1);
+    direct.onWarpIssue(0, 1, 0x02, 32, 1);
+    direct.onWarpIssue(1, 0, 0x11, 32, 2);
+    direct.onWarpIssue(0, 0, 0x03, 32, 2);
+    direct.onWarpIssue(1, 0, 0x12, 32, 2);
+    direct.onWarpIssue(0, 0, 0x04, 32, 3);
+    direct.onWarpIssue(0, 0, 0x05, 32, 4);
+    direct.onWarpIssue(1, 0, 0x13, 32, 4);
+    direct.onWarpIssue(0, 0, 0x06, 32, 5);
+    direct.onWarpIssue(0, 0, 0x07, 32, 6);
+    const auto expected = ringFields(direct.ring());
+    const auto prefix = [&](std::size_t n) {
+        return decltype(expected)(expected.begin(), expected.begin() + n);
+    };
+
+    logged.drainLogs(3);
+    EXPECT_EQ(ringFields(logged.ring()), prefix(5));
+    EXPECT_EQ(logged.log(0)->size(), 3u);
+    EXPECT_EQ(logged.log(1)->size(), 1u);
+
+    logged.onWarpIssue(0, 0, 0x07, 32, 6);
+    EXPECT_EQ(logged.log(0)->size(), 4u) << "the open chunk counts too";
+    logged.log(0)->seal();
+    logged.drainLogs(5);
+    EXPECT_EQ(ringFields(logged.ring()), prefix(8));
+    EXPECT_EQ(logged.log(0)->size(), 2u);
+    EXPECT_EQ(logged.log(1)->size(), 0u);
+    logged.drainLogs(5);
+    EXPECT_EQ(logged.ring().size(), 8u) << "a second drain to one floor";
+
+    logged.closeLogs();
+    EXPECT_EQ(ringFields(logged.ring()), expected);
 }
 
 TEST(ObsRun, TraceWindowFiltersEvents)

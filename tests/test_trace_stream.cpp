@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -319,6 +320,55 @@ TEST(TraceStream, EmptyRunDumpRoundTrips)
     writeDecisionReport(ss, *dump);
     writeDumpChromeTrace(ss, *dump);
     std::remove(path.c_str());
+}
+
+TEST(TraceStream, PushRunMatchesPerEventPush)
+{
+    // A sink fed whole runs writes the bytes of one fed event by event,
+    // across the 4096-event batch boundary and after a rewind that
+    // drops a flushed batch and a partly filled one.
+    TraceStreamMeta meta;
+    meta.gitSha = traceStreamGitSha();
+    meta.workload = "runs";
+    meta.config = "push-run";
+    meta.numSms = 2;
+    meta.numBanks = 4;
+    std::vector<TraceEvent> events;
+    for (u32 i = 0; i < 5000; ++i)
+        events.push_back({i / 3, i, ~i, static_cast<u16>(i % 2),
+                          static_cast<u16>(i % 7),
+                          static_cast<TraceEventKind>(i % kNumTraceEventKinds),
+                          static_cast<u16>(i % 64)});
+    const std::string by_event = tempPath("by_event.wctrace");
+    const std::string by_run = tempPath("by_run.wctrace");
+    {
+        TraceStreamSink sink(by_event, meta);
+        for (const TraceEvent &ev : events)
+            sink.push(ev);
+        sink.finalize(1700, ObsWindows(0));
+    }
+    {
+        TraceStreamSink sink(by_run, meta);
+        sink.pushRun(events.data(), 4100);
+        sink.rewind();
+        // 1 + 3000 + 1100 crosses the batch boundary inside a run.
+        const std::size_t runs[] = {1, 3000, 1100, 899};
+        std::size_t at = 0;
+        for (std::size_t n : runs) {
+            sink.pushRun(events.data() + at, n);
+            at += n;
+        }
+        ASSERT_EQ(at, events.size());
+        EXPECT_EQ(sink.eventsWritten(), events.size());
+        sink.finalize(1700, ObsWindows(0));
+    }
+    EXPECT_EQ(slurp(by_run), slurp(by_event));
+    TraceDumpError err;
+    const auto dump = loadTraceDump(by_run, &err);
+    ASSERT_TRUE(dump.has_value()) << err.code << ": " << err.detail;
+    EXPECT_EQ(dump->events.size(), events.size());
+    std::remove(by_event.c_str());
+    std::remove(by_run.c_str());
 }
 
 TEST(TraceStream, TruncationAndCorruptionAreStructuredErrors)
