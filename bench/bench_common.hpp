@@ -96,9 +96,11 @@ runSelected(const HarnessOptions &opt, ExperimentConfig cfg,
         meta.numBanks = makeGpuParams(cfg).sm.regfile.numBanks;
         meta.cycles = results.front().run.cycles;
         std::ofstream os(opt.tracePath);
-        if (!os)
-            WC_FATAL("cannot write trace to '" << opt.tracePath << "'");
         writeChromeTrace(os, *results.front().run.obs, meta);
+        // A failed open, or a full disk that took the open but not the
+        // writes, leaves the stream failed.
+        if (!os.flush())
+            WC_FATAL("cannot write trace to '" << opt.tracePath << "'");
     }
 
     // Ring wrap-around loses the oldest events; that is invisible in

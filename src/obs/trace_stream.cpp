@@ -1,13 +1,14 @@
 #include "obs/trace_stream.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/json_parse.hpp"
@@ -104,7 +105,7 @@ headerJson(const TraceStreamMeta &meta)
 }
 
 std::optional<TraceStreamMeta>
-metaFromJson(const std::string &json)
+metaFromJson(std::string_view json)
 {
     const JsonParseOutcome parsed = parseJson(json);
     if (!parsed.ok() || !parsed.value->isObject())
@@ -321,40 +322,109 @@ failLoad(TraceDumpError *err, std::string code, std::string detail)
     return std::nullopt;
 }
 
-/** Whole file in one sized read; an unseekable input (a pipe) is read
- *  to its end instead. */
-std::string
-readAll(std::ifstream &in)
-{
-    std::string raw;
-    if (in.seekg(0, std::ios::end)) {
-        raw.resize(static_cast<std::size_t>(in.tellg()));
-        in.seekg(0);
-        in.read(raw.data(), static_cast<std::streamsize>(raw.size()));
-        raw.resize(static_cast<std::size_t>(in.gcount()));
-    } else {
-        in.clear();
-        raw.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-    }
-    return raw;
-}
+/** Bytes a read asks for at most: the step by which the payload
+ *  buffer can grow past the bytes that have arrived. */
+constexpr std::size_t kReadChunk = std::size_t{1} << 20;
 
-/** Events declared by the well-formed batch records from @p pos on, to
- *  size the event vector once; the parse still checks every record. */
-std::size_t
-countBatchEvents(const u8 *data, std::size_t size, std::size_t pos)
+/**
+ * A dump read front to back with read(2), so a pipe loads like a file.
+ * Each fill() lands in one buffer, reused from record to record; it
+ * grows by at most kReadChunk past the bytes that did arrive, so no
+ * length field sizes more than the input holds.
+ */
+class DumpReader
 {
-    std::size_t n = 0;
-    while (pos + 5 <= size) {
-        const u32 len = get32(data + pos + 1);
-        if (data[pos] == kRecordEventBatch && len >= 4 &&
-            pos + 5 + len <= size) {
-            const u32 count = get32(data + pos + 5);
-            if (4 + static_cast<u64>(count) * kPackedEventBytes == len)
-                n += count;
+  public:
+    explicit DumpReader(int fd) : fd_(fd) {}
+    ~DumpReader() { ::close(fd_); }
+
+    DumpReader(const DumpReader &) = delete;
+    DumpReader &operator=(const DumpReader &) = delete;
+
+    /** The next @p n bytes into data(); returns how many arrived, fewer
+     *  only where the input ends. */
+    u64
+    fill(u64 n)
+    {
+        u64 have = 0;
+        while (have < n) {
+            const std::size_t want = static_cast<std::size_t>(
+                std::min<u64>(n - have, kReadChunk));
+            if (buf_.size() < have + want)
+                buf_.resize(have + want);
+            const std::size_t got = readSome(buf_.data() + have, want);
+            have += got;
+            if (got < want)
+                break;
         }
-        pos += 5 + static_cast<std::size_t>(len);
+        return have;
+    }
+
+    /** Past the next @p n bytes, kReadChunk at a time; false if the
+     *  input ends first. */
+    bool
+    skip(u64 n)
+    {
+        while (n > 0) {
+            const u64 want = std::min<u64>(n, kReadChunk);
+            if (fill(want) != want)
+                return false;
+            n -= want;
+        }
+        return true;
+    }
+
+    const u8 *data() const { return buf_.data(); }
+
+  private:
+    /** Up to @p n bytes; fewer only at the end of the input or on a
+     *  read error, which ends it. */
+    std::size_t
+    readSome(u8 *out, std::size_t n)
+    {
+        std::size_t got = 0;
+        while (got < n) {
+            const ssize_t r = ::read(fd_, out + got, n - got);
+            if (r < 0 && errno == EINTR)
+                continue;
+            if (r <= 0)
+                break;
+            got += static_cast<std::size_t>(r);
+        }
+        return got;
+    }
+
+    int fd_;
+    std::vector<u8> buf_;
+};
+
+/**
+ * Events declared by the batch records from @p pos on, to size the
+ * event vector once. Only a regular file has record headers to read
+ * ahead, with pread, which leaves the reader where it is. A writer
+ * writes every batch before its window rows, so the count stops at the
+ * first record that is not a whole, well-formed batch; the parse still
+ * checks every record.
+ */
+std::size_t
+countBatchEvents(int fd, u64 pos)
+{
+    struct stat st{};
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode))
+        return 0;
+    const u64 size = static_cast<u64>(st.st_size);
+    std::size_t n = 0;
+    u8 head[kBatchHeaderBytes];
+    while (pos + sizeof head <= size &&
+           ::pread(fd, head, sizeof head, static_cast<off_t>(pos)) ==
+               static_cast<ssize_t>(sizeof head)) {
+        const u32 len = get32(head + 1);
+        const u32 count = get32(head + 5);
+        if (head[0] != kRecordEventBatch || pos + 5 + len > size ||
+            4 + static_cast<u64>(count) * kPackedEventBytes != len)
+            break;
+        n += count;
+        pos += 5 + static_cast<u64>(len);
     }
     return n;
 }
@@ -368,29 +438,28 @@ loadTraceDump(const std::string &path, TraceDumpError *err)
     if (std::filesystem::is_directory(path, ec))
         return failLoad(err, "open_failed",
                         "trace dump '" + path + "' is a directory");
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return failLoad(err, "open_failed",
                         "cannot open trace dump '" + path + "'");
-    const std::string raw = readAll(in);
-    const u8 *data = reinterpret_cast<const u8 *>(raw.data());
-    const std::size_t size = raw.size();
+    DumpReader in(fd);
 
-    if (size < 16 ||
-        std::memcmp(data, kTraceDumpMagic, sizeof(kTraceDumpMagic)) != 0)
+    if (in.fill(16) < 16 ||
+        std::memcmp(in.data(), kTraceDumpMagic, sizeof(kTraceDumpMagic)) !=
+            0)
         return failLoad(err, "bad_magic",
                         "not a wc-trace dump (bad or short magic)");
-    const u32 version = get32(data + 8);
+    const u32 version = get32(in.data() + 8);
     if (version != kTraceDumpVersion)
         return failLoad(err, "bad_version",
                         "unsupported dump version " +
                             std::to_string(version));
-    const u32 json_len = get32(data + 12);
-    if (16 + static_cast<std::size_t>(json_len) > size)
+    const u32 json_len = get32(in.data() + 12);
+    if (in.fill(json_len) < json_len)
         return failLoad(err, "truncated_dump",
                         "header JSON extends past end of file");
-    const std::string json(raw, 16, json_len);
-    const auto meta = metaFromJson(json);
+    const auto meta = metaFromJson(
+        {reinterpret_cast<const char *>(in.data()), json_len});
     if (!meta.has_value())
         return failLoad(err, "bad_header",
                         "header JSON is missing required fields or "
@@ -399,23 +468,32 @@ loadTraceDump(const std::string &path, TraceDumpError *err)
     TraceDump dump;
     dump.meta = *meta;
 
-    std::size_t pos = 16 + json_len;
-    dump.events.reserve(countBatchEvents(data, size, pos));
+    u64 pos = 16 + static_cast<u64>(json_len);
+    dump.events.reserve(countBatchEvents(fd, pos));
     bool saw_footer = false;
     u64 footer_events = 0, footer_windows = 0;
-    while (pos < size) {
-        if (pos + 5 > size)
+    for (;;) {
+        const u64 head = in.fill(5);
+        if (head == 0)
+            break;
+        if (head < 5)
             return failLoad(err, "truncated_dump",
                             "record header torn at byte " +
                                 std::to_string(pos));
-        const u8 type = data[pos];
-        const u32 len = get32(data + pos + 1);
+        const u8 type = in.data()[0];
+        const u32 len = get32(in.data() + 1);
         pos += 5;
-        if (pos + len > size)
+        // Only a payload the checks below decode is kept; any other is
+        // read past, so its length sizes nothing.
+        const bool keep = !saw_footer &&
+            (type == kRecordEventBatch ||
+             (type == kRecordWindowRow && len == kPackedWindowBytes) ||
+             (type == kRecordFooter && len == 32));
+        if (keep ? in.fill(len) < len : !in.skip(len))
             return failLoad(err, "truncated_dump",
                             "record payload torn at byte " +
                                 std::to_string(pos));
-        const u8 *payload = data + pos;
+        const u8 *payload = in.data();
         pos += len;
 
         if (saw_footer)

@@ -23,14 +23,17 @@
 #include <cstdio>
 #include <iterator>
 #include <limits>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sched.h>
 #include <unistd.h>
 
+#include "common/json_parse.hpp"
 #include "common/json_writer.hpp"
 #include "common/sha256.hpp"
 #include "harness/experiment.hpp"
@@ -90,8 +93,8 @@ TEST(ObsGolden, TracedRunArtifactsMatchPinnedDigests)
 
     EXPECT_EQ(result.run.cycles, 8324u);
     EXPECT_EQ(digest(chrome.str()),
-              "b8c1eb24c982738e6184c2fa2512cceb"
-              "9cad3447738e5d407559763df68ce071")
+              "74f8aa312cd711d21900b76fdc3f4e54"
+              "f011f04e2f6f1051988ea5d6137284a8")
         << "chrome trace";
     EXPECT_EQ(digest(stats.str()),
               "d65ebde89d1b4f342b3c6cf154e856d1"
@@ -115,17 +118,20 @@ TEST(ObsGolden, TracedRunArtifactsMatchPinnedDigests)
         << "decision report";
 }
 
-TEST(ObsGolden, ChromeEveryEventKind)
+/**
+ * A synthetic view that holds every event kind. Bank 3 of SM 0 wakes
+ * with no gate-off on record (gated since traceStart); bank 5 of SM 1
+ * is still gated at the end and closes at traceEnd, which is before the
+ * run's last cycle. The last event's cycle has 20 digits, the widest
+ * value a layout must hold.
+ */
+std::vector<TraceEvent>
+everyKindEvents()
 {
     constexpr u32 kMaxU32 = std::numeric_limits<u32>::max();
     constexpr u16 kMaxU16 = std::numeric_limits<u16>::max();
     using K = TraceEventKind;
-    // Chronological, every kind at least once. Bank 3 of SM 0 wakes
-    // with no gate-off on record (gated since traceStart); bank 5 of
-    // SM 1 is still gated at the end and closes at traceEnd, which is
-    // before the run's last cycle. The last event's cycle has 20
-    // digits, the widest value a layout must hold.
-    const std::vector<TraceEvent> events = {
+    return {
         {10, 0x40, 32, 0, 0, K::WarpIssue, 0},
         {11, 2, 0, 0, 3, K::GateWake, 0},
         {12, 7, 0, 0, 0, K::DummyMov, 0},
@@ -154,6 +160,13 @@ TEST(ObsGolden, ChromeEveryEventKind)
         {10'000'000'000'000'000'000ull, kMaxU32, 0, kMaxU16, kMaxU16,
          K::DummyMov, 0},
     };
+}
+
+/** The Chrome trace of everyKindEvents(), with window rows that hit
+ *  each counter's zero guard. */
+std::string
+everyKindChrome(const std::vector<TraceEvent> &events)
+{
     std::vector<WindowRow> windows(3);
     windows[0] = {40, 2, 8, 512, 1024, 6, 64, 20};
     windows[1] = {0, 0, 0, 0, 0, 0, 0, 0};     // no SM cycles, no writes
@@ -172,11 +185,62 @@ TEST(ObsGolden, ChromeEveryEventKind)
     meta.cycles = std::numeric_limits<Cycle>::max();
     std::ostringstream chrome;
     writeChromeTrace(chrome, view, meta);
+    return chrome.str();
+}
 
-    EXPECT_EQ(digest(chrome.str()),
-              "8d05649b0abe8e74678ee1395fe5ae13"
-              "fc37919433e75f7d71a0ce33983d01f8")
+TEST(ObsGolden, ChromeEveryEventKind)
+{
+    EXPECT_EQ(digest(everyKindChrome(everyKindEvents())),
+              "3113e22747326b2e25bfac75e9444950"
+              "0b6cbd56f2ec58765860055c970609af")
         << "chrome trace";
+}
+
+/**
+ * Every event object (an instant event, or a "gated"/"waking" interval)
+ * is one line that parses alone, so a reader can take the events a line
+ * at a time; the metadata and counter objects around them stay Pretty.
+ */
+TEST(ObsGolden, ChromeEventsOneLineEach)
+{
+    using K = TraceEventKind;
+    const std::vector<TraceEvent> events = everyKindEvents();
+    const std::string doc = everyKindChrome(events);
+    const JsonParseOutcome whole = parseJson(doc);
+    ASSERT_TRUE(whole.ok()) << whole.error;
+
+    // One line per instant event, two per wake (gated, waking), and one
+    // per bank still gated at the end.
+    std::size_t expect = 0;
+    std::set<std::pair<u16, u16>> gated;
+    for (const TraceEvent &ev : events) {
+        const std::pair<u16, u16> bank{ev.sm, ev.lane};
+        if (ev.kind == K::GateOff) {
+            gated.insert(bank);
+        } else if (ev.kind == K::GateWake) {
+            gated.erase(bank);
+            expect += 2;
+        } else {
+            ++expect;
+        }
+    }
+    expect += gated.size();
+
+    const std::string prefix = "    {\"name\":";
+    std::size_t lines = 0;
+    std::istringstream in(doc);
+    for (std::string line; std::getline(in, line);) {
+        if (line.compare(0, prefix.size(), prefix) != 0)
+            continue;
+        ++lines;
+        if (line.back() == ',')
+            line.pop_back();
+        const JsonParseOutcome parsed = parseJson(line);
+        ASSERT_TRUE(parsed.ok()) << parsed.error << ": " << line;
+        EXPECT_TRUE(parsed.value->isObject()) << line;
+        EXPECT_NE(parsed.value->find("ts"), nullptr) << line;
+    }
+    EXPECT_EQ(lines, expect);
 }
 
 /** Deterministic filler: every non-gate kind on SMs 0-2, warp slots
@@ -273,15 +337,16 @@ multiBlockWindows()
 }
 
 constexpr const char *kMultiBlockDigest =
-    "55e12b60a4c4e74d60fbec604871985a"
-    "31d8975d82151126c7d2af93af2880a8";
+    "e44d4a2b80d7f1fd7dd241a36aa55a2a"
+    "18a4427474a1d4aaf02def1b2d830c17";
 
 /**
  * The exporter formats events in blocks of kChromeBlockEvents, on
  * worker threads when more than one CPU is available. These views put
- * the gate-interval fold and the array separators across block edges;
- * the digests were computed by the single-threaded serializer that
- * came before the blocks.
+ * the gate-interval fold and the array separators across block edges.
+ * The digests were first computed by the single-threaded serializer
+ * that came before the blocks; the documents pinned now, with one line
+ * per event object, parse to the same values.
  */
 TEST(ObsGolden, ChromeMultiBlock)
 {
@@ -292,15 +357,15 @@ TEST(ObsGolden, ChromeMultiBlock)
 
     const std::vector<TraceEvent> one_block = fillerEvents(kBlock, 0);
     EXPECT_EQ(chromeDigest(one_block, {}, 20'000),
-              "ac31c1b985b677461f52f20b5996fc0d"
-              "874c0af368ad9850e3085c99cfb1ebac")
+              "234b6c98815e87923482e3682eb26716"
+              "d367b5f07457c07cea81261474880f7d")
         << "exactly one block";
 
     const std::vector<TraceEvent> block_and_one =
         fillerEvents(kBlock + 1, 0);
     EXPECT_EQ(chromeDigest(block_and_one, {}, 20'000),
-              "927e0702b7b13314a5dec0fc1ac2c21c"
-              "3b7530b9a07070598bae4e87f26d943c")
+              "d2e0a69b4341e8cd8acddc480b740a5e"
+              "54b9f545e973f3429b7991e36876f65e")
         << "one block and one event";
 
     EXPECT_EQ(chromeDigest({}, {}, 20'000),

@@ -14,6 +14,9 @@
  *     count or whose header claims a hostile bank count, makes the
  *     analyzer exit 1 with a structured machine-readable diagnostic,
  *     never a crash;
+ *   - a dump piped to `wc_trace summary /dev/stdin` gives the report
+ *     its file gives;
+ *   - a report or --trace file that cannot be written exits 1;
  *   - usage errors exit 2.
  *
  * Kept out of warpcomp_tests so the in-process suite never forks.
@@ -258,6 +261,59 @@ TEST(TraceProcess, HostileHeaderShapeExitsOneWithStructuredDiagnostic)
     ASSERT_NE(code->asString(), nullptr);
     EXPECT_EQ(*code->asString(), "bad_header");
     EXPECT_NE(parsed.value->find("detail"), nullptr);
+}
+
+TEST(TraceProcess, PipedDumpGivesTheFileReport)
+{
+    // A pipe cannot be sized or seeked: the loader must read it to its
+    // end like a file and report the same bytes.
+    const std::string &dump = referenceDump();
+    const std::string from_file = tempPath("file_summary.json");
+    ASSERT_EQ(runAnalyzer("summary " + dump, from_file,
+                          tempPath("file_summary.err")),
+              0);
+    const std::string err = tempPath("piped_summary.err");
+    for (const std::string &feed : {"cat " + dump + " | ", std::string()}) {
+        const std::string out = tempPath("piped_summary.json");
+        const std::string redirect = feed.empty() ? " <" + dump : "";
+        ASSERT_EQ(runCommand(feed + WC_TRACE_BIN + " summary /dev/stdin" +
+                             redirect + " >" + out + " 2>" + err),
+                  0)
+            << (feed.empty() ? "redirected: " : "piped: ") << slurp(err);
+        EXPECT_EQ(slurp(out), slurp(from_file))
+            << (feed.empty() ? "redirected" : "piped");
+    }
+}
+
+TEST(TraceProcess, WriteFailuresExitOne)
+{
+    // A full device accepts the open and fails the writes: the run and
+    // every report must still exit 1 and name what they could not write.
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no /dev/full on this system";
+    const std::string err = tempPath("full.err");
+    EXPECT_EQ(runKernel("--threads=1 --trace=/dev/full", err), 1)
+        << slurp(err);
+    EXPECT_NE(slurp(err).find("/dev/full"), std::string::npos)
+        << slurp(err);
+
+    const std::string &dump = referenceDump();
+    for (const char *sub : {"summary", "heatmap", "stalls", "decisions",
+                            "export --chrome"}) {
+        EXPECT_EQ(runAnalyzer(std::string(sub) + " " + dump +
+                                  " -o /dev/full",
+                              tempPath("full.out"), err),
+                  1)
+            << sub << " -o /dev/full";
+        EXPECT_NE(slurp(err).find("/dev/full"), std::string::npos)
+            << sub << ": " << slurp(err);
+        EXPECT_EQ(runCommand(std::string(WC_TRACE_BIN) + " " + sub + " " +
+                             dump + " >/dev/full 2>" + err),
+                  1)
+            << sub << " >/dev/full";
+        EXPECT_NE(slurp(err).find("stdout"), std::string::npos)
+            << sub << ": " << slurp(err);
+    }
 }
 
 TEST(TraceProcess, MissingFileAndUsageErrors)

@@ -3,10 +3,12 @@
  * Streaming trace export + offline analytics: dump round-trip against
  * the live run, byte-identity across reruns / thread counts / ring
  * configurations, live-vs-offline Perfetto convergence, structured
- * truncation/corruption detection, and determinism of every analyzer
- * report. The dumps come from real runWorkload runs so the whole
- * pipeline (harness sink arming → simulator hooks → writer → loader →
- * reports) is exercised, not just the codec.
+ * truncation/corruption detection (a dump cut at every byte, a header
+ * followed by a sparse hole the loader must not hold in memory), and
+ * determinism of every analyzer report. The dumps come from real
+ * runWorkload runs so the whole pipeline (harness sink arming →
+ * simulator hooks → writer → loader → reports) is exercised, not just
+ * the codec.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/json_parse.hpp"
@@ -483,6 +487,72 @@ TEST(TraceStream, TruncationAndCorruptionAreStructuredErrors)
     EXPECT_EQ(err.code, "open_failed");
 
     std::remove(path.c_str());
+}
+
+TEST(TraceStream, EveryCutOfASmallDumpIsAStructuredError)
+{
+    // One SM and a 200-cycle trace window keep the dump small enough to
+    // cut at every byte: inside the fixed header there is no magic to
+    // trust, and from there on every cut is a torn dump.
+    const std::string full = tempPath("small.wctrace");
+    ExperimentConfig cfg = streamedConfig(full, false);
+    cfg.numSms = 1;
+    cfg.obs.traceStart = 1000;
+    cfg.obs.traceEnd = 1200;
+    runWorkload("nw", cfg);
+    const std::string good = slurp(full);
+    TraceDumpError err;
+    const auto dump = loadTraceDump(full, &err);
+    ASSERT_TRUE(dump.has_value()) << err.code << ": " << err.detail;
+    ASSERT_GT(dump->events.size(), 0u);
+    ASSERT_GT(dump->windows.size(), 0u);
+
+    // Cut one copy shorter and shorter: no byte is written twice.
+    const std::string path = tempPath("cut.wctrace");
+    spit(path, good);
+    for (std::size_t cut = good.size(); cut-- > 0;) {
+        ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(cut)), 0);
+        err = {};
+        ASSERT_FALSE(loadTraceDump(path, &err).has_value()) << cut;
+        ASSERT_EQ(err.code, cut < 16 ? "bad_magic" : "truncated_dump")
+            << "cut at byte " << cut << " of " << good.size() << ": "
+            << err.detail;
+    }
+    std::remove(path.c_str());
+    std::remove(full.c_str());
+}
+
+TEST(TraceStream, SparseHoleAfterHeaderIsBadRecordInBoundedMemory)
+{
+    // A valid header followed by 256 MiB of zeros: the first record is
+    // of type 0, which no writer emits. The loader must say so without
+    // holding the hole in memory.
+    const std::string path = tempPath("hole.wctrace");
+    TraceStreamMeta meta;
+    meta.gitSha = traceStreamGitSha();
+    meta.workload = "hole";
+    meta.config = "sparse";
+    meta.numSms = 1;
+    meta.numBanks = 4;
+    { TraceStreamSink sink(path, meta); } // header only, no footer
+    struct stat st{};
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    constexpr off_t kHole = off_t{256} << 20;
+    ASSERT_EQ(::truncate(path.c_str(), st.st_size + kHole), 0);
+
+    rusage before{};
+    ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+    TraceDumpError err;
+    EXPECT_FALSE(loadTraceDump(path, &err).has_value());
+    rusage after{};
+    ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+    std::remove(path.c_str());
+
+    EXPECT_EQ(err.code, "bad_record") << err.detail;
+    // ru_maxrss is in KiB.
+    EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024)
+        << "loading grew the peak RSS by "
+        << (after.ru_maxrss - before.ru_maxrss) / 1024 << " MiB";
 }
 
 TEST(TraceStream, FooterCyclesMustMatchWindowRows)

@@ -12,7 +12,8 @@
  *
  * Reports go to stdout unless -o FILE is given. Exit codes: 0 ok,
  * 1 bad/truncated dump (structured JSON diagnostic on stderr — code +
- * detail, stable across versions, never a crash), 2 usage error.
+ * detail, stable across versions, never a crash) or a report that
+ * could not be written, 2 usage error.
  */
 
 #include <cstring>
@@ -108,15 +109,18 @@ main(int argc, char **argv)
     if (!dump.has_value())
         return loadError(err);
 
-    if (out_path.empty()) {
-        report(std::cout, *dump);
-        return 0;
-    }
-    std::ofstream os(out_path, std::ios::binary);
-    if (!os) {
-        std::cerr << "wc_trace: cannot write '" << out_path << "'\n";
+    std::ofstream file;
+    if (!out_path.empty())
+        file.open(out_path, std::ios::binary);
+    std::ostream &os = out_path.empty() ? std::cout : file;
+    report(os, *dump);
+    // A failed open, or a full disk that took the open but not the
+    // writes, leaves the stream failed.
+    if (!os.flush()) {
+        std::cerr << "wc_trace: cannot write "
+                  << (out_path.empty() ? "stdout" : "'" + out_path + "'")
+                  << "\n";
         return 1;
     }
-    report(os, *dump);
     return 0;
 }
